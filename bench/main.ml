@@ -533,7 +533,7 @@ let e_batch { fast; seed } =
   say "%d writer clients x %d INSERTs, %d parked entangled queries re-checked \
        per poke"
     n_clients per_client n_parked;
-  let run_variant ~batch_writes ~fastpath ~max_batch ~durability =
+  let run_variant ~max_batch ~durability =
     let sys = fresh_travel ~seed ~n_flights:32 () in
     let db = Youtopia.System.database sys in
     let wal_path = Filename.temp_file "youtopia_batch" ".wal" in
@@ -552,17 +552,7 @@ let e_batch { fast; seed } =
               ~dest:"Nowhere"))
     done;
     let config =
-      {
-        Net.Server.default_config with
-        Net.Server.port = 0;
-        batch_writes;
-        fastpath;
-        (* one worker per client: flusher coalescing scales with how many
-           confluent commits are in flight at once *)
-        fastpath_workers = n_clients;
-        max_batch;
-        max_delay_us = 1_000;
-      }
+      { Net.Server.default_config with Net.Server.port = 0; max_batch }
     in
     let server = Net.Server.start ~config sys in
     let port = Net.Server.port server in
@@ -613,32 +603,28 @@ let e_batch { fast; seed } =
       snap.Net.Server_stats.batch_size_mean,
       fsyncs )
   in
-  (* the legacy rows pin fastpath OFF: these blind inserts are exactly
-     what the confluence classifier admits, and routing them around the
-     batching executor would misstate what batching buys *)
+  (* per-request is the same batch executor at max_batch = 1 *)
   let variants =
     [
-      ("flush_per_request", false, false, 1, Wal.Flush_per_commit);
-      ("flush_batched32", true, false, 32, Wal.Flush_per_commit);
-      ("flush_fastpath", true, true, 32, Wal.Flush_per_commit);
-      ("fsync_per_request", false, false, 1, Wal.Fsync_per_commit);
-      ("fsync_batched8", true, false, 8, Wal.Fsync_per_commit);
-      ("fsync_batched32", true, false, 32, Wal.Fsync_per_commit);
-      ("fsync_fastpath", true, true, 32, Wal.Fsync_per_commit);
+      ("flush_per_request", 1, Wal.Flush_per_commit);
+      ("flush_batched32", 32, Wal.Flush_per_commit);
+      ("fsync_per_request", 1, Wal.Fsync_per_commit);
+      ("fsync_batched8", 8, Wal.Fsync_per_commit);
+      ("fsync_batched32", 32, Wal.Fsync_per_commit);
     ]
   in
   say "%20s %10s %10s %10s %11s %8s" "variant" "writes/s" "p50(us)" "p99(us)"
     "batch mean" "fsyncs";
   let results =
     List.map
-      (fun (label, batch_writes, fastpath, max_batch, durability) ->
+      (fun (label, max_batch, durability) ->
         (* best of two trials: fsync latency on a shared disk is noisy
            enough that a single cold run can misstate a variant by 2-3x *)
         let ((qps1, _, _, _, _) as trial1) =
-          run_variant ~batch_writes ~fastpath ~max_batch ~durability
+          run_variant ~max_batch ~durability
         in
         let ((qps2, _, _, _, _) as trial2) =
-          run_variant ~batch_writes ~fastpath ~max_batch ~durability
+          run_variant ~max_batch ~durability
         in
         let qps, p50, p99, bmean, fsyncs =
           if qps2 > qps1 then trial2 else trial1
@@ -668,25 +654,7 @@ let e_batch { fast; seed } =
        (flush)"
     fsync_speedup flush_speedup;
   say "  (the fsync gap is group commit: one disk barrier per batch instead";
-  say "   of one per statement; the flush gap is lock + poke amortisation)";
-  (* headline 2: coordination avoidance — confluent writes through the
-     shared-latch fast path vs the per-request exclusive baseline at
-     equal durability.  The batched-executor ratio is recorded too: on a
-     single-runtime-lock OCaml the shared-lock path has no real
-     parallelism to spend, so the batch barrier's per-request
-     amortisation still wins (see DESIGN.md §14) *)
-  let fastpath_speedup =
-    qps_of "fsync_fastpath" /. qps_of "fsync_per_request"
-  in
-  let fastpath_vs_batched =
-    qps_of "fsync_fastpath" /. qps_of "fsync_batched32"
-  in
-  record ~experiment:"BATCH" ~metric:"fastpath_speedup" fastpath_speedup;
-  record ~experiment:"BATCH" ~metric:"fastpath_vs_batched" fastpath_vs_batched;
-  say "  fast path vs per-request exclusive, fsync durability: %.2fx \
-       (no global lock, flusher-coalesced fsyncs); vs the batched \
-       exclusive executor: %.2fx"
-    fastpath_speedup fastpath_vs_batched
+  say "   of one per statement; the flush gap is lock + poke amortisation)"
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks of the engine primitives (supporting table). *)
@@ -1828,7 +1796,7 @@ let e_conn { fast; seed } =
      %.2fx the p99 at matched load"
     capacity_speedup p99_speedup;
   say "  (the thread model burns two OS threads per connection; the event";
-  say "   core multiplexes its wall on %d poll loops and a batch drainer)" 2
+  say "   core multiplexes its wall on %d poll loops)" 2
 
 let experiments =
   [

@@ -11,10 +11,39 @@
    docs/PROTOCOL.md).  Ctrl-C shuts down gracefully: in-flight responses
    are flushed before connections close. *)
 
+(* Point fd 1 at /dev/null.  Started with stdout closed, the process
+   would otherwise hand fd 1 to the next file it opens — the WAL, say —
+   and console lines would land there; once stdout's reader has gone,
+   every later flush (the exit-time one included) would raise EPIPE. *)
+let park_stdout () =
+  let fd = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  if fd <> Unix.stdout then begin
+    Unix.dup2 fd Unix.stdout;
+    Unix.close fd
+  end
+
+let ensure_stdout () =
+  match Unix.fstat Unix.stdout with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EBADF, _, _) -> park_stdout ()
+
+(* Console output is best-effort: a server whose stdout reader has gone
+   must still serve and shut down cleanly. *)
+let say fmt =
+  Printf.ksprintf
+    (fun s ->
+      try
+        print_string s;
+        flush stdout
+      with Sys_error _ -> (
+        park_stdout ();
+        try flush stdout with Sys_error _ -> ()))
+    fmt
+
 let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-    ~durability ~max_batch ~max_delay_us ~no_batch ~no_fastpath
-    ~fastpath_workers ~replica_of ~replica_id ~conn_model ~event_loops
+    ~durability ~max_batch ~replica_of ~replica_id ~conn_model ~event_loops
     ~max_conns ~verbose =
+  ensure_stdout ();
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.Src.set_level Net.Server.log_src (Some Logs.Debug);
@@ -56,7 +85,7 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
     let db = Youtopia.System.database sys in
     (match Relational.Database.recovery_stats db with
     | Some { Relational.Database.snapshot_lsn; replayed_batches; _ } ->
-      Printf.printf "recovered %s: %s%d batch(es) replayed\n%!" wal_path
+      say "recovered %s: %s%d batch(es) replayed\n" wal_path
         (match snapshot_lsn with
         | Some lsn -> Printf.sprintf "snapshot at lsn %d + " lsn
         | None -> "")
@@ -121,6 +150,10 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
     prerr_endline "--event-loops must be at least 1";
     exit 2
   end;
+  if max_batch < 1 then begin
+    prerr_endline "--max-batch must be at least 1";
+    exit 2
+  end;
   let config =
     {
       Net.Server.default_config with
@@ -130,10 +163,6 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
       max_frame;
       durability;
       max_batch;
-      max_delay_us;
-      batch_writes = not no_batch;
-      fastpath = Net.Server.default_config.Net.Server.fastpath && not no_fastpath;
-      fastpath_workers;
       replica_of;
       replica_id;
       conn_model;
@@ -141,33 +170,32 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
       max_conns;
     }
   in
-  let server = Net.Server.start ~config sys in
-  Printf.printf "youtopia server listening on %s:%d (protocol v%d)%s\n%!" host
-    (Net.Server.port server) Net.Wire.protocol_version
-    (match replica_of with
-    | Some (h, p) -> Printf.sprintf " — read replica of %s:%d" h p
-    | None -> "");
-  if fresh_travel then
-    print_endline "travel dataset loaded (32 flights, 16 hotels)";
-  (match fresh_scenario with
-  | Some "locks" -> print_endline "lock-lease scenario loaded (32 locks)"
-  | Some _ -> print_endline "group-formation scenario loaded (32 rides)"
-  | None -> ());
   (* Signal handlers only run at safepoints in a thread executing OCaml
      code; a main thread parked in Condition.wait never reaches one, so a
      Ctrl-C would stay pending forever.  Poll a flag instead — Thread.delay
      returns to OCaml code regularly, giving the runtime a safepoint to run
-     the handler at. *)
+     the handler at.  Installed before the socket listens, so a signal
+     that races start-up still takes the clean path. *)
   let stop = Atomic.make false in
   let request_stop _ = Atomic.set stop true in
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+  let server = Net.Server.start ~config sys in
+  say "youtopia server listening on %s:%d (protocol v%d)%s\n" host
+    (Net.Server.port server) Net.Wire.protocol_version
+    (match replica_of with
+    | Some (h, p) -> Printf.sprintf " — read replica of %s:%d" h p
+    | None -> "");
+  if fresh_travel then say "travel dataset loaded (32 flights, 16 hotels)\n";
+  (match fresh_scenario with
+  | Some "locks" -> say "lock-lease scenario loaded (32 locks)\n"
+  | Some _ -> say "group-formation scenario loaded (32 rides)\n"
+  | None -> ());
   while not (Atomic.get stop) do
     Thread.delay 0.2
   done;
-  print_endline "shutting down...";
   Net.Server.stop server;
-  print_endline (Net.Server_stats.render (Net.Server.stats server));
+  say "shut down\n%s\n" (Net.Server_stats.render (Net.Server.stats server));
   0
 
 open Cmdliner
@@ -235,43 +263,11 @@ let max_batch_opt =
     value
     & opt int Net.Server.default_config.Net.Server.max_batch
     & info [ "max-batch" ] ~docv:"N"
-        ~doc:"Most write requests the batching drainer executes per batch.")
-
-let max_delay_us_opt =
-  Arg.(
-    value
-    & opt int Net.Server.default_config.Net.Server.max_delay_us
-    & info [ "max-delay-us" ] ~docv:"US"
         ~doc:
-          "Microseconds the drainer holds a batch open for more writers to \
-           join.")
-
-let no_batch_flag =
-  Arg.(
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:
-          "Disable write batching: every write takes the engine lock, \
-           flushes and pokes alone (the per-request baseline).")
-
-let no_fastpath_flag =
-  Arg.(
-    value & flag
-    & info [ "no-fastpath" ]
-        ~doc:
-          "Disable the coordination-avoidance write fast path: confluent \
-           writes (blind inserts, counter updates, single-row deletes) take \
-           the exclusive batching executor like everything else.  Also \
-           disabled by YOUTOPIA_FASTPATH=0 in the environment.")
-
-let fastpath_workers_opt =
-  Arg.(
-    value
-    & opt int Net.Server.default_config.Net.Server.fastpath_workers
-    & info [ "fastpath-workers" ] ~docv:"N"
-        ~doc:
-          "Threads executing confluent writes concurrently under the shared \
-           engine lock.")
+          "Most write requests one batch executes: the writes an event loop \
+           decodes in one poll iteration run together, under one engine \
+           lock, one WAL flush and one coordinator poke.  1 runs every \
+           write alone (the per-request baseline).")
 
 let replica_of_opt =
   Arg.(
@@ -323,18 +319,14 @@ let cmd =
     Term.(
       const
         (fun host port travel scenario seed wal read_timeout max_frame
-             durability max_batch max_delay_us no_batch no_fastpath
-             fastpath_workers replica_of replica_id conn_model event_loops
+             durability max_batch replica_of replica_id conn_model event_loops
              max_conns verbose ->
           run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-            ~durability ~max_batch ~max_delay_us ~no_batch ~no_fastpath
-            ~fastpath_workers ~replica_of ~replica_id ~conn_model ~event_loops
-            ~max_conns ~verbose)
+            ~durability ~max_batch ~replica_of ~replica_id ~conn_model
+            ~event_loops ~max_conns ~verbose)
       $ host_opt $ port_opt $ travel_flag $ scenario_opt $ seed_opt $ wal_opt
-      $ read_timeout_opt
-      $ max_frame_opt $ durability_opt $ max_batch_opt $ max_delay_us_opt
-      $ no_batch_flag $ no_fastpath_flag $ fastpath_workers_opt
-      $ replica_of_opt $ replica_id_opt $ conn_model_opt
-      $ event_loops_opt $ max_conns_opt $ verbose_flag)
+      $ read_timeout_opt $ max_frame_opt $ durability_opt $ max_batch_opt
+      $ replica_of_opt $ replica_id_opt $ conn_model_opt $ event_loops_opt
+      $ max_conns_opt $ verbose_flag)
 
 let () = exit (Cmd.eval' cmd)

@@ -98,5 +98,5 @@ val poke_batch : ?statements:int -> t -> Events.notification list
     {!poke} (the dirty set accumulated across the batch is drained to the
     same fixpoint), but counted as a single batch-level poke amortising
     [statements] DML statements in {!Stats} ([batch_pokes] /
-    [batch_poke_stmts]).  The server's batching drainer calls this once
+    [batch_poke_stmts]).  The server's batch executor calls this once
     per batch instead of poking per statement. *)

@@ -27,10 +27,6 @@ type t = {
   mutable tuple_fallbacks : int;
       (** changed tables widened to table-level readers (deletes, DDL,
           direct mutations, delta-buffer overflow) *)
-  mutable fastpath_commits : int;
-      (** confluent statements committed on the latch-guarded fast path *)
-  mutable fastpath_rejects : int;
-      (** statements the classifier sent back to the exclusive path *)
 }
 
 let create () =
@@ -58,8 +54,6 @@ let create () =
     tuple_probes = 0;
     tuple_hits = 0;
     tuple_fallbacks = 0;
-    fastpath_commits = 0;
-    fastpath_rejects = 0;
   }
 
 let reset s =
@@ -85,9 +79,7 @@ let reset s =
   s.batch_poke_stmts <- 0;
   s.tuple_probes <- 0;
   s.tuple_hits <- 0;
-  s.tuple_fallbacks <- 0;
-  s.fastpath_commits <- 0;
-  s.fastpath_rejects <- 0
+  s.tuple_fallbacks <- 0
 
 let pp ppf s =
   Fmt.pf ppf
@@ -97,14 +89,12 @@ let pp ppf s =
      %d@,plan cache hits: %d@,plan cache misses: %d@,plan cache \
      invalidations: %d@,plan cache evictions: %d@,pokes: %d@,dirty \
      retries: %d@,dirty skipped: %d@,batch pokes: %d@,batch poke stmts: \
-     %d@,tuple probes: %d@,tuple hits: %d@,tuple fallbacks: \
-     %d@,fastpath commits: %d@,fastpath rejects: %d@]"
+     %d@,tuple probes: %d@,tuple hits: %d@,tuple fallbacks: %d@]"
     s.submitted s.answered s.groups_fulfilled s.rejected s.registered
     s.cancelled s.match_attempts s.search_steps s.unify_attempts s.groundings
     s.budget_exhausted s.cache_hits s.cache_misses s.cache_invalidations
     s.cache_evictions s.pokes s.dirty_retries s.dirty_skipped s.batch_pokes
     s.batch_poke_stmts s.tuple_probes s.tuple_hits s.tuple_fallbacks
-    s.fastpath_commits s.fastpath_rejects
 
 let to_string s = Fmt.str "%a" pp s
 
@@ -122,6 +112,4 @@ let to_kv s =
          "tuple_probes", s.tuple_probes;
          "tuple_hits", s.tuple_hits;
          "tuple_fallbacks", s.tuple_fallbacks;
-         "fastpath_commits", s.fastpath_commits;
-         "fastpath_rejects", s.fastpath_rejects;
        ])

@@ -29,10 +29,6 @@ type t = {
   mutable tuple_fallbacks : int;
       (** changed tables that widened to table-level readers (deletes, DDL,
           direct mutations, delta-buffer overflow) *)
-  mutable fastpath_commits : int;
-      (** confluent statements committed on the latch-guarded fast path *)
-  mutable fastpath_rejects : int;
-      (** statements the classifier sent back to the exclusive path *)
 }
 
 val create : unit -> t

@@ -1,35 +1,21 @@
-(** A writer-preferring read-write lock for the server's engine sections,
-    with a third {e shared-write} mode for the confluent fast path.
+(** A writer-preferring read-write lock for the server's engine sections.
 
-    Three compatibility classes:
-    - {b readers} run together (plain SELECT traffic; they traverse table
-      internals lock-free);
-    - {b shared writers} run together (classified invariant-confluent
-      writes, arbitrated among themselves by {!Relational.Fastpath}
-      latches) but exclude readers — a reader must never observe a table's
-      hash indexes mid-mutation;
-    - an {b exclusive writer} (DDL, entangled fulfilment, multi-statement
-      transactions, pokes) holds the lock alone.
-
-    Writer preference: once an exclusive writer is waiting, new readers
-    and new shared writers queue behind it, so a steady read or fast-path
-    load cannot starve coordination.  Readers can be starved by a
-    continuous stream of (shared or exclusive) writers — acceptable here
-    because engine writes are short and bursty.
+    Any number of readers may hold the lock together; a writer holds it
+    alone.  Writer preference: once a writer is waiting, new readers queue
+    behind it, so a steady read load cannot starve mutations (the
+    coordination path must not wait forever behind SELECT traffic).
+    Readers can be starved by a continuous stream of writers — acceptable
+    here because engine writes are short and bursty.
 
     Built from one mutex and two condition variables; [readers] counts the
-    active readers, [shared_writers] the active fast-path writers,
-    [writer] marks an active exclusive writer, [waiting_writers]
-    implements the preference.  Readers wait on [can_read]; shared and
-    exclusive writers wait on [can_write] (each re-checks its own
-    predicate on wake, so a broadcast never admits the wrong class). *)
+    active readers, [writer] marks an active writer, [waiting_writers]
+    implements the preference. *)
 
 type t = {
   mu : Mutex.t;
   can_read : Condition.t;
   can_write : Condition.t;
   mutable readers : int;
-  mutable shared_writers : int;
   mutable writer : bool;
   mutable waiting_writers : int;
 }
@@ -40,19 +26,17 @@ let create () =
     can_read = Condition.create ();
     can_write = Condition.create ();
     readers = 0;
-    shared_writers = 0;
     writer = false;
     waiting_writers = 0;
   }
 
-(* All acquire paths report whether they had to queue, so the server can
+(* Both acquire paths report whether they had to queue, so the server can
    count lock contention without timing anything. *)
 
 let read_lock l =
   Mutex.lock l.mu;
-  let blocked () = l.writer || l.waiting_writers > 0 || l.shared_writers > 0 in
-  let contended = blocked () in
-  while blocked () do
+  let contended = l.writer || l.waiting_writers > 0 in
+  while l.writer || l.waiting_writers > 0 do
     Condition.wait l.can_read l.mu
   done;
   l.readers <- l.readers + 1;
@@ -62,36 +46,14 @@ let read_lock l =
 let read_unlock l =
   Mutex.lock l.mu;
   l.readers <- l.readers - 1;
-  (* broadcast: several shared writers (or one exclusive writer) may be
-     eligible once the readers drain; each waiter re-checks its predicate *)
-  if l.readers = 0 then Condition.broadcast l.can_write;
-  Mutex.unlock l.mu
-
-let shared_write_lock l =
-  Mutex.lock l.mu;
-  let blocked () = l.writer || l.waiting_writers > 0 || l.readers > 0 in
-  let contended = blocked () in
-  while blocked () do
-    Condition.wait l.can_write l.mu
-  done;
-  l.shared_writers <- l.shared_writers + 1;
-  Mutex.unlock l.mu;
-  contended
-
-let shared_write_unlock l =
-  Mutex.lock l.mu;
-  l.shared_writers <- l.shared_writers - 1;
-  if l.shared_writers = 0 then
-    if l.waiting_writers > 0 then Condition.broadcast l.can_write
-    else Condition.broadcast l.can_read;
+  if l.readers = 0 then Condition.signal l.can_write;
   Mutex.unlock l.mu
 
 let write_lock l =
   Mutex.lock l.mu;
-  let blocked () = l.writer || l.readers > 0 || l.shared_writers > 0 in
-  let contended = blocked () in
+  let contended = l.writer || l.readers > 0 in
   l.waiting_writers <- l.waiting_writers + 1;
-  while l.writer || l.readers > 0 || l.shared_writers > 0 do
+  while l.writer || l.readers > 0 do
     Condition.wait l.can_write l.mu
   done;
   l.waiting_writers <- l.waiting_writers - 1;
@@ -102,13 +64,8 @@ let write_lock l =
 let write_unlock l =
   Mutex.lock l.mu;
   l.writer <- false;
-  if l.waiting_writers > 0 then Condition.broadcast l.can_write
-  else begin
-    (* readers and shared writers are both eligible; whichever class wins
-       the race admits itself and the other re-sleeps *)
-    Condition.broadcast l.can_read;
-    Condition.broadcast l.can_write
-  end;
+  if l.waiting_writers > 0 then Condition.signal l.can_write
+  else Condition.broadcast l.can_read;
   Mutex.unlock l.mu
 
 let with_read ?on_wait l f =
@@ -120,8 +77,3 @@ let with_write ?on_wait l f =
   let contended = write_lock l in
   if contended then Option.iter (fun g -> g ()) on_wait;
   Fun.protect ~finally:(fun () -> write_unlock l) f
-
-let with_shared_write ?on_wait l f =
-  let contended = shared_write_lock l in
-  if contended then Option.iter (fun g -> g ()) on_wait;
-  Fun.protect ~finally:(fun () -> shared_write_unlock l) f

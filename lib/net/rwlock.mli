@@ -1,34 +1,21 @@
-(** A writer-preferring read-write lock with a shared-write mode.
+(** A writer-preferring read-write lock.
 
-    Three compatibility classes: any number of readers together; any
-    number of {e shared writers} together (the confluent fast path —
-    mutually arbitrated by per-table/per-key latches, see
-    {!Relational.Fastpath}); an exclusive writer alone.  Readers and
-    shared writers exclude each other: lock-free readers must never
-    observe table internals mid-mutation.  Once an exclusive writer is
-    waiting, new readers and shared writers queue behind it, so a steady
-    read or fast-path load cannot starve coordination.  The server
-    serialises engine access with one of these: read-only plain SQL runs
-    in the read section, classified invariant-confluent writes in the
-    shared-write section, everything else that can mutate (DDL, entangled
-    submissions, cancels, pokes) in the exclusive section. *)
+    Any number of readers may hold the lock together; a writer holds it
+    alone.  Once a writer is waiting, new readers queue behind it, so a
+    steady read load cannot starve mutations.  The server serialises
+    engine access with one of these: read-only plain SQL runs in the read
+    section, everything that can mutate (DML, DDL, entangled submissions,
+    cancels) in the write section. *)
 
 type t
 
 val create : unit -> t
 
 val read_lock : t -> bool
-(** Acquire shared (read).  [true] if the caller had to wait (a writer —
-    shared or exclusive — was active or queued). *)
+(** Acquire shared.  [true] if the caller had to wait (a writer was active
+    or queued). *)
 
 val read_unlock : t -> unit
-
-val shared_write_lock : t -> bool
-(** Acquire the shared-write mode: concurrent with other shared writers,
-    exclusive against readers and the exclusive writer.  [true] if the
-    caller had to wait. *)
-
-val shared_write_unlock : t -> unit
 
 val write_lock : t -> bool
 (** Acquire exclusive.  [true] if the caller had to wait. *)
@@ -40,7 +27,4 @@ val with_read : ?on_wait:(unit -> unit) -> t -> (unit -> 'a) -> 'a
     (the server counts contention with it). *)
 
 val with_write : ?on_wait:(unit -> unit) -> t -> (unit -> 'a) -> 'a
-(** Run in the exclusive section; [on_wait] as above. *)
-
-val with_shared_write : ?on_wait:(unit -> unit) -> t -> (unit -> 'a) -> 'a
-(** Run in the shared-write section; [on_wait] as above. *)
+(** Run in the write section; [on_wait] as above. *)

@@ -7,30 +7,37 @@
     sockets via {!Netpoll} (a [poll(2)] stub, with a sharded-[select]
     fallback).  Reads go through the incremental {!Wire.Decoder} so a
     partial frame never blocks a loop; complete frames dispatch inline on
-    the loop thread.  Outbound frames queue per connection (bounded by
-    [max_outq] — a slow consumer is dropped, never buffered without limit)
-    and are flushed by the owning loop under [POLLOUT]; a self-pipe wakeup
-    lets any thread (the batch drainer's response fan-out, a coordination
-    push raised inside another connection's fulfilment) hand frames to the
-    owning loop without blocking.  Backpressure: a connection with
-    [max_in_flight] batched writes outstanding loses [POLLIN] interest
-    until responses drain.  Idle enforcement is loop-side ([read_timeout]
-    deadlines swept by the loop) and {e exempts} connections whose user
-    owns a parked pending query — a long coordination wait must not race
-    the idle timer — as well as replica links.
+    the loop thread.  The write SUBMITs decoded during one poll iteration
+    collect into the loop's open batch, which the loop itself executes at
+    the end of the iteration: no hand-off thread, no wakeup.  Outbound
+    frames queue per connection (bounded by [max_outq] — a slow consumer
+    is dropped, never buffered without limit) and are flushed by the
+    owning loop; a self-pipe wakeup lets {e other} threads (another loop's
+    batch pushing to this loop's connection, a thread-model reader) hand
+    frames to the owning loop without blocking.  Backpressure: a
+    connection with [max_in_flight] responses queued unflushed loses
+    [POLLIN] interest until they drain.  Idle enforcement is loop-side
+    ([read_timeout] deadlines swept by the loop) and {e exempts}
+    connections whose user owns a parked pending query — a long
+    coordination wait must not race the idle timer — as well as replica
+    links.
 
     {b Thread model} ([conn_model = Threads], the ablation baseline): per
     connection, one reader thread (decoder-fed frames in, dispatch) and one
-    writer thread draining the outbound queue; [SO_RCVTIMEO] provides the
-    idle wakeup, with the same parked-query exemption.
+    writer thread draining the outbound queue.  The reader executes the
+    writes one read decoded as one batch before it blocks again.
+    [SO_RCVTIMEO] provides the idle wakeup, with the same parked-query
+    exemption.
 
     Engine work runs under a writer-preferring {!Rwlock}: read-only scripts
     and admin probes share the engine; anything that can mutate is
-    exclusive, via the {b batching executor} (one lock acquisition, one WAL
+    exclusive, via the {b batch executor} (one lock acquisition, one WAL
     group flush, one coordinator poke per batch; responses fan out after
-    release).  SQL is parsed {i outside} the lock.  Pushes are handed off
-    from the coordinator's fulfilment path straight onto the owning
-    connection's outbound queue via {!Youtopia.Session.set_listener}.
+    release).  SQL is parsed {i outside} the lock.  Program order holds
+    per connection: any other frame from a connection with a write in the
+    open batch runs the batch first.  Pushes are handed off from the
+    coordinator's fulfilment path straight onto the owning connection's
+    outbound queue via {!Youtopia.Session.set_listener}.
 
     Connections negotiated at protocol ≥ 2 receive bulky payloads
     (replication chunks, large results) as raw-bytes frames
@@ -55,25 +62,9 @@ type config = {
   serialize_reads : bool;
       (** run read-only scripts in the exclusive section too — the
           global-mutex baseline for the concurrency benchmark *)
-  batch_writes : bool;
-      (** writer requests go through the batching drainer instead of each
-          taking the exclusive section alone *)
-  fastpath : bool;
-      (** route write scripts the {!Sql.Confluence} classifier proves
-          invariant-confluent down the shared-lock latch path
-          ({!Relational.Fastpath}) instead of the exclusive batching
-          executor; requires [batch_writes] and is ignored under
-          [serialize_reads] (the global-mutex baseline must serialize
-          everything) *)
-  fastpath_workers : int;
-      (** threads executing fast-path requests concurrently under the
-          shared engine lock *)
-  max_batch : int;  (** most write requests the drainer executes per batch *)
-  max_delay_us : int;
-      (** µs the drainer holds a batch open for more writers to join *)
-  max_batchq : int;
-      (** bound on queued write requests; readers block (backpressure)
-          when the queue is full *)
+  max_batch : int;
+      (** most write requests one batch executes; 1 is the per-request
+          baseline *)
   durability : Relational.Wal.durability option;
       (** applied to the system's WAL at {!start}; [None] leaves the
           database's current mode untouched *)
@@ -85,7 +76,7 @@ type config = {
   conn_model : conn_model;
   event_loops : int;  (** event-loop workers ([Event] model) *)
   max_in_flight : int;
-      (** batched writes one connection may have outstanding before the
+      (** responses one connection may have queued unflushed before the
           loop drops its read interest (event-model backpressure) *)
   max_conns : int;  (** refuse accepts beyond this many live conns; 0 = ∞ *)
 }
@@ -100,15 +91,7 @@ let default_config =
     max_outq = 1024;
     banner = "youtopia";
     serialize_reads = false;
-    batch_writes = true;
-    fastpath =
-      (match Sys.getenv_opt "YOUTOPIA_FASTPATH" with
-      | Some ("0" | "false" | "off" | "no") -> false
-      | _ -> true);
-    fastpath_workers = 2;
     max_batch = 32;
-    max_delay_us = 1_000;
-    max_batchq = 256;
     durability = None;
     replica_of = None;
     replica_id = "replica";
@@ -135,17 +118,9 @@ type conn = {
   out_cond : Condition.t;
   mutable closing : bool;
   mutable raw : bool;  (** negotiated protocol ≥ 2: bulky frames go raw *)
-  mutable in_flight : int;  (** batched writes outstanding; under [out_mu] *)
-  mutable excl_pending : int;
-      (** writes queued for the exclusive batching drainer; under
-          [batch_mu].  A connection with exclusive writes outstanding must
-          not route a new write down the fast path — the two queues drain
-          concurrently and could invert the connection's program order. *)
-  mutable fp_pending : int;
-      (** writes outstanding on the fast path; under [batch_mu].  Held at
-          ≤ 1: two fast-path requests from one connection could complete
-          out of order on different workers, so the second one routes to
-          the drainer (whose ticket barrier orders it after this one). *)
+  mutable batched : int;
+      (** this connection's writes in the open batch; touched only by the
+          thread dispatching its frames (its loop, or its reader) *)
   home : home;
   dec : Wire.Decoder.t;
   mutable peer : peer option;
@@ -160,8 +135,8 @@ type conn = {
   mutable writer : Thread.t option;  (** thread model only *)
 }
 
-(** One writer request parked in the batch queue: everything the drainer
-    needs to execute it and fan the response back out. *)
+(** One write request in an open batch: everything the executor needs to
+    run it and send the response. *)
 type write_req = {
   wr_conn : conn;
   wr_session : Youtopia.Session.t;
@@ -170,10 +145,14 @@ type write_req = {
   wr_t0 : float;  (** arrival time, for end-to-end submit latency *)
 }
 
-(** One event-loop worker.  [lp_conns] is touched only by the loop thread;
-    [lp_mu] guards the [lp_incoming] hand-off queue.  The self-pipe plus
-    [lp_waked] coalesces wakeups: whoever flips the flag writes the byte,
-    everyone else piggybacks. *)
+(** The write requests one dispatcher (an event loop, or a thread-model
+    reader) has decoded but not yet executed, newest first. *)
+type batch = { mutable reqs : write_req list; mutable size : int }
+
+(** One event-loop worker.  [lp_conns] and [lp_batch] are touched only by
+    the loop thread; [lp_mu] guards the [lp_incoming] hand-off queue.  The
+    self-pipe plus [lp_waked] coalesces wakeups from other threads:
+    whoever flips the flag writes the byte, everyone else piggybacks. *)
 type loop = {
   lp_index : int;
   lp_wake_r : Unix.file_descr;
@@ -182,6 +161,11 @@ type loop = {
   lp_mu : Mutex.t;
   lp_incoming : conn Queue.t;
   lp_conns : (int, conn) Hashtbl.t;
+  lp_batch : batch;
+  mutable lp_tid : int;  (** the loop thread's {!Thread.id}; -1 until it runs *)
+  mutable lp_late_out : bool;
+      (** the loop thread queued output since this iteration's interest
+          build began: the next poll must not block *)
   (* reusable poll arrays, resized as the fd population grows *)
   mutable lp_fds : Unix.file_descr array;
   mutable lp_events : int array;
@@ -202,36 +186,10 @@ type t = {
   mutable next_conn_id : int;
   mutable running : bool;
   mutable accept_thread : Thread.t option;
-  (* write-batching executor *)
-  batchq : write_req Queue.t;
-  batch_mu : Mutex.t;
-  batch_cond : Condition.t;  (* work arrived (or shutdown) *)
-  batch_space : Condition.t;  (* queue has room again *)
-  mutable drainer : Thread.t option;
-  (* coordination-avoidance fast path (all counters under [batch_mu]) *)
-  fastq : write_req Queue.t;  (** confluent write requests awaiting a worker *)
-  fast_cond : Condition.t;
-      (** a fast-path request arrived (or shutdown) — separate from
-          [batch_cond] so each enqueue signals exactly one idle worker
-          instead of waking the whole pool plus the drainer *)
-  mutable fp_workers : Thread.t list;
-  mutable fp_enqueued : int;  (** fast-path requests admitted, ever *)
-  mutable fp_completed : int;
-      (** fast-path requests finished (responded), ever.  The drainer's
-          ticket barrier waits for [fp_completed] to catch up with the
-          [fp_enqueued] it observed before running an exclusive batch, so
-          a batch always sees every previously admitted confluent write. *)
-  mutable fp_poke_stmts : int;
-      (** DML statements committed on the fast path whose coordination
-          poke is still owed; the drainer runs the poke under the
-          exclusive lock (fulfilment mutates tables) and resets this *)
   (* event core *)
   netpoll : Netpoll.engine;
   loops : loop array;  (** empty under the thread model *)
   mutable next_loop : int;  (** round-robin adoption cursor *)
-  mutable loops_running : bool;
-      (** loops outlive [running] so the drainer's final fan-out still
-          reaches the wire; {!stop} clears this after joining the drainer *)
   (* replication *)
   hub : Replication.Hub.t option;
       (** primary side: committed batches fan out to replica sinks;
@@ -280,18 +238,6 @@ let with_engine_read t f =
     r
   end
 
-(** Shared-writer mode: fast-path workers mutate tables under latches, so
-    they may run alongside each other but never alongside readers (which
-    expect a stable snapshot) or the exclusive section. *)
-let with_shared_write t f =
-  let waited = ref false in
-  let r =
-    Rwlock.with_shared_write ~on_wait:(fun () -> waited := true) t.engine_lock
-      f
-  in
-  Server_stats.on_engine_shared_write t.stats ~waited:!waited;
-  r
-
 (** A statement the engine can run under the shared lock — shared with the
     client's replica routing so both sides agree (see
     {!Sql.Ast.read_only}). *)
@@ -312,10 +258,19 @@ let wake lp =
     try ignore (Unix.write lp.lp_wake_w wake_byte 0 1)
     with Unix.Unix_error _ -> ()
 
+(** Tell the owning loop about new output.  The loop thread itself never
+    needs the pipe — it flushes every connection before its next poll — so
+    it only marks the poll non-blocking, in case this connection's
+    interest was already built without the output. *)
 let wake_home t conn =
   match conn.home with
   | Home_threads -> ()
-  | Home_loop i -> if i < Array.length t.loops then wake t.loops.(i)
+  | Home_loop i ->
+    if i < Array.length t.loops then begin
+      let lp = t.loops.(i) in
+      if Thread.id (Thread.self ()) = lp.lp_tid then lp.lp_late_out <- true
+      else wake lp
+    end
 
 (** Enqueue one (raw, payload) frame for the connection's flusher, bounded
     by [config.max_outq]: a peer that stops reading while frames keep
@@ -533,7 +488,7 @@ let exec_write_script t session ~id stmts =
     Server_stats.on_error t.stats;
     (Wire.Error { id; message = Printexc.to_string exn }, 0)
 
-(* ---------------- write-batching executor ---------------- *)
+(* ---------------- batch executor ---------------- *)
 
 (* WAL flush/fsync deltas across a batch, attributed in Server_stats *)
 let wal_io_snapshot t =
@@ -546,17 +501,22 @@ let wal_io_delta before after =
      b.Relational.Wal.fsyncs - a.Relational.Wal.fsyncs)
   | _ -> (0, 0)
 
-(** Execute one drained batch: the engine write lock is taken {b once},
-    every request runs with per-request error isolation inside a single
-    WAL batch scope (one flush, one fsync at scope end), dirty tables
+(** Execute one batch: the engine write lock is taken {b once}, every
+    request runs with per-request error isolation inside a single WAL
+    batch scope (one flush, one fsync at scope end), dirty tables
     accumulate across the whole batch and a single {!Coordinator.poke}
-    covers them all.  Responses and pushes fan out {i after} the lock is
-    released.  If the scope-end durability sync fails, no response has
-    been sent yet — every batch member reports the failure instead of a
-    false ack. *)
+    covers them all.  Responses are queued {i after} the lock is released.
+    If the scope-end durability sync fails, no response has been sent yet
+    — every batch member reports the failure instead of a false ack. *)
 let execute_batch t batch =
   let db = Youtopia.System.database t.sys in
   let io0 = wal_io_snapshot t in
+  let fail_all what exn =
+    Server_stats.on_error t.stats;
+    Log.err (fun f -> f "%s: %s" what (Printexc.to_string exn));
+    let message = what ^ ": " ^ Printexc.to_string exn in
+    List.map (fun wr -> (wr, Wire.Error { id = wr.wr_id; message })) batch
+  in
   let results =
     match
       with_engine t (fun () ->
@@ -564,56 +524,40 @@ let execute_batch t batch =
              here dies holding a possibly-unflushed WAL batch scope *)
           Fault.point "server.batch";
           Relational.Database.with_wal_batch db (fun () ->
+              let dml = ref 0 in
               let results =
                 List.map
                   (fun wr ->
-                    let response, dml =
+                    let response, n =
                       exec_write_script t wr.wr_session ~id:wr.wr_id
                         wr.wr_stmts
                     in
-                    (wr, response, dml))
+                    dml := !dml + n;
+                    (wr, response))
                   batch
               in
-              let dml_total =
-                List.fold_left (fun acc (_, _, d) -> acc + d) 0 results
-              in
-              if dml_total > 0 then
-                ignore (Youtopia.System.poke_batch t.sys ~statements:dml_total);
+              if !dml > 0 then
+                ignore (Youtopia.System.poke_batch t.sys ~statements:!dml);
               results))
     with
     | results -> results
     | exception exn ->
       (* the batch's WAL sync (or the poke) failed after the statements
          ran: acks would lie about durability, so everyone gets the error *)
-      Server_stats.on_error t.stats;
-      Log.err (fun f -> f "batch failed: %s" (Printexc.to_string exn));
-      let message = "batch durability failure: " ^ Printexc.to_string exn in
-      List.map
-        (fun wr -> (wr, Wire.Error { id = wr.wr_id; message }, 0))
-        batch
+      fail_all "batch durability failure" exn
   in
   let flushes, fsyncs = wal_io_delta io0 (wal_io_snapshot t) in
   Server_stats.on_batch t.stats ~size:(List.length batch) ~flushes ~fsyncs;
-  let now = Unix.gettimeofday () in
   (* after the lock release: the batch is durable but not yet acked — a
      [kill] here is the classic committed-but-unacknowledged crash *)
-  Fault.point "server.batch.fanout";
-  (* release the routing slots before the responses go out: a client that
-     observed its ack may immediately submit a confluent write and expect
-     fast-path eligibility *)
-  Mutex.lock t.batch_mu;
+  let results =
+    match Fault.point "server.batch.fanout" with
+    | () -> results
+    | exception exn -> fail_all "batch committed, but its fan-out failed" exn
+  in
+  let now = Unix.gettimeofday () in
   List.iter
-    (fun (wr, _, _) ->
-      wr.wr_conn.excl_pending <- max 0 (wr.wr_conn.excl_pending - 1))
-    results;
-  Mutex.unlock t.batch_mu;
-  List.iter
-    (fun (wr, response, _) ->
-      (* release the in-flight slot before the response hits the queue, so
-         the owning loop's next interest build can restore POLLIN *)
-      Mutex.lock wr.wr_conn.out_mu;
-      wr.wr_conn.in_flight <- max 0 (wr.wr_conn.in_flight - 1);
-      Mutex.unlock wr.wr_conn.out_mu;
+    (fun (wr, response) ->
       (* count before send: once the response is queued the loop can
          flush it, and a client observing its answer must also observe
          the submit counted *)
@@ -623,339 +567,30 @@ let execute_batch t batch =
   (* replicas ride the same fan-out discipline as client responses *)
   hub_flush t
 
-(** Drainer thread: wait for write requests, let concurrent writers pile
-    in (holding a lone request open up to [max_delay_us]), then execute up
-    to [max_batch] of them as one batch.  Keeps draining after {!stop}
-    flips [running] until the queue is empty, so accepted requests are
-    never dropped. *)
-let drainer_loop t =
-  let slice =
-    Float.min 2e-4 (Float.max 5e-5 (float_of_int t.config.max_delay_us /. 1e6 /. 4.))
-  in
-  Mutex.lock t.batch_mu;
-  let rec loop () =
-    if
-      t.fp_poke_stmts > 0
-      && (t.fp_poke_stmts >= t.config.max_batch
-         || t.fp_completed = t.fp_enqueued)
-    then begin
-      (* coordination pokes owed by fast-path commits: the commit
-         observers already recorded the dirty tables at publication, so a
-         single poke under the exclusive lock (fulfilment mutates tables)
-         delivers the wakeups for everything committed since the last
-         sweep — the fast path never runs coordination itself.  Amortise
-         like the batch path does: sweep once the debt reaches a batch's
-         worth of statements, or as soon as the fast path goes quiescent
-         (the completing worker's broadcast wakes us) — under load the
-         exclusive-lock poke doesn't ping-pong with the shared-lock
-         workers on every commit *)
-      let statements = t.fp_poke_stmts in
-      t.fp_poke_stmts <- 0;
-      Mutex.unlock t.batch_mu;
-      (match
-         with_engine t (fun () ->
-             ignore (Youtopia.System.poke_batch t.sys ~statements))
-       with
-      | () -> ()
-      | exception exn ->
-        Server_stats.on_error t.stats;
-        Log.err (fun f -> f "fast-path poke: %s" (Printexc.to_string exn)));
-      hub_flush t;
-      Mutex.lock t.batch_mu;
-      loop ()
-    end
-    else if Queue.is_empty t.batchq then begin
-      if t.running || t.fp_completed < t.fp_enqueued then begin
-        (* also stay alive for in-flight fast-path requests: their
-           delegated pokes land here *)
-        Condition.wait t.batch_cond t.batch_mu;
-        loop ()
-      end
-      (* else: stopped and drained — exit *)
-    end
-    else begin
-      (* Hold the batch open only when the system looks idle (a single
-         queued request): waiting helps an isolated writer's batch pick up
-         stragglers.  When requests are already piled up, drain and go —
-         execution time of this batch is the accumulation window for the
-         next one (natural batching), and waiting out the timer would just
-         add latency without growing the batch (the writers whose requests
-         we hold are blocked on their responses). *)
-      (if t.config.max_delay_us > 0 && Queue.length t.batchq <= 1 then begin
-         let deadline =
-           Unix.gettimeofday () +. (float_of_int t.config.max_delay_us /. 1e6)
-         in
-         let rec gather () =
-           if
-             t.running
-             && Queue.length t.batchq <= 1
-             && Unix.gettimeofday () < deadline
-           then begin
-             Mutex.unlock t.batch_mu;
-             Thread.delay slice;
-             Mutex.lock t.batch_mu;
-             gather ()
-           end
-         in
-         gather ()
-       end);
-      let batch = ref [] in
-      let n = ref 0 in
-      while (not (Queue.is_empty t.batchq)) && !n < t.config.max_batch do
-        batch := Queue.pop t.batchq :: !batch;
-        incr n
-      done;
-      Condition.broadcast t.batch_space;
-      (* ticket barrier: every fast-path request admitted before this
-         batch runs must complete first.  A connection with a fast-path
-         write outstanding routes its next write here (see [fp_pending]),
-         and this wait is what makes that second write observe the first —
-         program order per connection survives the split into two
-         queues. *)
-      let ticket = t.fp_enqueued in
-      while t.fp_completed < ticket do
-        Condition.wait t.batch_cond t.batch_mu
-      done;
-      Mutex.unlock t.batch_mu;
-      (* the drainer must survive anything a batch throws (injected faults
-         included): a dead drainer would silently stall every writer *)
-      (match execute_batch t (List.rev !batch) with
-      | () -> ()
-      | exception exn ->
-        Server_stats.on_error t.stats;
-        Log.err (fun f -> f "batch executor: %s" (Printexc.to_string exn)));
-      Mutex.lock t.batch_mu;
-      loop ()
-    end
-  in
-  loop ();
-  Mutex.unlock t.batch_mu
-
-(* ---------------- coordination-avoidance fast path ---------------- *)
-
-(** Execute one fast-path request end to end.  Under the {e shared}-writer
-    engine lock, classify every statement of the script; if the
-    {!Sql.Confluence} classifier proves them all confluent, apply them
-    through the latch executor ({!Relational.Fastpath.apply}), release the
-    lock, run the durability waits (so concurrent workers' fsyncs
-    coalesce), and respond.  A classifier rejection — the admission
-    prescreen is syntactic and optimistic — falls back to the exclusive
-    lock right here, on this worker, preserving per-request error
-    semantics.  Returns the number of statements whose coordination poke
-    is owed (delegated to the drainer: fulfilment mutates tables and needs
-    the exclusive section). *)
-let execute_fastpath t wr =
-  let coord_stats =
-    Core.Coordinator.stats (Youtopia.System.coordinator t.sys)
-  in
-  let release_in_flight () =
-    Mutex.lock wr.wr_conn.out_mu;
-    wr.wr_conn.in_flight <- max 0 (wr.wr_conn.in_flight - 1);
-    Mutex.unlock wr.wr_conn.out_mu
-  in
-  let fast =
-    with_shared_write t (fun () ->
-        let cat = Youtopia.System.catalog t.sys in
-        let verdicts =
-          List.map
-            (fun stmt -> Sql.Confluence.classify cat stmt)
-            wr.wr_stmts
-        in
-        let confluent = function
-          | Sql.Confluence.Confluent _ -> true
-          | Sql.Confluence.Coordinated _ -> false
-        in
-        if not (List.for_all confluent verdicts) then None
-        else begin
-          let fp = Youtopia.System.fastpath t.sys in
-          let waits = ref [] in
-          let ins = ref 0 and cnt = ref 0 and del = ref 0 in
-          let response =
-            match
-              Relational.Errors.guard (fun () ->
-                  List.map
-                    (fun verdict ->
-                      let desc =
-                        match verdict with
-                        | Sql.Confluence.Confluent d -> d
-                        | Sql.Confluence.Coordinated _ -> assert false
-                      in
-                      let affected, wait =
-                        Relational.Fastpath.apply fp desc
-                      in
-                      waits := wait :: !waits;
-                      coord_stats.Core.Stats.fastpath_commits <-
-                        coord_stats.Core.Stats.fastpath_commits + 1;
-                      (match desc with
-                      | Relational.Fastpath.Ins _ -> incr ins
-                      | Relational.Fastpath.Cnt _ -> incr cnt
-                      | Relational.Fastpath.Del _ -> incr del);
-                      Youtopia.System.Sql (Sql.Run.Affected affected))
-                    verdicts)
-            with
-            | Ok rs -> result_of_responses wr.wr_id rs
-            | Error kind ->
-              (* a statement failed mid-script (duplicate key, schema
-                 violation from a computed value): earlier statements
-                 stand, exactly like the exclusive path's per-statement
-                 autocommit *)
-              Server_stats.on_error t.stats;
-              Wire.Error
-                { id = wr.wr_id;
-                  message = Relational.Errors.kind_to_string kind }
-            | exception exn ->
-              Server_stats.on_error t.stats;
-              Wire.Error { id = wr.wr_id; message = Printexc.to_string exn }
-          in
-          Some (response, List.rev !waits, (!ins, !cnt, !del))
-        end)
-  in
-  match fast with
-  | Some (response, waits, (ins, cnt, del)) ->
-    (* durability outside every lock: commits piled up behind the
-       in-flight fsync share the next one (grouped WAL append) *)
-    List.iter (fun wait -> wait ()) waits;
-    Server_stats.on_fastpath t.stats ~inserts:ins ~counters:cnt ~deletes:del;
-    release_in_flight ();
-    Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. wr.wr_t0);
-    send t wr.wr_conn response;
-    hub_flush t;
-    ins + cnt + del
-  | None ->
-    (* the classifier said no: the whole script runs under the exclusive
-       lock, on this worker, like the non-batched inline path — never
-       under the shared lock it was admitted for *)
-    coord_stats.Core.Stats.fastpath_rejects <-
-      coord_stats.Core.Stats.fastpath_rejects + 1;
-    Server_stats.on_fastpath_reject t.stats;
-    let response =
-      with_engine t (fun () ->
-          let response, dml =
-            exec_write_script t wr.wr_session ~id:wr.wr_id wr.wr_stmts
-          in
-          if dml > 0 then ignore (Youtopia.System.poke t.sys);
-          response)
-    in
-    release_in_flight ();
-    Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. wr.wr_t0);
-    send t wr.wr_conn response;
-    hub_flush t;
-    0
-
-(** Fast-path worker body: pop admitted requests and execute them.  Keeps
-    draining after {!stop} flips [running] until the queue is empty, like
-    the drainer, so admitted requests always answer.  Completion
-    bookkeeping (the connection's routing slot, the drainer's ticket
-    barrier, the delegated poke) happens here even when the executor
-    throws, so a failure can never wedge the barrier. *)
-let fp_worker_loop t =
-  Mutex.lock t.batch_mu;
-  let rec loop () =
-    if Queue.is_empty t.fastq then begin
-      if t.running then begin
-        Condition.wait t.fast_cond t.batch_mu;
-        loop ()
-      end
-      (* else: stopped and drained — exit *)
-    end
-    else begin
-      let wr = Queue.pop t.fastq in
-      Mutex.unlock t.batch_mu;
-      let poke_stmts =
-        match execute_fastpath t wr with
-        | n -> n
-        | exception exn ->
-          Server_stats.on_error t.stats;
-          Log.err (fun f ->
-              f "fast-path executor: %s" (Printexc.to_string exn));
-          Mutex.lock wr.wr_conn.out_mu;
-          wr.wr_conn.in_flight <- max 0 (wr.wr_conn.in_flight - 1);
-          Mutex.unlock wr.wr_conn.out_mu;
-          send t wr.wr_conn
-            (Wire.Error
-               { id = wr.wr_id;
-                 message = "fast-path failure: " ^ Printexc.to_string exn });
-          0
-      in
-      Mutex.lock t.batch_mu;
-      wr.wr_conn.fp_pending <- max 0 (wr.wr_conn.fp_pending - 1);
-      t.fp_completed <- t.fp_completed + 1;
-      t.fp_poke_stmts <- t.fp_poke_stmts + poke_stmts;
-      Condition.broadcast t.batch_cond;
-      loop ()
-    end
-  in
-  loop ();
-  Mutex.unlock t.batch_mu
-
-(** Try to admit a write script to the fast path.  The caller already ran
-    the syntactic prescreen; this checks the dynamic conditions — server
-    still running, no exclusive writes queued by this connection, no
-    fast-path write already outstanding on it (see the [conn] field docs)
-    — and enqueues atomically under [batch_mu].  Returns [false] when the
-    request must take the exclusive route instead. *)
-let try_enqueue_fastpath t wr =
-  Mutex.lock t.batch_mu;
-  let admitted =
-    t.running && t.fp_workers <> []
-    && wr.wr_conn.excl_pending = 0
-    && wr.wr_conn.fp_pending = 0
-  in
-  if admitted then begin
-    Mutex.lock wr.wr_conn.out_mu;
-    wr.wr_conn.in_flight <- wr.wr_conn.in_flight + 1;
-    Mutex.unlock wr.wr_conn.out_mu;
-    wr.wr_conn.fp_pending <- wr.wr_conn.fp_pending + 1;
-    t.fp_enqueued <- t.fp_enqueued + 1;
-    Queue.push wr t.fastq;
-    Condition.signal t.fast_cond
-  end;
-  Mutex.unlock t.batch_mu;
-  admitted
-
-(** Reader-side enqueue with backpressure: a full batch queue blocks the
-    enqueuing thread — a thread-model reader, or (global backpressure) a
-    whole event loop — until the drainer makes room.  On success the
-    connection's in-flight count grows; the drainer's fan-out releases
-    it. *)
-let enqueue_write t wr =
-  Mutex.lock t.batch_mu;
-  while t.running && Queue.length t.batchq >= t.config.max_batchq do
-    Condition.wait t.batch_space t.batch_mu
-  done;
-  if not t.running then begin
-    Mutex.unlock t.batch_mu;
-    send t wr.wr_conn
-      (Wire.Error { id = wr.wr_id; message = "server shutting down" })
+(** Execute and empty a dispatcher's open batch (no-op when empty). *)
+let run_batch t b =
+  if b.size > 0 then begin
+    let reqs = List.rev b.reqs in
+    b.reqs <- [];
+    b.size <- 0;
+    List.iter (fun wr -> wr.wr_conn.batched <- 0) reqs;
+    execute_batch t reqs
   end
-  else begin
-    (* bump in_flight before the request becomes visible to the drainer:
-       the fan-out's decrement must observe the increment, or the clamp at
-       0 turns the late increment into a permanently leaked slot (and,
-       after max_in_flight leaks, a connection the loop never reads) *)
-    Mutex.lock wr.wr_conn.out_mu;
-    wr.wr_conn.in_flight <- wr.wr_conn.in_flight + 1;
-    Mutex.unlock wr.wr_conn.out_mu;
-    (* the routing slot: while this is nonzero the connection's writes
-       stay on the exclusive path, keeping its program order *)
-    wr.wr_conn.excl_pending <- wr.wr_conn.excl_pending + 1;
-    Queue.push wr t.batchq;
-    (* broadcast: the drainer may be waiting in either its empty-queue
-       wait or its ticket barrier *)
-    Condition.broadcast t.batch_cond;
-    Mutex.unlock t.batch_mu
-  end
+
+(** Program order: before anything else from [conn] is answered, its
+    writes in the open batch run. *)
+let settle t b conn = if conn.batched > 0 then run_batch t b
 
 (** Submit dispatch.  Parsing happens on the dispatching thread, outside
-    any lock.  Read-only scripts run inline under the shared lock.  Writes
-    either enqueue for the batching drainer (responses sent by the
-    drainer) or — with [batch_writes] off — run inline under the
-    exclusive lock, poking the coordinator themselves after DML so both
-    paths are observationally equivalent. *)
-let handle_submit t conn session ~id ~sql =
+    any lock.  Read-only scripts run inline under the shared lock, after
+    the connection's own batched writes.  Writes join the dispatcher's
+    open batch [b]; a full batch runs at once, otherwise the dispatcher
+    runs it when it has nothing more decoded. *)
+let handle_submit t b conn session ~id ~sql =
   let t0 = Unix.gettimeofday () in
   match Relational.Errors.guard (fun () -> Sql.Parser.parse_script sql) with
   | Error kind ->
+    settle t b conn;
     Server_stats.on_error t.stats;
     Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. t0);
     send t conn
@@ -970,6 +605,7 @@ let handle_submit t conn session ~id ~sql =
         (Wire.Error { id; message = Wire.readonly_redirect ~host ~port })
     end
     else if List.for_all read_only_stmt stmts then begin
+      settle t b conn;
       let response =
         match
           with_engine_read t (fun () ->
@@ -986,35 +622,14 @@ let handle_submit t conn session ~id ~sql =
       Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. t0);
       send t conn response
     end
-    else if t.config.batch_writes then begin
-      let wr =
+    else begin
+      b.reqs <-
         { wr_conn = conn; wr_session = session; wr_id = id; wr_stmts = stmts;
           wr_t0 = t0 }
-      in
-      (* coordination-avoidance routing: a script the syntactic prescreen
-         clears races no one it cannot — try the latch path.  The
-         authoritative classification happens under the shared lock in the
-         worker; admission can still fail on the connection's routing
-         slots (program order) or at shutdown. *)
-      let fastpath_ok =
-        t.config.fastpath
-        && (not t.config.serialize_reads)
-        && List.for_all Sql.Confluence.prescreen stmts
-      in
-      if not (fastpath_ok && try_enqueue_fastpath t wr) then
-        enqueue_write t wr
-    end
-    else begin
-      (* per-request exclusive baseline (`batch_writes = false`) *)
-      let response =
-        with_engine t (fun () ->
-            let response, dml = exec_write_script t session ~id stmts in
-            if dml > 0 then ignore (Youtopia.System.poke t.sys);
-            response)
-      in
-      Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. t0);
-      send t conn response;
-      hub_flush t
+        :: b.reqs;
+      b.size <- b.size + 1;
+      conn.batched <- conn.batched + 1;
+      if b.size >= t.config.max_batch then run_batch t b
     end
 
 let handle_cancel t ~id ~query_id =
@@ -1039,10 +654,6 @@ let handle_admin t ~id ~what =
   (* admin probes only read engine state, so they share the engine *)
   match what with
   | "server" ->
-    (* latch contention is tracked inside the fast-path executor; refresh
-       the gauge at probe time (plain int reads, no lock) *)
-    let fp = Relational.Fastpath.stats (Youtopia.System.fastpath t.sys) in
-    Server_stats.set_latch_waits t.stats fp.Relational.Fastpath.latch_waits;
     (* coordination poke counters ride along: plain int reads, no lock *)
     let coord_kv =
       Core.Stats.to_kv
@@ -1312,9 +923,10 @@ let handshake_of_request t conn req =
   | _ -> raise (Wire.Protocol_error "expected HELLO as the first frame")
 
 (** Dispatch one decoded (text) frame on a connection, handshaking it
-    first if no peer is established yet.  Raises {!Goodbye} on BYE,
-    {!Wire.Protocol_error} on anything malformed. *)
-let dispatch_frame t conn payload =
+    first if no peer is established yet; write SUBMITs join the open batch
+    [b].  Raises {!Goodbye} on BYE, {!Wire.Protocol_error} on anything
+    malformed. *)
+let dispatch_frame t b conn payload =
   let req = Wire.decode_request payload in
   match conn.peer with
   | None -> conn.peer <- Some (handshake_of_request t conn req)
@@ -1324,10 +936,16 @@ let dispatch_frame t conn payload =
       raise (Wire.Protocol_error "duplicate HELLO")
     | Wire.Repl_ack _ ->
       raise (Wire.Protocol_error "RACK on a client connection")
-    | Wire.Submit { id; sql } -> handle_submit t conn s ~id ~sql
-    | Wire.Cancel { id; query_id } -> send t conn (handle_cancel t ~id ~query_id)
-    | Wire.Admin { id; what } -> send t conn (handle_admin t ~id ~what)
-    | Wire.Ping { id; payload } -> send t conn (Wire.Pong { id; payload })
+    | Wire.Submit { id; sql } -> handle_submit t b conn s ~id ~sql
+    | Wire.Cancel { id; query_id } ->
+      settle t b conn;
+      send t conn (handle_cancel t ~id ~query_id)
+    | Wire.Admin { id; what } ->
+      settle t b conn;
+      send t conn (handle_admin t ~id ~what)
+    | Wire.Ping { id; payload } ->
+      settle t b conn;
+      send t conn (Wire.Pong { id; payload })
     | Wire.Bye -> raise Goodbye)
   | Some (Replica_peer sink) -> (
     (* a replica link only ever sends acknowledgements *)
@@ -1376,13 +994,15 @@ let detach_peer t conn =
     decoder.  [SO_RCVTIMEO] surfaces idle as EAGAIN/ETIMEDOUT: an exempt
     connection just retries (its partial bytes wait safely in the
     decoder), anyone else propagates the timeout to the reader's error
-    arm.  Mirrors the [wire.recv] / [wire.recv.drop] failpoints of
-    {!Wire.read_frame} per complete frame. *)
-let read_frame_conn t conn scratch =
+    arm.  [idle] runs whenever the decoder is empty, just before the
+    reader blocks.  Mirrors the [wire.recv] / [wire.recv.drop] failpoints
+    of {!Wire.read_frame} per complete frame. *)
+let read_frame_conn t conn scratch ~idle =
   let rec next_frame () =
     match Wire.Decoder.next conn.dec with
     | Some f -> f
     | None ->
+      idle ();
       let n =
         try Unix.read conn.fd scratch 0 (Bytes.length scratch)
         with
@@ -1433,31 +1053,49 @@ let thread_teardown t conn =
   Server_stats.on_disconnect t.stats;
   Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
 
+(** Thread-model reader: dispatch frames as they decode, executing the
+    writes of one read as one batch before blocking for the next. *)
 let reader_loop t conn =
   let scratch = Bytes.create 65536 in
-  (try
-     while true do
-       let payload = read_frame_conn t conn scratch in
-       Server_stats.on_frame_in t.stats ~bytes:(String.length payload + 4);
-       dispatch_frame t conn payload
-     done
-   with
-  | Wire.Closed | Goodbye -> ()
-  | Wire.Protocol_error m ->
-    Server_stats.on_error t.stats;
-    Log.debug (fun f -> f "conn %d: protocol error: %s" conn.conn_id m);
-    send t conn (Wire.Error { id = 0; message = m })
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
-    Log.debug (fun f -> f "conn %d: read timeout" conn.conn_id);
-    send t conn (Wire.Error { id = 0; message = "read timeout; closing" })
-  | Unix.Unix_error _ -> ()
-  | exn ->
-    (* any other decode/dispatch failure: the teardown below must still
-       run, or the session and fd leak and the writer waits forever *)
-    Server_stats.on_error t.stats;
-    Log.debug (fun f ->
-        f "conn %d: reader failed: %s" conn.conn_id (Printexc.to_string exn));
-    send t conn (Wire.Error { id = 0; message = Printexc.to_string exn }));
+  let b = { reqs = []; size = 0 } in
+  let last_word =
+    try
+      while true do
+        let payload =
+          read_frame_conn t conn scratch ~idle:(fun () -> run_batch t b)
+        in
+        Server_stats.on_frame_in t.stats ~bytes:(String.length payload + 4);
+        dispatch_frame t b conn payload
+      done;
+      None
+    with
+    | Wire.Closed | Goodbye -> None
+    | Wire.Protocol_error m ->
+      Server_stats.on_error t.stats;
+      Log.debug (fun f -> f "conn %d: protocol error: %s" conn.conn_id m);
+      Some m
+    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
+      ->
+      Log.debug (fun f -> f "conn %d: read timeout" conn.conn_id);
+      Some "read timeout; closing"
+    | Unix.Unix_error _ -> None
+    | exn ->
+      (* any other decode/dispatch failure: the teardown below must still
+         run, or the session and fd leak and the writer waits forever *)
+      Server_stats.on_error t.stats;
+      Log.debug (fun f ->
+          f "conn %d: reader failed: %s" conn.conn_id (Printexc.to_string exn));
+      Some (Printexc.to_string exn)
+  in
+  (* writes already decoded still run, and answer before the last word *)
+  (try run_batch t b
+   with exn ->
+     Server_stats.on_error t.stats;
+     Log.err (fun f ->
+         f "conn %d: batch: %s" conn.conn_id (Printexc.to_string exn)));
+  Option.iter
+    (fun message -> send t conn (Wire.Error { id = 0; message }))
+    last_word;
   thread_teardown t conn
 
 let make_conn t ~fd ~home =
@@ -1473,9 +1111,7 @@ let make_conn t ~fd ~home =
       out_cond = Condition.create ();
       closing = false;
       raw = false;
-      in_flight = 0;
-      excl_pending = 0;
-      fp_pending = 0;
+      batched = 0;
       home;
       dec = Wire.Decoder.create ~max_frame:t.config.max_frame ();
       peer = None;
@@ -1504,8 +1140,10 @@ let spawn_connection t fd =
 
 (* ---------------- event model ---------------- *)
 
-(** Event-model teardown, loop thread only. *)
+(** Event-model teardown, loop thread only.  Writes the connection already
+    sent still run first. *)
 let teardown_conn t lp conn =
+  settle t lp.lp_batch conn;
   Hashtbl.remove lp.lp_conns conn.conn_id;
   detach_peer t conn;
   Mutex.lock conn.out_mu;
@@ -1519,11 +1157,12 @@ let teardown_conn t lp conn =
   Server_stats.on_disconnect t.stats;
   Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
 
-(** Drain every complete frame the decoder holds, dispatching inline.
-    Errors condemn the connection but let queued output (the error
-    response included) flush first. *)
-let drain_decoder t conn =
+(** Drain every complete frame the decoder holds, dispatching inline; write
+    SUBMITs join the open batch [b].  Errors condemn the connection but let
+    queued output (the error response included) flush first. *)
+let drain_decoder t b conn =
   let proto_error m =
+    settle t b conn;
     Server_stats.on_error t.stats;
     Log.debug (fun f -> f "conn %d: protocol error: %s" conn.conn_id m);
     send t conn (Wire.Error { id = 0; message = m });
@@ -1558,7 +1197,7 @@ let drain_decoder t conn =
               proto_error
                 "unexpected raw frame (connection did not negotiate them)"
             else begin
-              match dispatch_frame t conn payload with
+              match dispatch_frame t b conn payload with
               | () -> go ()
               | exception Goodbye ->
                 conn.close_after_flush <- true;
@@ -1567,6 +1206,7 @@ let drain_decoder t conn =
               | exception Wire.Closed -> `Dead
               | exception Unix.Unix_error _ -> `Dead
               | exception exn ->
+                settle t b conn;
                 Server_stats.on_error t.stats;
                 Log.debug (fun f ->
                     f "conn %d: dispatch failed: %s" conn.conn_id
@@ -1584,7 +1224,7 @@ let drain_decoder t conn =
 (** One readable event: pull whatever the socket has into the decoder and
     dispatch the complete frames.  EOF switches the connection to
     drain-then-close so queued responses still reach a half-closed peer. *)
-let event_read t conn scratch =
+let event_read t b conn scratch =
   if not (loop_point "server.loop.readable") then `Dead
   else begin
     match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
@@ -1598,7 +1238,7 @@ let event_read t conn scratch =
     | n ->
       conn.last_activity <- Unix.gettimeofday ();
       Wire.Decoder.feed conn.dec scratch 0 n;
-      drain_decoder t conn
+      drain_decoder t b conn
   end
 
 let ensure_loop_capacity lp n =
@@ -1616,7 +1256,8 @@ let ensure_loop_capacity lp n =
 (** The loop thread: adopt handed-off connections, compute per-connection
     interest (read unless backpressured or draining-to-close, write when
     output is pending), wait, then service readiness — wake pipe first,
-    then each ready connection.  On exit (server stop) remaining output is
+    then each ready connection — and finally execute the writes the
+    iteration decoded as one batch.  On exit (server stop) remaining output is
     flushed best-effort over briefly-blocking sockets so in-flight
     responses reach their clients. *)
 let loop_run t lp =
@@ -1634,6 +1275,7 @@ let loop_run t lp =
     else 250
   in
   let last_sweep = ref (Unix.gettimeofday ()) in
+  lp.lp_tid <- Thread.id (Thread.self ());
   let adopt () =
     Mutex.lock lp.lp_mu;
     while not (Queue.is_empty lp.lp_incoming) do
@@ -1642,7 +1284,7 @@ let loop_run t lp =
     done;
     Mutex.unlock lp.lp_mu
   in
-  while t.loops_running do
+  while t.running do
     match
       adopt ();
       (* interest build; connections already condemned tear down here *)
@@ -1652,16 +1294,16 @@ let loop_run t lp =
       lp.lp_slots.(0) <- None;
       let n = ref 1 in
       let doomed = ref [] in
+      lp.lp_late_out <- false;
       Hashtbl.iter
         (fun _ c ->
           (* racy reads by design: wbuf offsets are loop-owned, and the
-             queue length / in-flight count / closing flag are word-size
-             fields whose stale values cost at most one iteration — the
-             producer's wake-pipe byte forces that iteration.  Locking
-             out_mu here would mean ~2 lock pairs per connection per
-             iteration: the dominant cost at a 10k-connection wall. *)
+             queue length / closing flag are word-size fields whose stale
+             values cost at most one iteration — another thread's
+             wake-pipe byte forces that iteration.  Locking out_mu here
+             would mean ~2 lock pairs per connection per iteration: the
+             dominant cost at a 10k-connection wall. *)
           let pending_out = c.wlen > c.woff || Queue.length c.outq > 0 in
-          let infl = c.in_flight in
           let closing = c.closing in
           (* opportunistic flush: a socket is writable almost always, so
              pushing freshly-queued output here — instead of registering
@@ -1682,7 +1324,9 @@ let loop_run t lp =
             doomed := c :: !doomed
           else begin
             let ev = ref 0 in
-            if (not c.close_after_flush) && infl < t.config.max_in_flight
+            if
+              (not c.close_after_flush)
+              && Queue.length c.outq < t.config.max_in_flight
             then ev := Netpoll.readable;
             if pending_out then ev := !ev lor Netpoll.writable;
             lp.lp_fds.(!n) <- c.fd;
@@ -1695,7 +1339,8 @@ let loop_run t lp =
       Server_stats.on_loop_iteration t.stats ~fds:!n;
       (match
          Netpoll.wait t.netpoll ~fds:lp.lp_fds ~events:lp.lp_events
-           ~revents:lp.lp_revents ~nfds:!n ~timeout_ms
+           ~revents:lp.lp_revents ~nfds:!n
+           ~timeout_ms:(if lp.lp_late_out then 0 else timeout_ms)
        with
       | _ -> ()
       | exception Failure m ->
@@ -1740,7 +1385,7 @@ let loop_run t lp =
                 && re land Netpoll.readable <> 0
                 && lp.lp_events.(i) land Netpoll.readable <> 0
               then begin
-                match event_read t c scratch with
+                match event_read t lp.lp_batch c scratch with
                 | `Dead -> dead := true
                 | `Ok -> ()
               end
@@ -1749,6 +1394,10 @@ let loop_run t lp =
           end);
         lp.lp_slots.(i) <- None
       done;
+      (* run to completion: the writes this iteration decoded execute now,
+         on this thread, and their responses flush at the next interest
+         build *)
+      run_batch t lp.lp_batch;
       (* loop-side idle sweep, replacing per-fd SO_RCVTIMEO *)
       if sweep_period > 0. then begin
         let now = Unix.gettimeofday () in
@@ -1790,8 +1439,8 @@ let loop_run t lp =
       Thread.delay 0.01
   done;
   (* exit: adopt stragglers, flush remaining output over briefly-blocking
-     sockets (responses the drainer fanned out during shutdown), then tear
-     every connection down *)
+     sockets (responses and pushes still queued), then tear every
+     connection down *)
   adopt ();
   Hashtbl.iter
     (fun _ c ->
@@ -1927,6 +1576,9 @@ let start ?(config = default_config) sys =
             lp_mu = Mutex.create ();
             lp_incoming = Queue.create ();
             lp_conns = Hashtbl.create 256;
+            lp_batch = { reqs = []; size = 0 };
+            lp_tid = -1;
+            lp_late_out = false;
             lp_fds = Array.make 64 r;
             lp_events = Array.make 64 0;
             lp_revents = Array.make 64 0;
@@ -1947,21 +1599,9 @@ let start ?(config = default_config) sys =
       next_conn_id = 1;
       running = true;
       accept_thread = None;
-      batchq = Queue.create ();
-      batch_mu = Mutex.create ();
-      batch_cond = Condition.create ();
-      fast_cond = Condition.create ();
-      batch_space = Condition.create ();
-      drainer = None;
-      fastq = Queue.create ();
-      fp_workers = [];
-      fp_enqueued = 0;
-      fp_completed = 0;
-      fp_poke_stmts = 0;
       netpoll;
       loops;
       next_loop = 0;
-      loops_running = true;
       hub;
       replica = None;
     }
@@ -2005,20 +1645,6 @@ let start ?(config = default_config) sys =
         (Replication.Replica.start ~host ~port:rport
            ~replica_id:config.replica_id cb)
   | None -> ());
-  if config.batch_writes then begin
-    t.drainer <- Some (Thread.create (fun () -> drainer_loop t) ());
-    (* fast-path workers only make sense alongside the drainer (the ticket
-       barrier and delegated pokes live there); a replica rejects writes
-       and the serialize-reads baseline must serialize everything *)
-    if
-      config.fastpath && (not config.serialize_reads)
-      && config.replica_of = None
-    then
-      t.fp_workers <-
-        List.init
-          (max 1 config.fastpath_workers)
-          (fun _ -> Thread.create (fun () -> fp_worker_loop t) ())
-  end;
   Array.iter
     (fun lp -> lp.lp_thread <- Some (Thread.create (fun () -> loop_run t lp) ()))
     t.loops;
@@ -2035,11 +1661,11 @@ let start ?(config = default_config) sys =
         | None -> ""));
   t
 
-(** Graceful shutdown: stop accepting, drain the batch queue so accepted
-    writes still answer, then retire the connection owners — event loops
-    flush remaining output before closing their sockets; thread-model
-    readers are kicked off their blocking reads and their writers drain.
-    Idempotent. *)
+(** Graceful shutdown: stop accepting, then retire the connection owners —
+    event loops finish their iteration (its batch included) and flush
+    remaining output before closing their sockets; thread-model readers
+    are kicked off their blocking reads, run what they decoded, and their
+    writers drain.  Idempotent. *)
 let stop t =
   if t.running then begin
     t.running <- false;
@@ -2049,33 +1675,9 @@ let stop t =
       Replication.Replica.stop r;
       t.replica <- None
     | None -> ());
-    (* wake readers blocked on batch-queue backpressure and the drainer's
-       empty-queue wait, so both see [running = false] *)
-    Mutex.lock t.batch_mu;
-    Condition.broadcast t.batch_space;
-    Condition.broadcast t.batch_cond;
-    Condition.broadcast t.fast_cond;
-    Mutex.unlock t.batch_mu;
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (* drain the batch queue before retiring connection owners: already
-       accepted write requests still execute and their responses reach the
-       outbound queues while a flusher is alive to send them (new
-       enqueues are refused once [running] is false) *)
-    (match t.drainer with
-    | Some th ->
-      Thread.join th;
-      t.drainer <- None
-    | None -> ());
-    (* the drainer's exit already waited for every admitted fast-path
-       request (ticket counters) and drained their pokes; the workers just
-       need to observe the empty queue and leave *)
-    List.iter Thread.join t.fp_workers;
-    t.fp_workers <- [];
-    (* event loops: only now may they exit — their final pass flushes
-       everything the drainer just fanned out *)
-    t.loops_running <- false;
     Array.iter wake t.loops;
     Array.iter
       (fun lp ->

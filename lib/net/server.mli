@@ -1,30 +1,34 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
     Two connection models ([config.conn_model]) share one dispatch and
-    batching core.  The default {b event model} runs one accept thread
-    plus [event_loops] workers, each multiplexing its share of
+    batch-execution core.  The default {b event model} runs one accept
+    thread plus [event_loops] workers, each multiplexing its share of
     non-blocking sockets via {!Netpoll} ([poll(2)] stub, sharded-[select]
     fallback): reads feed the incremental {!Wire.Decoder}, complete frames
     dispatch inline on the loop, outbound frames queue per connection
-    (bounded by [max_outq]) and flush under [POLLOUT], and a self-pipe
-    wakeup hands drainer fan-outs and coordination pushes back to the
-    owning loop.  A connection with [max_in_flight] batched writes
-    outstanding loses read interest until responses drain (backpressure).
-    Idle deadlines are swept loop-side and exempt connections whose user
-    owns a parked pending query, plus replica links.  The {b thread model}
-    ([Threads], the ablation baseline) keeps a reader + writer thread per
-    connection with [SO_RCVTIMEO] idle wakeups and the same exemption.
+    (bounded by [max_outq]) and are flushed by the owning loop, and a
+    self-pipe wakeup hands frames queued by other threads to the owning
+    loop.  A connection with [max_in_flight] responses queued unflushed
+    loses read interest until they drain (backpressure).  Idle deadlines
+    are swept loop-side and exempt connections whose user owns a parked
+    pending query, plus replica links.  The {b thread model} ([Threads],
+    the ablation baseline) keeps a reader + writer thread per connection
+    with [SO_RCVTIMEO] idle wakeups and the same exemption.
 
     Engine work runs under a writer-preferring {!Rwlock}: read-only
-    scripts and admin probes share the engine.  Writes go through a
-    {b batching executor}: writer requests enqueue into a bounded batch
-    queue and a single drainer thread takes the exclusive lock once per
-    batch, executes every request with per-request error isolation, emits
-    one WAL group flush ({!Relational.Wal.with_batch}) and one coordinator
-    poke for the whole batch, then fans responses out — amortising lock
+    scripts and admin probes share the engine.  Writes run to completion
+    on the thread that decoded them: the write SUBMITs an event loop
+    decodes in one poll iteration (a thread-model reader: in one read)
+    form one batch of at most [max_batch] requests, which that thread
+    executes under one exclusive lock acquisition, with per-request error
+    isolation, one WAL group flush ({!Relational.Wal.with_batch}) and one
+    coordinator poke, then queues the responses — amortising lock
     acquisition, log flush/fsync and coordination re-evaluation across
-    concurrent writers.  [batch_writes = false] restores the per-request
-    exclusive baseline.  Pushes are handed off from the coordinator's
+    concurrent writers.  [max_batch = 1] is the per-request baseline.
+    Program order holds per connection: any other request from a
+    connection with a write in the open batch runs the batch first, so
+    its responses come back in request order and a read sees the writes
+    sent before it.  Pushes are handed off from the coordinator's
     fulfilment path straight onto the owning connection's outbound queue
     via {!Youtopia.Session.set_listener}, so clients receive coordination
     answers without polling.
@@ -53,29 +57,9 @@ type config = {
   serialize_reads : bool;
       (** run read-only scripts in the exclusive section too — the
           global-mutex baseline for the concurrency benchmark *)
-  batch_writes : bool;
-      (** writer requests go through the batching drainer instead of each
-          taking the exclusive section alone (default [true]) *)
-  fastpath : bool;
-      (** route write scripts the {!Sql.Confluence} classifier proves
-          invariant-confluent down the shared-lock latch path
-          ({!Relational.Fastpath}) instead of the exclusive batching
-          executor.  Requires [batch_writes]; ignored under
-          [serialize_reads] (the global-mutex baseline serializes
-          everything) and in replica mode.  Default from the
-          [YOUTOPIA_FASTPATH] environment variable ([true] unless set to
-          0/false/off/no) *)
-  fastpath_workers : int;
-      (** threads executing fast-path requests concurrently under the
-          shared engine lock (default 2) *)
-  max_batch : int;  (** most write requests the drainer executes per batch *)
-  max_delay_us : int;
-      (** µs the drainer holds a {e lone} queued write open for company;
-          once requests are piled up it drains immediately — executing one
-          batch is the accumulation window for the next *)
-  max_batchq : int;
-      (** bound on queued write requests; a full queue blocks the
-          enqueuing thread (backpressure, not an error) *)
+  max_batch : int;
+      (** most write requests one batch executes (default 32); 1 runs
+          every write alone, the per-request baseline *)
   durability : Relational.Wal.durability option;
       (** applied to the system's WAL at {!start}; [None] leaves the
           database's current mode untouched *)
@@ -90,7 +74,7 @@ type config = {
   event_loops : int;
       (** event-loop workers under the [Event] model (default 1) *)
   max_in_flight : int;
-      (** batched writes one connection may have outstanding before the
+      (** responses one connection may have queued unflushed before the
           owning loop drops its read interest (event-model backpressure) *)
   max_conns : int;
       (** refuse accepts beyond this many live connections; 0 = unlimited *)
@@ -98,9 +82,9 @@ type config = {
 
 val default_config : config
 (** 127.0.0.1:7077, 1 MiB frames, no read timeout, 1024-frame outbound
-    queues; batching on (32 requests / 1000 µs window / 256-deep queue),
-    durability untouched; not a replica.  Event model, 1 loop, 64 writes
-    in flight per connection, unlimited connections. *)
+    queues; batches of at most 32 writes, durability untouched; not a
+    replica.  Event model, 1 loop, 64 unflushed responses per connection,
+    unlimited connections. *)
 
 type t
 

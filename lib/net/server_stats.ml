@@ -1,8 +1,8 @@
 (** Server-side counters: connections, frames, bytes, submissions, pushes,
     server-side submit handling latency, and the write-batching pipeline
     (batch sizes, WAL flush/fsync amortisation, latency histogram).  All
-    counters are guarded by one mutex — they are touched by every
-    reader/writer/drainer thread. *)
+    counters are guarded by one mutex — they are touched by every loop,
+    reader and writer thread. *)
 
 (* Submit-latency histogram: log-spaced upper bounds in µs; one extra
    overflow bucket at the end.  p50/p99 are estimated as the upper bound of
@@ -51,19 +51,8 @@ type t = {
   mutable engine_writes : int;
   mutable engine_read_waits : int;
   mutable engine_write_waits : int;
-  (* coordination-avoidance fast path *)
-  mutable engine_shared_writes : int;  (** shared-write lock acquisitions *)
-  mutable engine_shared_waits : int;
-  mutable fastpath_commits : int;  (** statements committed on the fast path *)
-  mutable fastpath_rejects : int;  (** requests bounced to the exclusive path *)
-  mutable fastpath_inserts : int;  (** per-class: blind inserts *)
-  mutable fastpath_counters : int;  (** per-class: counter updates *)
-  mutable fastpath_deletes : int;  (** per-class: pinned deletes *)
-  mutable latch_waits : int;  (** gauge mirrored from {!Relational.Fastpath} *)
-  fastpath_size_hist : int array;
-      (** statements per fast-path request, [batch_buckets] buckets *)
   (* write-batching pipeline *)
-  mutable batches : int;  (** batches the drainer executed *)
+  mutable batches : int;  (** write batches executed *)
   mutable batched_requests : int;  (** write requests inside those batches *)
   mutable batch_size_max : int;
   batch_size_hist : int array;  (** [batch_buckets] buckets *)
@@ -118,16 +107,7 @@ type snapshot = {
   engine_writes : int;  (** engine write-lock (exclusive) acquisitions *)
   engine_read_waits : int;  (** read acquisitions that had to queue *)
   engine_write_waits : int;  (** write acquisitions that had to queue *)
-  engine_shared_writes : int;  (** shared-write (fast path) acquisitions *)
-  engine_shared_waits : int;  (** shared-write acquisitions that queued *)
-  fastpath_commits : int;  (** statements committed on the fast path *)
-  fastpath_rejects : int;  (** requests bounced to the exclusive path *)
-  fastpath_inserts : int;
-  fastpath_counters : int;
-  fastpath_deletes : int;
-  latch_waits : int;  (** per-key/table latch acquisitions that queued *)
-  fastpath_size_hist : int array;
-  batches : int;  (** write batches the drainer executed *)
+  batches : int;  (** write batches executed *)
   batched_requests : int;  (** write requests executed inside batches *)
   batch_size_mean : float;  (** 0 if no batches *)
   batch_size_max : int;
@@ -177,15 +157,6 @@ let create () =
     engine_writes = 0;
     engine_read_waits = 0;
     engine_write_waits = 0;
-    engine_shared_writes = 0;
-    engine_shared_waits = 0;
-    fastpath_commits = 0;
-    fastpath_rejects = 0;
-    fastpath_inserts = 0;
-    fastpath_counters = 0;
-    fastpath_deletes = 0;
-    latch_waits = 0;
-    fastpath_size_hist = Array.make batch_buckets 0;
     batches = 0;
     batched_requests = 0;
     batch_size_max = 0;
@@ -258,29 +229,6 @@ let on_engine_write t ~waited =
   locked t (fun () ->
       t.engine_writes <- t.engine_writes + 1;
       if waited then t.engine_write_waits <- t.engine_write_waits + 1)
-
-let on_engine_shared_write t ~waited =
-  locked t (fun () ->
-      t.engine_shared_writes <- t.engine_shared_writes + 1;
-      if waited then t.engine_shared_waits <- t.engine_shared_waits + 1)
-
-(** One request committed on the fast path, broken down by statement
-    class; the request's statement count lands in the size histogram. *)
-let on_fastpath t ~inserts ~counters ~deletes =
-  locked t (fun () ->
-      let n = inserts + counters + deletes in
-      t.fastpath_commits <- t.fastpath_commits + n;
-      t.fastpath_inserts <- t.fastpath_inserts + inserts;
-      t.fastpath_counters <- t.fastpath_counters + counters;
-      t.fastpath_deletes <- t.fastpath_deletes + deletes;
-      let b = bucket_of_batch n in
-      t.fastpath_size_hist.(b) <- t.fastpath_size_hist.(b) + 1)
-
-let on_fastpath_reject t =
-  locked t (fun () -> t.fastpath_rejects <- t.fastpath_rejects + 1)
-
-(** Mirror the latch manager's wait counter (a gauge, not a delta). *)
-let set_latch_waits t n = locked t (fun () -> t.latch_waits <- n)
 
 (** One drained write batch of [size] requests; [flushes]/[fsyncs] are the
     WAL io deltas the batch caused (one flush + at most one fsync when the
@@ -409,15 +357,6 @@ let snapshot t : snapshot =
         engine_writes = t.engine_writes;
         engine_read_waits = t.engine_read_waits;
         engine_write_waits = t.engine_write_waits;
-        engine_shared_writes = t.engine_shared_writes;
-        engine_shared_waits = t.engine_shared_waits;
-        fastpath_commits = t.fastpath_commits;
-        fastpath_rejects = t.fastpath_rejects;
-        fastpath_inserts = t.fastpath_inserts;
-        fastpath_counters = t.fastpath_counters;
-        fastpath_deletes = t.fastpath_deletes;
-        latch_waits = t.latch_waits;
-        fastpath_size_hist = Array.copy t.fastpath_size_hist;
         batches = t.batches;
         batched_requests = t.batched_requests;
         batch_size_mean =
@@ -495,16 +434,6 @@ let render t =
       Printf.sprintf "engine_writes=%d" s.engine_writes;
       Printf.sprintf "engine_read_waits=%d" s.engine_read_waits;
       Printf.sprintf "engine_write_waits=%d" s.engine_write_waits;
-      Printf.sprintf "engine_shared_writes=%d" s.engine_shared_writes;
-      Printf.sprintf "engine_shared_waits=%d" s.engine_shared_waits;
-      Printf.sprintf "fastpath_commits=%d" s.fastpath_commits;
-      Printf.sprintf "fastpath_rejects=%d" s.fastpath_rejects;
-      Printf.sprintf "fastpath_inserts=%d" s.fastpath_inserts;
-      Printf.sprintf "fastpath_counters=%d" s.fastpath_counters;
-      Printf.sprintf "fastpath_deletes=%d" s.fastpath_deletes;
-      Printf.sprintf "latch_waits=%d" s.latch_waits;
-      Printf.sprintf "fastpath_size_hist=%s"
-        (hist_to_string ~bounds:batch_bound_labels s.fastpath_size_hist);
       Printf.sprintf "batches=%d" s.batches;
       Printf.sprintf "batched_requests=%d" s.batched_requests;
       Printf.sprintf "batch_size_mean=%.2f" s.batch_size_mean;

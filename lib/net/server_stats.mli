@@ -26,22 +26,7 @@ type snapshot = {
   engine_writes : int;  (** engine write-lock (exclusive) acquisitions *)
   engine_read_waits : int;  (** read acquisitions that had to queue *)
   engine_write_waits : int;  (** write acquisitions that had to queue *)
-  engine_shared_writes : int;
-      (** shared-write (fast path) lock acquisitions *)
-  engine_shared_waits : int;  (** shared-write acquisitions that queued *)
-  fastpath_commits : int;  (** statements committed on the fast path *)
-  fastpath_rejects : int;
-      (** routed requests the classifier bounced to the exclusive path *)
-  fastpath_inserts : int;  (** per-class: blind inserts *)
-  fastpath_counters : int;  (** per-class: counter updates *)
-  fastpath_deletes : int;  (** per-class: pinned deletes *)
-  latch_waits : int;
-      (** per-key/per-table latch acquisitions that queued (gauge mirrored
-          from {!Relational.Fastpath}) *)
-  fastpath_size_hist : int array;
-      (** statements per fast-path request, same buckets as
-          [batch_size_hist] *)
-  batches : int;  (** write batches the drainer executed *)
+  batches : int;  (** write batches executed *)
   batched_requests : int;  (** write requests executed inside batches *)
   batch_size_mean : float;  (** 0 if no batches *)
   batch_size_max : int;
@@ -90,18 +75,6 @@ val on_engine_read : t -> waited:bool -> unit
 
 val on_engine_write : t -> waited:bool -> unit
 (** One engine write-lock acquisition; [waited] if it had to queue. *)
-
-val on_engine_shared_write : t -> waited:bool -> unit
-(** One engine shared-write (fast path) acquisition. *)
-
-val on_fastpath : t -> inserts:int -> counters:int -> deletes:int -> unit
-(** One request committed on the fast path, broken down by statement
-    class; the statement count feeds [fastpath_size_hist]. *)
-
-val on_fastpath_reject : t -> unit
-
-val set_latch_waits : t -> int -> unit
-(** Mirror the latch manager's cumulative wait counter (a gauge). *)
 
 val on_batch : t -> size:int -> flushes:int -> fsyncs:int -> unit
 (** One drained write batch of [size] requests; [flushes]/[fsyncs] are the

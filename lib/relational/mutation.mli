@@ -1,5 +1,8 @@
 (** Statement-level mutations (INSERT / UPDATE / DELETE) executed through a
-    transaction; each returns the number of rows affected. *)
+    transaction; each returns the number of rows affected.  UPDATE and
+    DELETE find their target rows through an index when [col = const]
+    conjuncts of the predicate cover one ({!Planner.index_probe}), and
+    check every candidate against the whole predicate. *)
 
 val insert_rows : Txn.t -> Table.t -> Value.t array list -> int
 

@@ -49,6 +49,53 @@ let source_of_col offsets arities col =
   in
   loop 0
 
+(* [col = const] conjuncts with a non-NULL constant, as ((position,
+   constant), conjunct), and the other conjuncts. *)
+let split_eq_consts conjuncts =
+  List.partition_map
+    (fun e ->
+      match e with
+      | Expr.Binop (Expr.Eq, Expr.Col p, Expr.Const v)
+      | Expr.Binop (Expr.Eq, Expr.Const v, Expr.Col p)
+        when not (Value.is_null v) -> Left ((p, v), e)
+      | _ -> Right e)
+    conjuncts
+
+(* The first index of [table] every column of which an equality pins: the
+   index, its lookup key, and the conjuncts the lookup does not absorb. *)
+let probe_of table eq_consts rest =
+  let usable =
+    List.find_opt
+      (fun ix ->
+        Array.for_all
+          (fun p -> List.exists (fun ((q, _), _) -> q = p) eq_consts)
+          (Index.positions ix))
+      (Table.indexes table)
+  in
+  Option.map
+    (fun ix ->
+      let positions = Index.positions ix in
+      let key =
+        Array.map
+          (fun p ->
+            let (_, v), _ = List.find (fun ((q, _), _) -> q = p) eq_consts in
+            v)
+          positions
+      in
+      let covered p = Array.exists (fun q -> q = p) positions in
+      let leftover =
+        rest
+        @ List.filter_map
+            (fun ((p, _), e) -> if covered p then None else Some e)
+            eq_consts
+      in
+      (ix, key, leftover))
+    usable
+
+let index_probe table conjuncts =
+  let eq_consts, rest = split_eq_consts conjuncts in
+  probe_of table eq_consts rest
+
 (* Try to turn local equality-with-constant conjuncts into an index lookup.
    Returns the base plan and the conjuncts that the lookup did not absorb. *)
 let rec base_plan src local_conjuncts =
@@ -63,41 +110,10 @@ let rec base_plan src local_conjuncts =
   | Stored table -> base_plan_stored src table local_conjuncts
 
 and base_plan_stored src table local_conjuncts =
-  let eq_consts, rest =
-    List.partition_map
-      (fun e ->
-        match e with
-        | Expr.Binop (Expr.Eq, Expr.Col p, Expr.Const v)
-        | Expr.Binop (Expr.Eq, Expr.Const v, Expr.Col p)
-          when not (Value.is_null v) -> Left ((p, v), e)
-        | _ -> Right e)
-      local_conjuncts
-  in
-  let usable =
-    List.find_opt
-      (fun ix ->
-        Array.for_all
-          (fun p -> List.exists (fun ((q, _), _) -> q = p) eq_consts)
-          (Index.positions ix))
-      (Table.indexes table)
-  in
-  match usable with
-  | Some ix ->
+  let eq_consts, rest = split_eq_consts local_conjuncts in
+  match probe_of table eq_consts rest with
+  | Some (ix, key, leftover) ->
     let positions = Index.positions ix in
-    let key =
-      Array.map
-        (fun p ->
-          let (_, v), _ = List.find (fun ((q, _), _) -> q = p) eq_consts in
-          v)
-        positions
-    in
-    let covered p = Array.exists (fun q -> q = p) positions in
-    let leftover =
-      rest
-      @ List.filter_map
-          (fun ((p, _), e) -> if covered p then None else Some e)
-          eq_consts
-    in
     let plan = Plan.index_lookup table ~alias:src.alias ~positions ~key in
     let estimate =
       if Index.is_unique ix then 1

@@ -28,6 +28,14 @@ val make_derived : string -> Schema.t -> Tuple.t list -> source
 
 val source_schema : source -> Schema.t
 
+val index_probe :
+  Table.t -> Expr.t list -> (Index.t * Value.t array * Expr.t list) option
+(** [index_probe table conjuncts] — the first index of [table] whose every
+    column a [col = const] conjunct pins (NULL constants never qualify),
+    with its lookup key and the conjuncts the lookup leaves to check.  The
+    planner's index point lookups and {!Mutation}'s row targeting both
+    come from here. *)
+
 val plan_joins : source list -> Expr.t -> Plan.t
 (** [plan_joins sources where] — with no sources, yields a single empty row
     filtered by [where] (SELECT without FROM). *)

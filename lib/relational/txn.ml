@@ -23,12 +23,6 @@ type manager = {
           runs {i after} releasing the manager mutex — group commit can
           only coalesce concurrent transactions if the durability wait
           happens outside the lock *)
-  mutable on_commit_fast : (op list -> int * (unit -> unit)) option;
-      (** durability hook variant for {!publish_commit} (the latch-guarded
-          fast path): same contract as [on_commit], but the WAL routes the
-          append through its group flusher even in [Fsync_per_commit] mode
-          so concurrent fast-path commits coalesce into one fsync.  Falls
-          back to [on_commit] when unset.  Wired by {!Wal.attach}. *)
   mutable observers : (op list -> unit) list;
       (** commit observers (e.g. the coordinator's dirty-table tracker);
           run after [on_commit], in registration order *)
@@ -49,13 +43,11 @@ let create_manager () =
     mutex = Mutex.create ();
     next_id = 1;
     on_commit = None;
-    on_commit_fast = None;
     observers = [];
     lsn_observers = [];
   }
 
 let set_on_commit mgr hook = mgr.on_commit <- hook
-let set_on_commit_fast mgr hook = mgr.on_commit_fast <- hook
 
 (** [add_observer mgr f] — [f] receives every committed transaction's redo
     log (in execution order), after the durability hook.  Observers must not
@@ -207,54 +199,6 @@ let rollback t =
     t.undo;
   t.state <- Aborted;
   Mutex.unlock t.mgr.mutex
-
-(** [publish_commit ?undo mgr ops] publishes an externally executed redo
-    log — the latch-guarded confluent fast path ({!Fastpath}) mutates
-    tables itself, under per-table/per-key latches, and then announces the
-    commit here.  Under the manager mutex (briefly — never across a
-    durability wait) it runs exactly {!commit}'s publication sequence: the
-    durability hook (preferring [on_commit_fast] so fast-path fsyncs
-    coalesce), then the plain observers, then the LSN observers.  Returns
-    the durability wait closure, to be invoked after the caller releases
-    its latches.
-
-    Failure contract mirrors {!commit}: if the durability hook raises,
-    nothing effective reached the log (a torn tail is truncated on
-    recovery), so [undo] runs — still under the manager mutex — to
-    reverse the in-memory mutations, and the caller sees a clean abort.
-    If an observer raises, the commit already reached the log and stands;
-    the exception propagates after the mutex is released, [undo] does
-    {i not} run.  An empty [ops] publishes nothing and returns a no-op
-    wait, matching {!commit}'s handling of empty transactions. *)
-let publish_commit ?(undo = fun () -> ()) mgr (ops : op list) =
-  if ops = [] then fun () -> ()
-  else begin
-    Mutex.lock mgr.mutex;
-    let lsn, wait =
-      match
-        match mgr.on_commit_fast, mgr.on_commit with
-        | Some hook, _ | None, Some hook -> hook ops
-        | None, None -> (0, fun () -> ())
-      with
-      | result -> result
-      | exception e ->
-        let undo_exn =
-          match undo () with () -> None | exception u -> Some u
-        in
-        Mutex.unlock mgr.mutex;
-        (match undo_exn with Some u -> raise u | None -> raise e)
-    in
-    match
-      List.iter (fun f -> f ops) mgr.observers;
-      List.iter (fun f -> f ~lsn ops) mgr.lsn_observers
-    with
-    | () ->
-      Mutex.unlock mgr.mutex;
-      wait
-    | exception e ->
-      Mutex.unlock mgr.mutex;
-      raise e
-  end
 
 (** [with_txn mgr f] runs [f txn] and commits; any exception rolls back and
     re-raises. *)

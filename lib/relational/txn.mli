@@ -23,15 +23,6 @@ val set_on_commit : manager -> (op list -> int * (unit -> unit)) option -> unit
     {i after} releasing the manager mutex, so a group-commit flush can
     coalesce concurrent transactions.  Wired by {!Wal.attach}. *)
 
-val set_on_commit_fast :
-  manager -> (op list -> int * (unit -> unit)) option -> unit
-(** Durability hook variant used by {!publish_commit} (the latch-guarded
-    confluent fast path): same contract as {!set_on_commit}, but
-    {!Wal.attach} wires it to an append that routes through the group
-    flusher even in [Fsync_per_commit] mode, so concurrent fast-path
-    commits coalesce their fsyncs.  Falls back to the plain hook when
-    unset. *)
-
 val add_observer : manager -> (op list -> unit) -> unit
 (** Register a commit observer: called with every committed transaction's
     redo log (execution order), after the durability hook.  The
@@ -71,20 +62,3 @@ val rollback : t -> unit
 
 val with_txn : manager -> (t -> 'a) -> 'a
 (** Run and commit; any exception rolls back and re-raises. *)
-
-val publish_commit :
-  ?undo:(unit -> unit) -> manager -> op list -> unit -> unit
-(** [publish_commit ?undo mgr ops] publishes an externally executed redo
-    log: the confluent fast path ({!Fastpath}) mutates tables itself under
-    per-table/per-key latches, then announces the finished write here.
-    Runs {!commit}'s publication sequence under the manager mutex — the
-    durability hook (preferring the fast variant), then the observers,
-    then the LSN observers — and returns the durability wait closure to
-    be invoked after the caller drops its latches.
-
-    Failure contract mirrors {!commit}: if the durability hook raises,
-    nothing reached the log, so [undo] runs (still under the manager
-    mutex) to reverse the caller's in-memory mutations and the exception
-    propagates as a clean abort.  If an observer raises, the commit
-    already reached the log and stands — [undo] does {i not} run.  Empty
-    [ops] publishes nothing and returns a no-op wait. *)

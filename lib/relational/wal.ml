@@ -248,10 +248,6 @@ type t = {
   flush_cond : Condition.t;  (* the pending group reached disk *)
   mutable enqueued_gen : int;  (* commits appended, awaiting group flush *)
   mutable flushed_gen : int;  (* commits made durable *)
-  mutable fsync_group_hint : int;
-      (* size of the last flusher batch — in [Fsync_per_commit] mode the
-         flusher only holds a gather window open when the previous batch
-         had company, so a lone writer never pays the linger *)
   mutable flusher : Thread.t option;
   mutable flusher_stop : bool;
   mutable flusher_error : exn option;
@@ -321,12 +317,6 @@ let flusher_loop t =
       let max_batch, max_delay_us =
         match t.durability with
         | Group { max_batch; max_delay_us } -> (max 1 max_batch, max 0 max_delay_us)
-        | Fsync_per_commit when t.fsync_group_hint > 1 ->
-          (* concurrent commit regime (the previous batch coalesced):
-             hold a short gather window so the pile deepens and the fsync
-             amortises further.  A solitary committer resets the hint and
-             goes straight to disk. *)
-          (32, 300)
         | _ -> (1, 0)
       in
       let deadline = Unix.gettimeofday () +. (float_of_int max_delay_us /. 1e6) in
@@ -354,7 +344,6 @@ let flusher_loop t =
         t.group_commits <- t.group_commits + (target - t.flushed_gen)
       | exception e -> t.flusher_error <- Some e);
       (* advance even on error: waiters check [flusher_error] on wake *)
-      t.fsync_group_hint <- target - t.flushed_gen;
       t.flushed_gen <- target;
       Condition.broadcast t.flush_cond;
       loop ()
@@ -369,20 +358,6 @@ let ensure_flusher t =
     t.flusher_stop <- false;
     t.flusher <- Some (Thread.create flusher_loop t)
   | _ -> ()
-
-(* call with [mu] held.  Start the flusher regardless of durability mode:
-   the fast path routes [Fsync_per_commit] commits through it so concurrent
-   latch-guarded commits coalesce ({!grouped_append_commit}).  Outside Group
-   mode the flusher runs with a zero gather window (max_batch 1, delay 0) —
-   it syncs as soon as it wakes, and coalescing comes only from commits that
-   piled up while the previous fsync was in flight, so durability per
-   acknowledged commit is identical to the synchronous arm. *)
-let ensure_flusher_forced t =
-  match t.flusher with
-  | Some _ -> ()
-  | None ->
-    t.flusher_stop <- false;
-    t.flusher <- Some (Thread.create flusher_loop t)
 
 (* call with [mu] NOT held *)
 let stop_flusher t =
@@ -443,7 +418,6 @@ let open_log ?(durability = Flush_per_commit) path =
       flush_cond = Condition.create ();
       enqueued_gen = 0;
       flushed_gen = 0;
-      fsync_group_hint = 0;
       flusher = None;
       flusher_stop = false;
       flusher_error = None;
@@ -467,21 +441,17 @@ let durability t =
   d
 
 let set_durability t d =
-  let had_flusher =
+  let was_group =
     Mutex.lock t.mu;
-    let running = t.flusher <> None in
+    let wg = match t.durability with Group _ -> true | _ -> false in
     t.durability <- d;
     (match d with Group _ -> ensure_flusher t | _ -> ());
     Mutex.unlock t.mu;
-    running
+    wg
   in
-  (* leaving for a non-Group mode: retire any running flusher, whether it
-     was the Group flusher or one forced by the fast path — it restarts
-     lazily on the next grouped commit.  [stop_flusher] drains pending
-     work, so no enqueued commit is stranded. *)
   match d with
   | Group _ -> ()
-  | _ -> if had_flusher then stop_flusher t
+  | _ -> if was_group then stop_flusher t
 
 let io_stats t =
   Mutex.lock t.mu;
@@ -672,57 +642,6 @@ let durable_append_commit t ~txn_id records =
        truncates a torn *tail*, but a later append would bury the tear
        mid-file and corrupt the log — so poison it: every subsequent
        commit re-raises this error instead of appending. *)
-    t.flusher_error <- Some e;
-    Mutex.unlock t.mu;
-    raise e
-
-(** [grouped_append_commit t ~txn_id records] — {!durable_append_commit},
-    except that in [Fsync_per_commit] mode the sync is delegated to the
-    group flusher instead of performed inline under [mu].  The wait closure
-    still blocks until the batch's fsync completed, so acknowledged
-    durability is unchanged; what changes is that commits from concurrent
-    fast-path writers pile up behind the in-flight fsync and share the next
-    one.  All other modes behave exactly as {!durable_append_commit}. *)
-let grouped_append_commit t ~txn_id records =
-  Mutex.lock t.mu;
-  (match Fault.point "wal.commit" with
-  | () -> ()
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e);
-  raise_sticky t;
-  match
-    write_records t records;
-    write_records t [ Commit txn_id ];
-    note_appended t (records @ [ Commit txn_id ]);
-    let lsn = t.last_lsn in
-    t.commits_logged <- t.commits_logged + 1;
-    if t.deferring then begin
-      t.deferred_dirty <- true;
-      t.batched_commits <- t.batched_commits + 1;
-      `Done lsn
-    end
-    else begin
-      match t.durability with
-      | Never -> `Done lsn
-      | Flush_per_commit ->
-        do_flush t;
-        `Done lsn
-      | Fsync_per_commit | Group _ ->
-        ensure_flusher_forced t;
-        t.enqueued_gen <- t.enqueued_gen + 1;
-        Condition.signal t.work_cond;
-        `Wait (lsn, t.enqueued_gen)
-    end
-  with
-  | `Done lsn ->
-    Mutex.unlock t.mu;
-    (lsn, fun () -> ())
-  | `Wait (lsn, gen) ->
-    Mutex.unlock t.mu;
-    (lsn, fun () -> wait_flushed t gen)
-  | exception e ->
-    (* same poisoning discipline as [durable_append_commit] *)
     t.flusher_error <- Some e;
     Mutex.unlock t.mu;
     raise e
@@ -1106,13 +1025,4 @@ let attach t (mgr : Txn.manager) =
     (Some
        (fun ops ->
          incr counter;
-         durable_append_commit t ~txn_id:!counter (records_of_ops ops)));
-  (* fast-path variant: same log, same txn-id counter (both hooks only run
-     under the manager mutex, so the shared ref is safe), but the append is
-     routed through the group flusher so concurrent latch-guarded commits
-     coalesce their fsyncs *)
-  Txn.set_on_commit_fast mgr
-    (Some
-       (fun ops ->
-         incr counter;
-         grouped_append_commit t ~txn_id:!counter (records_of_ops ops)))
+         durable_append_commit t ~txn_id:!counter (records_of_ops ops)))

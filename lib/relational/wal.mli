@@ -146,16 +146,6 @@ val durable_append_commit : t -> txn_id:int -> record list -> int * (unit -> uni
     first — required for group commit to coalesce anything (see
     {!Txn.set_on_commit}). *)
 
-val grouped_append_commit : t -> txn_id:int -> record list -> int * (unit -> unit)
-(** Like {!durable_append_commit}, but in [Fsync_per_commit] mode the sync
-    is delegated to the group flusher (started on demand) instead of
-    performed inline: the wait closure still blocks until the batch's
-    fsync completed — identical acknowledged durability — but commits from
-    concurrent fast-path writers pile up behind the in-flight fsync and
-    share the next one.  Other modes behave exactly as
-    {!durable_append_commit}.  Wired to {!Txn.set_on_commit_fast} by
-    {!attach}. *)
-
 val sync : t -> unit
 (** Force one flush + one fsync of everything appended so far.  Raises
     [Wal_error] on a closed log or fsync failure. *)
@@ -163,7 +153,7 @@ val sync : t -> unit
 val with_batch : t -> (unit -> 'a) -> 'a
 (** Defer every flush/fsync inside the scope; at scope end (even on
     exception) perform one mode-appropriate sync covering all deferred
-    commits.  The server's write-batching drainer wraps each batch in this
+    commits.  The server's batch executor wraps each batch in this
     so a batch costs one flush (+ one fsync in the fsync modes) total.
     Scopes do not nest. *)
 
@@ -222,6 +212,4 @@ val truncate_prefix : t -> upto_lsn:int -> unit
 val records_of_ops : Txn.op list -> record list
 
 val attach : t -> Txn.manager -> unit
-(** Wire a transaction manager's commit hooks to the log: the plain hook
-    via {!durable_append_commit}, the fast-path hook via
-    {!grouped_append_commit}; both share one txn-id counter. *)
+(** Wire a transaction manager's commit hook to the log. *)

@@ -39,7 +39,15 @@ let keywords =
     "ANALYZE"; "THEN"; "DECREMENT";
   ]
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+(* Built once; the lexer consults it for every identifier it meets. *)
+module Kw = Hashtbl.Make (String)
+
+let keyword_set =
+  let h = Kw.create 128 in
+  List.iter (fun k -> Kw.replace h k ()) keywords;
+  h
+
+let is_keyword s = Kw.mem keyword_set (String.uppercase_ascii s)
 
 let to_string = function
   | INT i -> string_of_int i

@@ -12,22 +12,9 @@ open Relational
 type t = {
   db : Database.t;
   coordinator : Core.Coordinator.t;
-  fastpath : Fastpath.t;
-  mutable fastpath_on : bool;
-      (** route confluent DML through {!Fastpath} instead of the exclusive
-          engine path; defaults from [YOUTOPIA_FASTPATH] (set it to [0] to
-          run the serialized ablation) *)
   mutable sessions : Session.t list;
   mu : Mutex.t;
 }
-
-(* "0"/"false"/"off" disable; anything else (including unset) enables.
-   The CI ablation job exports YOUTOPIA_FASTPATH=0 to prove the serialized
-   path stays equivalent. *)
-let fastpath_default () =
-  match Sys.getenv_opt "YOUTOPIA_FASTPATH" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
 
 let create ?(config = Core.Coordinator.default_config) ?wal_path ?durability () =
   let db = Database.create () in
@@ -35,16 +22,7 @@ let create ?(config = Core.Coordinator.default_config) ?wal_path ?durability () 
   | None -> ()
   | Some path -> Database.attach_wal ?durability db path);
   let coordinator = Core.Coordinator.create ~config db in
-  let t =
-    {
-      db;
-      coordinator;
-      fastpath = Fastpath.create db;
-      fastpath_on = fastpath_default ();
-      sessions = [];
-      mu = Mutex.create ();
-    }
-  in
+  let t = { db; coordinator; sessions = []; mu = Mutex.create () } in
   (* Route every notification to the mailbox of the owner's session(s). *)
   Core.Coordinator.subscribe coordinator (fun n ->
       List.iter
@@ -67,16 +45,7 @@ let recover ?(config = Core.Coordinator.default_config) ?durability ~wal_path
   List.iter
     (fun rel -> Core.Coordinator.adopt_answer_relation coordinator rel)
     answer_relations;
-  let t =
-    {
-      db;
-      coordinator;
-      fastpath = Fastpath.create db;
-      fastpath_on = fastpath_default ();
-      sessions = [];
-      mu = Mutex.create ();
-    }
-  in
+  let t = { db; coordinator; sessions = []; mu = Mutex.create () } in
   Core.Coordinator.subscribe coordinator (fun n ->
       List.iter
         (fun session ->
@@ -88,9 +57,6 @@ let recover ?(config = Core.Coordinator.default_config) ?durability ~wal_path
 let database t = t.db
 let catalog t = t.db.Database.catalog
 let coordinator t = t.coordinator
-let fastpath t = t.fastpath
-let fastpath_enabled t = t.fastpath_on
-let set_fastpath t on = t.fastpath_on <- on
 
 (** [checkpoint t] — snapshot the database at the WAL's current LSN (see
     {!Database.checkpoint}); the caller must exclude concurrent writers. *)
@@ -133,31 +99,6 @@ let response_to_string = function
     Printf.sprintf "%d instances submitted" (List.length outcomes)
   | Pending_listing s -> s
 
-(** [try_fastpath t stmt] — classify [stmt] and, if confluent, execute it
-    on the latch-guarded fast path; [Some (affected, wait)] on success
-    ([wait] blocks for durability — invoke it after releasing any engine
-    lock held around this call), [None] when the statement needs the
-    exclusive path.  The classification and the apply must run in a regime
-    that excludes concurrent DDL: the network server calls this under its
-    shared engine lock; the in-process layer is single-writer by
-    construction.  Exceptions are the same ones the exclusive path raises
-    for the same statement. *)
-let try_fastpath t (stmt : Sql.Ast.statement) =
-  match stmt with
-  | Sql.Ast.Insert _ | Sql.Ast.Update _ | Sql.Ast.Delete _ -> (
-    let stats = Core.Coordinator.stats t.coordinator in
-    match Sql.Confluence.classify (catalog t) stmt with
-    | Sql.Confluence.Confluent desc ->
-      let affected, wait = Fastpath.apply t.fastpath desc in
-      stats.Core.Stats.fastpath_commits <-
-        stats.Core.Stats.fastpath_commits + 1;
-      Some (affected, wait)
-    | Sql.Confluence.Coordinated _ ->
-      stats.Core.Stats.fastpath_rejects <-
-        stats.Core.Stats.fastpath_rejects + 1;
-      None)
-  | _ -> None
-
 (** [exec t session stmt] — route one parsed statement. *)
 let exec t (session : Session.t) (stmt : Sql.Ast.statement) : response =
   match stmt with
@@ -173,16 +114,6 @@ let exec t (session : Session.t) (stmt : Sql.Ast.statement) : response =
   | Sql.Ast.Show_pending ->
     Pending_listing
       (Fmt.str "%a" Core.Pending.pp (Core.Coordinator.pending t.coordinator))
-  | (Sql.Ast.Insert _ | Sql.Ast.Update _ | Sql.Ast.Delete _) as stmt
-    when t.fastpath_on && (session.Session.sql).Sql.Run.open_txn = None -> (
-    (* auto-commit confluent DML takes the fast path; inside an explicit
-       transaction the statement must join the session's undo log, so it
-       stays on the exclusive path *)
-    match try_fastpath t stmt with
-    | Some (affected, wait) ->
-      wait ();
-      Sql (Sql.Run.Affected affected)
-    | None -> Sql (Sql.Run.exec session.Session.sql stmt))
   | stmt -> Sql (Sql.Run.exec session.Session.sql stmt)
 
 (** [exec_sql t session text] — parse and route one statement of SQL text. *)

@@ -37,19 +37,6 @@ val database : t -> Database.t
 val catalog : t -> Catalog.t
 val coordinator : t -> Core.Coordinator.t
 
-val fastpath : t -> Fastpath.t
-(** The latch-guarded executor for confluent writes (live handle; its
-    {!Fastpath.stats} feed the server's ADMIN listing). *)
-
-val fastpath_enabled : t -> bool
-
-val set_fastpath : t -> bool -> unit
-(** Enable/disable routing confluent DML through the fast path.  The
-    default comes from the [YOUTOPIA_FASTPATH] environment variable
-    ([0]/[false]/[off] disable it — the serialized ablation); disabling
-    sends every write down the exclusive path, which must be
-    observationally identical (qcheck I11 proves it). *)
-
 val checkpoint : ?truncate_wal:bool -> ?keep:int -> t -> int * string
 (** Snapshot the database at the WAL's current LSN; returns
     [(lsn, snapshot_path)].  The caller must exclude concurrent writers
@@ -74,15 +61,6 @@ type response =
   | Pending_listing of string  (** SHOW PENDING *)
 
 val response_to_string : response -> string
-
-val try_fastpath : t -> Sql.Ast.statement -> (int * (unit -> unit)) option
-(** Classify and, if confluent, execute one statement on the fast path:
-    [Some (affected_rows, durability_wait)] on success — run the wait
-    {i after} releasing any engine lock held around the call — [None] when
-    the statement requires the exclusive path.  Must be called in a regime
-    that excludes concurrent DDL (the server's shared engine lock).
-    Ignores {!fastpath_enabled} — the caller decides the routing policy.
-    Bumps [fastpath_commits]/[fastpath_rejects] in {!Core.Stats}. *)
 
 val exec : t -> Session.t -> Sql.Ast.statement -> response
 val exec_sql : t -> Session.t -> string -> response

@@ -156,70 +156,6 @@ let test_set_durability_switches () =
       Wal.close log;
       check int "both commits survive" 2 (rows_after_replay path))
 
-(** The shared-latch fast path reaches the flusher: 8 threads each commit
-    one confluent write through {!Youtopia.System.try_fastpath} at
-    [Fsync_per_commit].  A delay failpoint on [wal.fsync] holds the first
-    fsync open, so the other commits pile up behind it and coalesce —
-    strictly fewer fsyncs than commits, and zero commits lost (live rows
-    and WAL replay both see all 8). *)
-let test_fastpath_commits_coalesce () =
-  with_tmp (fun path ->
-      Fun.protect
-        ~finally:(fun () -> Fault.disarm "wal.fsync")
-        (fun () ->
-          let sys =
-            Youtopia.System.create ~wal_path:path
-              ~durability:Wal.Fsync_per_commit ()
-          in
-          let s = Youtopia.System.session sys "gc" in
-          ignore
-            (Youtopia.System.exec_sql sys s
-               "CREATE TABLE T (id INT PRIMARY KEY, v INT)");
-          let db = Youtopia.System.database sys in
-          let io0 = Option.get (Database.wal_io db) in
-          (match Fault.arm_spec "wal.fsync" "delay(0.05)" with
-          | Ok () -> ()
-          | Error e -> Alcotest.fail ("failpoint: " ^ e));
-          let n = 8 in
-          let failures = ref [] in
-          let mu = Mutex.create () in
-          let worker i =
-            let stmt =
-              match
-                Sql.Parser.parse_script
-                  (Printf.sprintf "INSERT INTO T VALUES (%d, %d)" i (i * 10))
-              with
-              | [ st ] -> st
-              | _ -> assert false
-            in
-            match Youtopia.System.try_fastpath sys stmt with
-            | Some (_, wait) -> wait ()
-            | None ->
-              Mutex.lock mu;
-              failures := "confluent insert rejected" :: !failures;
-              Mutex.unlock mu
-          in
-          let ts = List.init n (fun i -> Thread.create worker i) in
-          List.iter Thread.join ts;
-          Fault.disarm "wal.fsync";
-          (match !failures with [] -> () | f :: _ -> Alcotest.fail f);
-          let io1 = Option.get (Database.wal_io db) in
-          let fsyncs = io1.Wal.fsyncs - io0.Wal.fsyncs in
-          check int "every commit went through the flusher" n
-            (io1.Wal.group_commits - io0.Wal.group_commits);
-          check int "every commit logged" n
-            (io1.Wal.commits_logged - io0.Wal.commits_logged);
-          check bool "fsyncs happened" true (fsyncs >= 1);
-          check bool
-            (Printf.sprintf "coalescing: %d fsyncs < %d commits" fsyncs n)
-            true (fsyncs < n);
-          let live =
-            Table.row_count (Database.find_table db "T")
-          in
-          check int "no commit lost (live)" n live;
-          check int "no commit lost (replay)" n
-            (Table.row_count (Catalog.find (Wal.replay path) "T"))))
-
 (** Sync failures are loud: syncing a closed log raises [Wal_error] instead
     of silently dropping durability. *)
 let test_sync_on_closed_log_raises () =
@@ -263,8 +199,6 @@ let suite =
       test_group_commit_concurrent;
     Alcotest.test_case "with_batch amortises sync" `Quick
       test_with_batch_amortises;
-    Alcotest.test_case "fast-path commits coalesce one fsync" `Quick
-      test_fastpath_commits_coalesce;
     Alcotest.test_case "set_durability switches modes" `Quick
       test_set_durability_switches;
     Alcotest.test_case "sync on closed log raises" `Quick

@@ -414,19 +414,12 @@ let test_slow_consumer_dropped () =
 
 (* ---------------- write batching ---------------- *)
 
-(* Concurrent writers against the batching drainer: every insert lands,
+(* Concurrent writers against the batch executor: every insert lands,
    every write request is accounted to a batch, and the admin probe
-   exposes the new pipeline counters. *)
+   exposes the pipeline counters. *)
 let test_batched_writes_e2e () =
   let config =
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      max_batch = 16;
-      max_delay_us = 5_000;
-      (* this test is about the exclusive batching executor; keep the
-         confluent inserts from routing around it *)
-      fastpath = false;
-    }
+    { Net.Server.default_config with Net.Server.port = 0; max_batch = 16 }
   in
   with_server ~config (fun server port ->
       let c0 = Net.Client.connect ~port ~user:"ddl" () in
@@ -462,7 +455,7 @@ let test_batched_writes_e2e () =
                  s)
           | _ -> Alcotest.fail "count should be a SQL result");
           let s = Net.Server_stats.snapshot (Net.Server.stats server) in
-          check bool "drainer executed batches" true
+          check bool "the loop executed batches" true
             (s.Net.Server_stats.batches >= 1);
           check int "every write went through a batch"
             ((n_clients * per_client) + 1)
@@ -485,55 +478,104 @@ let test_batched_writes_e2e () =
               "submit_latency_p99_us";
             ]))
 
-(* A write that fails mid-batch (executable parse, missing table) must
-   error alone: concurrent good writes in the same drainer commit, and the
-   failing client's connection stays usable. *)
-let test_batch_error_isolation () =
-  let config =
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      max_batch = 8;
-      max_delay_us = 20_000;  (* wide window: both requests share a batch *)
-    }
-  in
-  with_server ~config (fun _server port ->
-      let good = Net.Client.connect ~port ~user:"good" () in
-      let bad = Net.Client.connect ~port ~user:"bad" () in
+(* Frames a raw client sends in one [write]: on loopback they arrive in
+   one segment, so the server decodes them in one read. *)
+let send_frames fd payloads =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun p -> Buffer.add_bytes buf (Net.Wire.frame_bytes p))
+    payloads;
+  let b = Buffer.to_bytes buf in
+  let n = Unix.write fd b 0 (Bytes.length b) in
+  if n <> Bytes.length b then Alcotest.fail "short write"
+
+let submit_frame id sql = Net.Wire.encode_request (Net.Wire.Submit { id; sql })
+
+let read_response fd = Net.Wire.decode_response (Net.Wire.read_frame fd)
+
+(* with_server plus a handshaken raw socket *)
+let with_raw_client ?config user f =
+  with_server ?config (fun server port ->
+      let fd = raw_connect port in
       Fun.protect
-        ~finally:(fun () ->
-          Net.Client.close good;
-          Net.Client.close bad)
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          (match Net.Client.submit good "CREATE TABLE Ok (id INT)" with
-          | Net.Wire.Sql_result _ -> ()
-          | _ -> Alcotest.fail "create should succeed");
-          let results = Array.make 2 (Ok ()) in
-          let run i c sql =
-            Thread.create
-              (fun () ->
-                results.(i) <-
-                  (match Net.Client.submit c sql with
-                  | _ -> Ok ()
-                  | exception Net.Client.Server_error m -> Error m))
-              ()
-          in
-          let t0 = run 0 good "INSERT INTO Ok VALUES (1)" in
-          let t1 = run 1 bad "INSERT INTO Missing VALUES (1)" in
-          Thread.join t0;
-          Thread.join t1;
-          (match results.(0) with
-          | Ok () -> ()
-          | Error m -> Alcotest.failf "good write poisoned by batchmate: %s" m);
-          (match results.(1) with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "write to a missing table must error");
-          (match Net.Client.submit good "SELECT COUNT(*) FROM Ok" with
-          | Net.Wire.Sql_result s ->
-            check bool "good row committed" true
-              (Astring.String.is_infix ~affix:"1" s)
-          | _ -> Alcotest.fail "count should be a SQL result");
-          check string_t "bad client's connection survives" "alive"
-            (Net.Client.ping ~payload:"alive" bad)))
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          Net.Wire.write_frame fd
+            (Net.Wire.encode_request (Net.Wire.Hello { version = 1; user }));
+          (match read_response fd with
+          | Net.Wire.Welcome _ -> ()
+          | _ -> Alcotest.fail "expected WELCOME");
+          f server fd))
+
+(* A write that fails inside a batch (missing table) must error alone:
+   good / bad / good writes sent in one [send] on one connection share
+   one batch, the good ones commit, and the connection stays usable. *)
+let test_batch_error_isolation () =
+  with_raw_client "iso" (fun server fd ->
+      send_frames fd [ submit_frame 1 "CREATE TABLE Ok (id INT)" ];
+      (match read_response fd with
+      | Net.Wire.Result { id = 1; _ } -> ()
+      | _ -> Alcotest.fail "create should succeed");
+      let before = Net.Server_stats.snapshot (Net.Server.stats server) in
+      send_frames fd
+        [
+          submit_frame 2 "INSERT INTO Ok VALUES (1)";
+          submit_frame 3 "INSERT INTO Missing VALUES (1)";
+          submit_frame 4 "INSERT INTO Ok VALUES (2)";
+        ];
+      (match read_response fd with
+      | Net.Wire.Result { id = 2; _ } -> ()
+      | _ -> Alcotest.fail "first good write poisoned by its batchmate");
+      (match read_response fd with
+      | Net.Wire.Error { id = 3; _ } -> ()
+      | _ -> Alcotest.fail "write to a missing table must error");
+      (match read_response fd with
+      | Net.Wire.Result { id = 4; _ } -> ()
+      | _ -> Alcotest.fail "second good write poisoned by its batchmate");
+      let after = Net.Server_stats.snapshot (Net.Server.stats server) in
+      check int "one batch"
+        1 (after.Net.Server_stats.batches - before.Net.Server_stats.batches);
+      check int "three requests in it" 3
+        (after.Net.Server_stats.batched_requests
+        - before.Net.Server_stats.batched_requests);
+      send_frames fd [ submit_frame 5 "SELECT COUNT(*) FROM Ok" ];
+      match read_response fd with
+      | Net.Wire.Result { id = 5; body = Net.Wire.Sql_result s } ->
+        check bool "both good rows committed" true
+          (Astring.String.is_infix ~affix:"(2)" s)
+      | _ -> Alcotest.fail "count should be a SQL result")
+
+(* Program order per connection: a read sent right behind a write on the
+   same connection runs after it (it sees the row) and answers after it.
+   Each INSERT / SELECT COUNT( * ) pair goes out in one [send], all pairs
+   back to back without waiting. *)
+let test_program_order () =
+  with_raw_client "order" (fun _server fd ->
+      send_frames fd [ submit_frame 1 "CREATE TABLE Seq (id INT)" ];
+      (match read_response fd with
+      | Net.Wire.Result { id = 1; _ } -> ()
+      | _ -> Alcotest.fail "create should succeed");
+      let n = 50 in
+      for k = 1 to n do
+        send_frames fd
+          [
+            submit_frame (2 * k)
+              (Printf.sprintf "INSERT INTO Seq VALUES (%d)" k);
+            submit_frame ((2 * k) + 1) "SELECT COUNT(*) FROM Seq";
+          ]
+      done;
+      for k = 1 to n do
+        (match read_response fd with
+        | Net.Wire.Result { id; _ } when id = 2 * k -> ()
+        | _ -> Alcotest.failf "pair %d: INSERT result out of order" k);
+        match read_response fd with
+        | Net.Wire.Result { id; body = Net.Wire.Sql_result s }
+          when id = (2 * k) + 1 ->
+          if not (Astring.String.is_infix ~affix:(Printf.sprintf "(%d)" k) s)
+          then Alcotest.failf "pair %d: count missed its write: %s" k s
+        | _ -> Alcotest.failf "pair %d: SELECT result out of order" k
+      done)
 
 (* Plain DML over the wire now pokes the coordinator (once per batch): a
    parked pair over a flightless destination is fulfilled the moment an
@@ -579,11 +621,11 @@ let test_wire_dml_triggers_poke () =
             check string_t "bob fulfilled by wire DML" "bob" n.Core.Events.owner
           | None -> Alcotest.fail "bob never got his push"))
 
-(* The per-request baseline path (batching off) keeps the same observable
+(* The per-request baseline ([max_batch = 1]) keeps the same observable
    behaviour: writes commit and wire DML still pokes. *)
 let test_unbatched_path_equivalent () =
   let config =
-    { Net.Server.default_config with Net.Server.port = 0; batch_writes = false }
+    { Net.Server.default_config with Net.Server.port = 0; max_batch = 1 }
   in
   with_server ~config (fun server port ->
       let alice = Net.Client.connect ~port ~user:"alice" () in
@@ -617,8 +659,8 @@ let test_unbatched_path_equivalent () =
           | Some _ -> ()
           | None -> Alcotest.fail "alice never got her push (unbatched)");
           let s = Net.Server_stats.snapshot (Net.Server.stats server) in
-          check int "no drainer batches on the baseline path" 0
-            s.Net.Server_stats.batches))
+          check int "every batch held one request" s.Net.Server_stats.batches
+            s.Net.Server_stats.batched_requests))
 
 let test_poll_partial_frame_nonblocking () =
   (* hand-rolled server: handshake, then dribble a PUSH frame in two
@@ -1090,6 +1132,98 @@ let test_then_effect_fulfilment_pokes () =
             check string_t "bob inherits the lock" "bob" n.Core.Events.owner
           | None -> Alcotest.fail "bob never got his grant push"))
 
+(* ---------------- the server binary ---------------- *)
+
+(* [dune runtest] runs from _build/default/test with the binary as a
+   dependency; a direct run from the repository root finds it built. *)
+let server_exe () =
+  List.find_opt Sys.file_exists
+    [ "../bin/youtopia_server.exe"; "_build/default/bin/youtopia_server.exe" ]
+
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> assert false)
+
+let wait_exit pid ~timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if Unix.gettimeofday () > deadline then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+      end
+      else begin
+        Thread.delay 0.05;
+        go ()
+      end
+    | _, status -> Some status
+  in
+  go ()
+
+(* SIGTERM with nobody left to read stdout: the farewell lines must not
+   take the process down.  Once with stdout closed outright, once with it
+   a pipe whose reader has gone (EPIPE). *)
+let test_server_exits_without_stdout () =
+  match server_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let run ~name spawn =
+      let port = free_port () in
+      let pid, after_ready = spawn (string_of_int port) in
+      (* listening: a connect succeeds *)
+      let deadline = Unix.gettimeofday () +. 20. in
+      let rec ready () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        match
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+        with
+        | () -> Unix.close fd
+        | exception Unix.Unix_error _ ->
+          Unix.close fd;
+          if Unix.gettimeofday () > deadline then
+            Alcotest.failf "%s: server never listened" name;
+          Thread.delay 0.05;
+          ready ()
+      in
+      ready ();
+      after_ready ();
+      Unix.kill pid Sys.sigterm;
+      match wait_exit pid ~timeout:20. with
+      | Some (Unix.WEXITED 0) -> ()
+      | Some (Unix.WEXITED n) -> Alcotest.failf "%s: exit %d" name n
+      | Some (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+        Alcotest.failf "%s: killed by signal %d" name n
+      | None -> Alcotest.failf "%s: did not stop within 20 s" name
+    in
+    (* failpoint settings other tests left in the environment stay here *)
+    let env =
+      Array.of_list
+        (List.filter
+           (fun kv -> not (Astring.String.is_prefix ~affix:"YOUTOPIA_" kv))
+           (Array.to_list (Unix.environment ())))
+    in
+    run ~name:"stdout closed" (fun port ->
+        ( Unix.create_process_env "/bin/sh"
+            [| "/bin/sh"; "-c"; "exec \"$0\" --port \"$1\" >&-"; exe; port |]
+            env Unix.stdin Unix.stdout Unix.stderr,
+          ignore ));
+    run ~name:"stdout reader gone" (fun port ->
+        let r, w = Unix.pipe ~cloexec:true () in
+        let pid =
+          Unix.create_process_env exe [| exe; "--port"; port |] env Unix.stdin
+            w Unix.stderr
+        in
+        Unix.close w;
+        (pid, fun () -> Unix.close r))
+
 let suite =
   [
     Alcotest.test_case "notification round-trip" `Quick test_notification_roundtrip;
@@ -1117,6 +1251,8 @@ let suite =
       test_malformed_escape_handled;
     Alcotest.test_case "slow consumer dropped" `Quick test_slow_consumer_dropped;
     Alcotest.test_case "batched writes end-to-end" `Quick test_batched_writes_e2e;
+    Alcotest.test_case "program order per connection" `Quick
+      test_program_order;
     Alcotest.test_case "batch errors are isolated" `Quick
       test_batch_error_isolation;
     Alcotest.test_case "wire DML triggers per-batch poke" `Quick
@@ -1149,6 +1285,8 @@ let suite =
     Alcotest.test_case "idle sweep spares parked owners (threads)" `Quick
       test_idle_exemption_threads;
     Alcotest.test_case "accept failpoint refuses" `Quick test_accept_failpoint;
+    Alcotest.test_case "server exits 0 without a stdout reader" `Quick
+      test_server_exits_without_stdout;
     Alcotest.test_case "push e2e under thread model" `Quick
       test_e2e_coordination_threads;
   ]

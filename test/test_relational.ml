@@ -274,6 +274,160 @@ let prop_index_agrees_with_scan =
       in
       without_index = with_index)
 
+(* Mutation's index targeting against the full scan it replaces: a table
+   with a primary key and a non-unique secondary index, a random predicate
+   (equalities mixed with OR, ranges, NULL constants and Int/Float key
+   overlap such as [id = 2.0]), and a random UPDATE or DELETE.  The scan
+   reference is the pre-index algorithm, run on an identical table: both
+   must report the same outcome and leave the same rows. *)
+
+let mut_schema () =
+  Schema.make ~primary_key:[ 0 ] "M"
+    [
+      Schema.column "id" Ctype.TInt;
+      Schema.column ~nullable:true "k" Ctype.TInt;
+      Schema.column "v" Ctype.TInt;
+    ]
+
+let mut_table rows =
+  let t = Table.create (mut_schema ()) in
+  ignore (Table.create_index t "by_k" [| 1 |]);
+  List.iter (fun r -> ignore (Table.insert t r)) rows;
+  t
+
+let mut_const =
+  QCheck.Gen.(
+    frequency
+      [
+        6, map (fun i -> Value.Int i) (int_range (-1) 12);
+        2, map (fun i -> Value.Float (float_of_int i)) (int_range 0 12);
+        1, return (Value.Float 2.5);
+        1, return Value.Null;
+      ])
+
+let mut_pred =
+  QCheck.Gen.(
+    let col = int_bound 2 in
+    let atom =
+      frequency
+        [
+          5,
+          map2
+            (fun c v -> Expr.Binop (Expr.Eq, Expr.Col c, Expr.Const v))
+            col mut_const;
+          1,
+          map2
+            (fun c v -> Expr.Binop (Expr.Eq, Expr.Const v, Expr.Col c))
+            col mut_const;
+          2,
+          map3
+            (fun c op v -> Expr.Binop (op, Expr.Col c, Expr.Const v))
+            col
+            (oneofl [ Expr.Lt; Expr.Leq; Expr.Gt; Expr.Geq; Expr.Neq ])
+            mut_const;
+        ]
+    in
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then atom
+           else
+             frequency
+               [
+                 2, atom;
+                 3, map2 (fun a b -> Expr.Binop (Expr.And, a, b)) (self (n - 1))
+                      (self (n - 1));
+                 1, map2 (fun a b -> Expr.Binop (Expr.Or, a, b)) (self (n - 1))
+                      (self (n - 1));
+               ]))
+
+(* [None] deletes; [Some assignments] updates (the PK shift can collide) *)
+let mut_action =
+  QCheck.Gen.oneofl
+    [
+      None;
+      Some [ (2, Expr.Binop (Expr.Add, Expr.Col 2, Expr.Const (Value.Int 1))) ];
+      Some [ (1, Expr.Binop (Expr.Add, Expr.Col 1, Expr.Const (Value.Int 1))) ];
+      Some [ (1, Expr.Const Value.Null) ];
+      Some [ (0, Expr.Binop (Expr.Add, Expr.Col 0, Expr.Const (Value.Int 2))) ];
+    ]
+
+let mut_rows =
+  QCheck.Gen.(
+    map
+      (fun cells ->
+        List.mapi
+          (fun i (k, v) ->
+            [|
+              Value.Int i;
+              (match k with None -> Value.Null | Some k -> Value.Int k);
+              Value.Int v;
+            |])
+          cells)
+      (list_size (int_bound 14) (pair (opt (int_bound 4)) (int_bound 9))))
+
+(* the scan the index targeting replaced *)
+let scan_matching table pred =
+  Table.fold
+    (fun acc row_id row ->
+      if match pred with None -> true | Some p -> Expr.holds row p then
+        (row_id, row) :: acc
+      else acc)
+    [] table
+
+let scan_mutate txn table action pred =
+  let targets = scan_matching table pred in
+  (match action with
+  | None -> List.iter (fun (id, _) -> ignore (Txn.delete txn table id)) targets
+  | Some assignments ->
+    List.iter
+      (fun (id, row) ->
+        let updated = Array.copy row in
+        List.iter (fun (i, e) -> updated.(i) <- Expr.eval row e) assignments;
+        ignore (Txn.update txn table id updated))
+      targets);
+  List.length targets
+
+let run_mutation f table =
+  let mgr = Txn.create_manager () in
+  let outcome =
+    match Txn.with_txn mgr (fun txn -> f txn table) with
+    | n -> Ok n
+    | exception Errors.Db_error _ -> Error ()
+  in
+  (outcome, Table.fold (fun acc id row -> (id, row) :: acc) [] table)
+
+let prop_mutation_index_targeting =
+  QCheck.Test.make ~name:"index-targeted UPDATE/DELETE equal a full scan"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (rows, pred, action) ->
+         Printf.sprintf "rows=[%s] where %s %s"
+           (String.concat "; " (List.map Tuple.to_string rows))
+           (Expr.to_string pred)
+           (match action with None -> "DELETE" | Some _ -> "UPDATE"))
+       QCheck.Gen.(triple mut_rows mut_pred mut_action))
+    (fun (rows, pred, action) ->
+      let pred = Some pred in
+      let indexed =
+        run_mutation
+          (fun txn t ->
+            match action with
+            | None -> Mutation.delete_where txn t pred
+            | Some a -> Mutation.update_where txn t a pred)
+          (mut_table rows)
+      in
+      let scanned =
+        run_mutation
+          (fun txn t -> scan_mutate txn t action pred)
+          (mut_table rows)
+      in
+      let same (o1, r1) (o2, r2) =
+        o1 = o2
+        && List.length r1 = List.length r2
+        && List.for_all2 (fun (i, a) (j, b) -> i = j && Tuple.equal a b) r1 r2
+      in
+      same indexed scanned)
+
 let suite =
   [
     Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
@@ -295,4 +449,5 @@ let suite =
     Alcotest.test_case "catalog" `Quick test_catalog;
     QCheck_alcotest.to_alcotest prop_insert_delete_roundtrip;
     QCheck_alcotest.to_alcotest prop_index_agrees_with_scan;
+    QCheck_alcotest.to_alcotest prop_mutation_index_targeting;
   ]

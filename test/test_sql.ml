@@ -301,10 +301,58 @@ let test_exec_explain_and_show () =
       (String.length msg > 0)
   | _ -> Alcotest.fail "show tables"
 
+(* Keyword lookup pin-down: every reserved word lexes to its uppercase
+   KW token in any letter case, and near-miss identifiers stay IDENTs with
+   their spelling intact. *)
+let test_lexer_keywords () =
+  let reserved =
+    [
+      "SELECT"; "FROM"; "WHERE"; "INTO"; "ANSWER"; "CHOOSE"; "AND"; "OR";
+      "NOT"; "IN"; "IS"; "NULL"; "TRUE"; "FALSE"; "AS"; "DISTINCT"; "GROUP";
+      "BY"; "ORDER"; "ASC"; "DESC"; "LIMIT"; "CREATE"; "TABLE"; "DROP";
+      "INDEX"; "UNIQUE"; "ON"; "PRIMARY"; "KEY"; "INSERT"; "VALUES";
+      "UPDATE"; "SET"; "DELETE"; "JOIN"; "INNER"; "CROSS"; "BEGIN"; "COMMIT";
+      "ROLLBACK"; "EXPLAIN"; "SHOW"; "TABLES"; "PENDING"; "HAVING"; "LEFT";
+      "OUTER"; "UNION"; "INTERSECT"; "EXCEPT"; "ALL"; "BETWEEN"; "LIKE";
+      "VIEW"; "ANALYZE"; "THEN"; "DECREMENT";
+    ]
+  in
+  let lex1 src =
+    match Array.to_list (Sql.Lexer.tokenize src).Sql.Lexer.tokens with
+    | [ (tok, _); (Sql.Token.EOF, _) ] -> tok
+    | _ -> Alcotest.failf "%S should lex to one token" src
+  in
+  check Alcotest.(list string) "keyword set"
+    (List.sort compare reserved)
+    (List.sort compare Sql.Token.keywords);
+  List.iter
+    (fun kw ->
+      List.iter
+        (fun spelling ->
+          match lex1 spelling with
+          | Sql.Token.KW k when k = kw -> ()
+          | _ -> Alcotest.failf "%S should lex as keyword %s" spelling kw)
+        [
+          kw;
+          String.lowercase_ascii kw;
+          String.capitalize_ascii (String.lowercase_ascii kw);
+        ])
+    reserved;
+  List.iter
+    (fun id ->
+      match lex1 id with
+      | Sql.Token.IDENT s when s = id -> ()
+      | _ -> Alcotest.failf "%S should lex as an identifier" id)
+    [
+      "Flights"; "fno"; "selects"; "_from"; "Answers"; "then_"; "keys"; "x1";
+      "counT";
+    ]
+
 let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer_basics;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
+    Alcotest.test_case "lexer keywords" `Quick test_lexer_keywords;
     Alcotest.test_case "parse select shape" `Quick test_parse_select_shape;
     Alcotest.test_case "parse join folds ON" `Quick test_parse_join_folds_on;
     Alcotest.test_case "parse paper entangled query" `Quick test_parse_entangled_paper_query;

@@ -14,7 +14,6 @@ let () =
       "stats", Test_stats.suite;
       "sql", Test_sql.suite;
       "sql-features", Test_sql_features.suite;
-      "confluence", Test_confluence.suite;
       "entangled", Test_entangled.suite;
       "system", Test_system.suite;
       "travel", Test_travel.suite;

@@ -20,7 +20,7 @@
      I5  a fresh replica attached to the recovered primary converges to
          an identical dump
 
-   Cycles rotate over three scenarios by seed residue mod 3.  Residue 0
+   Cycles rotate over two scenarios by seed residue mod 2.  Residue 0
    runs the travel dataset (the workload above).  Residue 1 runs the
    lock-lease scenario (`--scenario locks`): acquires, renewals and
    sweeps as THEN-clause entangled SQL over the wire, driven by the
@@ -36,22 +36,6 @@
          and no phantom leases (every recovered lease was issued)
      L4  post-crash, a full sweep reclaims exactly the active leases,
          once each, and the locks are grantable again
-
-   A third scenario (seed mod 3 = 2) tortures the coordination-avoiding
-   write fast path: confluent inserts / counter updates / pinned deletes
-   against a fresh primary-keyed table, routed through the shared-latch
-   executor, with the kill landing inside the fast path itself
-   (`fastpath.apply`, `fastpath.commit`) or the WAL underneath it.  Its
-   invariants:
-
-     F0    seed data intact (32 flights recovered)
-     I-FP  no acknowledged confluent write lost: every acked insert's row
-           survives with exactly the acked counter sum (plus at most the
-           single in-flight delta), every acked delete stays deleted —
-           and none duplicated: primary keys are unique after replay and
-           every recovered row was issued
-     F2    the fast path works after recovery (a probe insert + counter
-           commits on it, visible in the ADMIN server listing)
 
    Every cycle prints its derived seed; `--cycle-seed N` re-runs exactly
    one cycle from such a seed.  The workload and failpoint arming are
@@ -857,272 +841,6 @@ let run_locks_cycle ~prog ~artifacts ~keep_tmp ~ops_target ~verbose ~cycle_seed 
     finish ~failed:true;
     raise e
 
-(* ---------------- one fast-path cycle ---------------- *)
-
-(* What the torture driver believes about one FpCnt id. *)
-type fp_inflight = FIns of int * int | FCnt of int * int | FDel of int
-
-let run_fastpath_cycle ~prog ~artifacts ~keep_tmp ~ops_target ~verbose
-    ~cycle_seed =
-  let rng = Random.State.make [| cycle_seed |] in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "torture-%d-%d" (Unix.getpid ()) cycle_seed)
-  in
-  Unix.mkdir dir 0o700;
-  let wal = Filename.concat dir "y.wal" in
-  let durability =
-    List.nth durabilities (Random.State.int rng (List.length durabilities))
-  in
-  let server_args port_opt =
-    [
-      "--travel"; "--seed"; "7"; "--wal"; wal; "--host"; "127.0.0.1";
-      "--port"; port_opt; "--durability"; durability;
-    ]
-  in
-  let children = ref [] in
-  let track ch =
-    children := ch :: !children;
-    ch
-  in
-  let say fmt =
-    Printf.ksprintf (fun m -> if verbose then Printf.printf "  %s\n%!" m) fmt
-  in
-  let finish ~failed =
-    List.iter dispose !children;
-    if failed then
-      save_artifacts ~artifacts ~cycle_seed ~dir ~children:!children;
-    if not (keep_tmp || failed) then rm_rf dir
-  in
-  match
-    (* ---- phase 1: primary + confluent workload + crash ---- *)
-    let primary =
-      track
-        (spawn ~name:"primary" ~prog ~args:(server_args "0")
-           ~env_extra:[ Printf.sprintf "YOUTOPIA_FAULT_SEED=%d" cycle_seed ])
-    in
-    let port =
-      match wait_port primary ~timeout:20. with
-      | Some p -> p
-      | None ->
-        violation "primary did not start:\n%s" (Buffer.contents primary.log)
-    in
-    let c = Net.Client.connect ~port ~user:"torture" () in
-    (* the confluent table goes in BEFORE the failpoint is armed, so the
-       crash always lands in the write machinery, never the DDL *)
-    (match
-       Net.Client.submit c "CREATE TABLE FpCnt (id INT PRIMARY KEY, val INT)"
-     with
-    | Net.Wire.Sql_result _ -> ()
-    | _ -> violation "FpCnt DDL failed");
-    let fp_kill_points =
-      [ "fastpath.apply"; "fastpath.commit"; "wal.commit"; "wal.flush";
-        "wal.fsync" ]
-    in
-    let kill_pt =
-      List.nth fp_kill_points
-        (Random.State.int rng (List.length fp_kill_points))
-    in
-    let kill_hit = 1 + Random.State.int rng 30 in
-    let arm_cmd = Printf.sprintf "failpoint arm %s %d->kill" kill_pt kill_hit in
-    let reply = Net.Client.admin c arm_cmd in
-    if not (contains reply "armed") then
-      violation "failpoint arming failed: %s" reply;
-    say "fastpath: durability=%s armed %s=%d->kill" durability kill_pt kill_hit;
-    (* acked state per id; the at-most-one in-flight op may or may not
-       have landed — but must never land twice *)
-    let expected = Hashtbl.create 64 in
-    (* id -> acked val *)
-    let deleted = Hashtbl.create 16 in
-    let inflight = ref None in
-    let next_id = ref 0 in
-    let crashed = ref false and ops = ref 0 in
-    let acked_ids () = Hashtbl.fold (fun id _ acc -> id :: acc) expected [] in
-    (try
-       while (not !crashed) && !ops < ops_target do
-         incr ops;
-         if not (alive primary) then crashed := true
-         else begin
-           let dice = Random.State.int rng 100 in
-           if dice < 45 then begin
-             let id = !next_id in
-             incr next_id;
-             let v = Random.State.int rng 10 in
-             inflight := Some (FIns (id, v));
-             (match
-                Net.Client.submit c
-                  (Printf.sprintf "INSERT INTO FpCnt VALUES (%d, %d)" id v)
-              with
-             | Net.Wire.Sql_result _ ->
-               Hashtbl.replace expected id v;
-               inflight := None
-             | _ -> inflight := None)
-           end
-           else if dice < 75 then begin
-             match acked_ids () with
-             | [] -> ()
-             | ids ->
-               let id = List.nth ids (Random.State.int rng (List.length ids)) in
-               let d = 1 + Random.State.int rng 5 in
-               inflight := Some (FCnt (id, d));
-               (match
-                  Net.Client.submit c
-                    (Printf.sprintf
-                       "UPDATE FpCnt SET val = val + %d WHERE id = %d" d id)
-                with
-               | Net.Wire.Sql_result _ ->
-                 Hashtbl.replace expected id (Hashtbl.find expected id + d);
-                 inflight := None
-               | _ -> inflight := None)
-           end
-           else if dice < 85 then begin
-             match acked_ids () with
-             | [] -> ()
-             | ids ->
-               let id = List.nth ids (Random.State.int rng (List.length ids)) in
-               inflight := Some (FDel id);
-               (match
-                  Net.Client.submit c
-                    (Printf.sprintf "DELETE FROM FpCnt WHERE id = %d" id)
-                with
-               | Net.Wire.Sql_result _ ->
-                 Hashtbl.remove expected id;
-                 Hashtbl.replace deleted id ();
-                 inflight := None
-               | _ -> inflight := None)
-           end
-           else if dice < 95 then ignore (Net.Client.admin c "checkpoint")
-           else ignore (Net.Client.admin c "failpoint list")
-         end
-       done
-     with _ -> crashed := true);
-    (try Net.Client.close c with _ -> ());
-    if not !crashed then begin
-      say "failpoint never fired; parent SIGKILL";
-      kill_child primary
-    end
-    else reap primary;
-    say "crashed after %d op(s): %d id(s) live, %d deleted" !ops
-      (Hashtbl.length expected) (Hashtbl.length deleted);
-
-    (* ---- phase 2: recovery + I-FP ---- *)
-    let recovered =
-      track (spawn ~name:"recovered" ~prog ~args:(server_args "0") ~env_extra:[])
-    in
-    let port2 =
-      match wait_port recovered ~timeout:20. with
-      | Some p -> p
-      | None ->
-        violation "server failed to recover from the crash:\n%s"
-          (Buffer.contents recovered.log)
-    in
-    let c2 = Net.Client.connect ~port:port2 ~user:"checker" () in
-    (* F0: seed data *)
-    let flights = select c2 "SELECT fno FROM Flights" in
-    if List.length flights <> 32 then
-      violation "F0: expected 32 flights after recovery, found %d"
-        (List.length flights);
-    let int_pair_of_row row =
-      match
-        String.split_on_char ','
-          (String.sub row 1 (String.length row - 2))
-      with
-      | [ a; b ] -> (
-        match
-          int_of_string_opt (String.trim a), int_of_string_opt (String.trim b)
-        with
-        | Some x, Some y -> (x, y)
-        | _ -> violation "unparseable FpCnt row: %s" row)
-      | _ -> violation "unparseable FpCnt row: %s" row
-    in
-    let recovered_rows =
-      List.map int_pair_of_row (select c2 "SELECT id, val FROM FpCnt")
-    in
-    (* none duplicated: one row per primary key after replay *)
-    let rec first_dup = function
-      | (a, _) :: (b, _) :: _ when a = b -> Some a
-      | _ :: rest -> first_dup rest
-      | [] -> None
-    in
-    (match first_dup (List.sort compare recovered_rows) with
-    | Some id -> violation "I-FP: id %d duplicated by recovery" id
-    | None -> ());
-    (* no acked write lost; counter sums exact up to the in-flight delta *)
-    Hashtbl.iter
-      (fun id v ->
-        match List.assoc_opt id recovered_rows with
-        | None ->
-          if !inflight <> Some (FDel id) then
-            violation "I-FP: acked id %d (val %d) lost by recovery" id v
-        | Some got ->
-          let allowed =
-            v
-            :: (match !inflight with
-               | Some (FCnt (i, d)) when i = id -> [ v + d ]
-               | _ -> [])
-          in
-          if not (List.mem got allowed) then
-            violation
-              "I-FP: id %d recovered with val %d, acked sum %d (in-flight %s)"
-              id got v
-              (match !inflight with
-              | Some (FCnt (i, d)) when i = id -> Printf.sprintf "+%d" d
-              | _ -> "none"))
-      expected;
-    (* acked deletes stay deleted; every recovered row was issued *)
-    List.iter
-      (fun (id, v) ->
-        if Hashtbl.mem deleted id then
-          violation "I-FP: acked delete of id %d resurrected (val %d)" id v;
-        if not (Hashtbl.mem expected id) then
-          (* only the single in-flight insert may appear unacked *)
-          match !inflight with
-          | Some (FIns (i, iv)) when i = id ->
-            if v <> iv then
-              violation "I-FP: in-flight id %d landed with val %d, sent %d" id
-                v iv
-          | _ -> violation "I-FP: phantom row (%d, %d) after recovery" id v)
-      recovered_rows;
-    (* F2: the fast path still works after recovery *)
-    let probe_id = !next_id + 1000 in
-    (match
-       Net.Client.submit c2
-         (Printf.sprintf "INSERT INTO FpCnt VALUES (%d, 5)" probe_id)
-     with
-    | Net.Wire.Sql_result _ -> ()
-    | _ -> violation "F2: post-recovery confluent insert failed");
-    (match
-       Net.Client.submit c2
-         (Printf.sprintf "UPDATE FpCnt SET val = val + 2 WHERE id = %d"
-            probe_id)
-     with
-    | Net.Wire.Sql_result _ -> ()
-    | _ -> violation "F2: post-recovery counter update failed");
-    (match
-       select c2 (Printf.sprintf "SELECT val FROM FpCnt WHERE id = %d" probe_id)
-     with
-    | [ row ] ->
-      let v =
-        int_of_string_opt
-          (String.trim (String.sub row 1 (String.length row - 2)))
-      in
-      if v <> Some 7 then
-        violation "F2: probe value wrong after recovery: %s" row
-    | rows -> violation "F2: probe row count %d" (List.length rows));
-    let listing = Net.Client.admin c2 "server" in
-    if contains listing "fastpath_commits=0" then
-      violation "F2: probe writes did not commit on the fast path:\n%s" listing;
-    say "fastpath: recovery clean (%d live id(s) verified)"
-      (Hashtbl.length expected);
-    (try Net.Client.close c2 with _ -> ());
-    terminate recovered
-  with
-  | () -> finish ~failed:false
-  | exception e ->
-    finish ~failed:true;
-    raise e
-
 (* ---------------- command line ---------------- *)
 
 let run cycles seed cycle_seed server artifacts keep_tmp ops verbose =
@@ -1145,10 +863,9 @@ let run cycles seed cycle_seed server artifacts keep_tmp ops verbose =
        (fun i cs ->
          (* scenario by seed residue, so --cycle-seed reproduces it too *)
          let scenario, cycle_fn =
-           match cs mod 3 with
+           match cs mod 2 with
            | 0 -> "travel", run_cycle
-           | 1 -> "locks", run_locks_cycle
-           | _ -> "fastpath", run_fastpath_cycle
+           | _ -> "locks", run_locks_cycle
          in
          Printf.printf "torture cycle %d/%d: seed=%d (%s)\n%!" (i + 1) total cs
            scenario;
