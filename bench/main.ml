@@ -691,10 +691,9 @@ let e_micro () =
   say "  query grounding (first): %8.0f ns" ground_ns
 
 (* ------------------------------------------------------------------ *)
-(* INC — incremental matching: versioned plan cache + dirty-set poke,
-   then the server's concurrent read path. *)
+(* INC — incremental matching: versioned plan cache + dirty-set poke.
 
-(* Part 1: a loaded pending store under mutation-driven pokes.  [n_pending]
+   A loaded pending store under mutation-driven pokes.  [n_pending]
    never-fulfillable queries (each waits on a ghost partner) are spread
    across [n_tables] base tables; every query also reads a shared [Common]
    table that never changes.  Each measured iteration inserts one
@@ -786,78 +785,8 @@ let inc_variant ~fast ~use_plan_cache ~use_dirty_poke =
     per_poke (stats.Core.Stats.groundings - g0),
     retries )
 
-(* Part 2: read-only throughput over loopback TCP — the engine rwlock vs
-   the serialize-everything baseline.  OCaml system threads share one
-   domain, so readers interleave rather than run in parallel; the win is
-   not queueing behind mutations and the counters show the contention. *)
-let inc_read_path { fast; seed = _ } =
-  let n_clients = 8 in
-  let per_client = if fast then 50 else 200 in
-  let n_rows = 512 in
-  let run_mode ~serialize_reads =
-    let sys = Youtopia.System.create () in
-    let db = Youtopia.System.database sys in
-    let items =
-      Database.create_table db
-        (Schema.make ~primary_key:[ 0 ] "Items"
-           [ Schema.column "id" Ctype.TInt; Schema.column "val" Ctype.TInt ])
-    in
-    for i = 0 to n_rows - 1 do
-      ignore (Table.insert items [| Value.Int i; Value.Int (i * 7) |])
-    done;
-    let config =
-      { Net.Server.default_config with Net.Server.port = 0; serialize_reads }
-    in
-    let server = Net.Server.start ~config sys in
-    let port = Net.Server.port server in
-    let elapsed, () =
-      time_once (fun () ->
-          let workers =
-            Array.init n_clients (fun w ->
-                Thread.create
-                  (fun () ->
-                    let client =
-                      Net.Client.connect ~port
-                        ~user:(Printf.sprintf "reader%d" w)
-                        ()
-                    in
-                    for i = 1 to per_client do
-                      ignore
-                        (Net.Client.submit client
-                           (Printf.sprintf "SELECT val FROM Items WHERE id = %d"
-                              ((w * per_client + i) mod n_rows)))
-                    done;
-                    Net.Client.close client)
-                  ())
-          in
-          Array.iter Thread.join workers)
-    in
-    let snap = Net.Server_stats.snapshot (Net.Server.stats server) in
-    Net.Server.stop server;
-    float_of_int (n_clients * per_client) /. elapsed, snap
-  in
-  let qps_rw, snap_rw = run_mode ~serialize_reads:false in
-  let qps_ser, snap_ser = run_mode ~serialize_reads:true in
-  say "read-only loopback throughput, %d clients x %d SELECTs:" n_clients
-    per_client;
-  say "%24s %12s %14s %14s" "mode" "queries/s" "read waits" "write waits";
-  say "%24s %12.0f %14d %14d" "rwlock (shared reads)" qps_rw
-    snap_rw.Net.Server_stats.engine_read_waits
-    snap_rw.Net.Server_stats.engine_write_waits;
-  say "%24s %12.0f %14d %14d" "global mutex baseline" qps_ser
-    snap_ser.Net.Server_stats.engine_read_waits
-    snap_ser.Net.Server_stats.engine_write_waits;
-  say "  speedup: %.2fx" (qps_rw /. qps_ser);
-  say "  (system threads share one domain: reads interleave rather than";
-  say "   parallelize; the gain is not queueing behind the lock)";
-  record ~experiment:"INC" ~metric:"read_qps_rwlock" qps_rw;
-  record ~experiment:"INC" ~metric:"read_qps_serialized" qps_ser;
-  record ~experiment:"INC" ~metric:"read_speedup" (qps_rw /. qps_ser)
-
-let e_inc ({ fast; _ } as opts) =
-  header
-    "INC — incremental matching: plan cache + dirty-set poke; concurrent \
-     read path";
+let e_inc { fast; _ } =
+  header "INC — incremental matching: plan cache + dirty-set poke";
   let variants =
     [
       "baseline (retry all, no cache)", false, false;
@@ -894,9 +823,7 @@ let e_inc ({ fast; _ } as opts) =
     say "  poke speedup, cache + dirty-set vs baseline: %.1fx"
       (baseline /. full);
     record ~experiment:"INC" ~metric:"poke_speedup" (baseline /. full)
-  | _ -> ());
-  say "";
-  inc_read_path opts
+  | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* MATCH — retry targeting at scale: 100k (fast) / 1M pending queries with
@@ -1586,15 +1513,15 @@ let e_repl { fast; seed } =
   record ~experiment:"REPL" ~metric:"recovery_speedup" (t_full /. t_ckpt)
 
 (* ------------------------------------------------------------------ *)
-(* CONN — connection scalability: poll-based event loops vs
-   thread-per-connection, at the same fd limit.  Phase 1 parks a wall of
-   idle connections (each held open after a completed HELLO); phase 2
-   runs active submitters through the wall and measures exact p99 submit
-   latency.  The thread model's ceiling is configured ([max_conns]): two
-   OS threads per connection stop being operable long before the fd
-   limit does.  The event target is derived from RLIMIT_NOFILE — each
-   loopback connection costs this process two fds (client + server end)
-   — minus a reserve for the WAL, listeners and wakeup pipes. *)
+(* CONN — connection scalability of the event loops.  Phase 1 parks a
+   wall of idle connections (each held open after a completed HELLO);
+   phase 2 runs active submitters through the wall and measures exact p99
+   submit latency.  Three walls: none (the latency floor), the matched
+   wall (the most a thread-per-connection server held here, two OS
+   threads per connection — EXPERIMENTS.md CONN), and the capacity wall
+   derived from RLIMIT_NOFILE — each loopback connection costs this
+   process two fds (client + server end) — minus a reserve for the WAL,
+   listeners and wakeup pipes. *)
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -1650,12 +1577,11 @@ let nofile_limit () =
     !limit
 
 let e_conn { fast; seed } =
-  header
-    "CONN — idle-connection capacity + active p99, event loops vs \
-     thread-per-connection";
+  header "CONN — idle-connection capacity + active p99 of the event loops";
   let nofile = nofile_limit () in
   let submitters = if fast then 128 else 1000 in
   let per_submitter = 10 in
+  (* the thread-per-connection ceiling the matched wall was sized by *)
   let thread_ceiling = if fast then 1024 else 2048 in
   let hello_frame user =
     Net.Wire.encode_request
@@ -1675,16 +1601,10 @@ let e_conn { fast; seed } =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       None
   in
-  let run_model ~label ~conn_model ~event_loops ~max_conns ~idle_target =
+  let run_wall ~label ~idle_target =
     let sys = fresh_travel ~seed ~n_flights:32 () in
     let config =
-      {
-        Net.Server.default_config with
-        Net.Server.port = 0;
-        conn_model;
-        event_loops;
-        max_conns;
-      }
+      { Net.Server.default_config with Net.Server.port = 0; event_loops = 2 }
     in
     let rss0, th0 = proc_status () in
     let server = Net.Server.start ~config sys in
@@ -1750,15 +1670,15 @@ let e_conn { fast; seed } =
   let event_target =
     max 256 (min 12_000 (((nofile - 768) / 2) - submitters))
   in
-  let thread_target = max 64 (thread_ceiling - submitters - 4) in
+  let matched_target = max 64 (thread_ceiling - submitters - 4) in
   say
-    "fd limit %d; %d active submitters x %d INSERTs; idle targets: event %d, \
-     threads %d (ceiling %d — two OS threads per connection)"
-    nofile submitters per_submitter event_target thread_target thread_ceiling;
-  say "%10s %12s %10s %10s %12s %12s" "model" "idle conns" "p50(us)"
+    "fd limit %d; %d active submitters x %d INSERTs on 2 loops; idle walls: \
+     none, matched %d, capacity %d"
+    nofile submitters per_submitter matched_target event_target;
+  say "%14s %12s %10s %10s %12s %12s" "wall" "idle conns" "p50(us)"
     "p99(us)" "rss(kB)" "threads";
   let report label (held, p50, p99, rss, th) =
-    say "%10s %12d %10.1f %10.1f %12d %12d" label held p50 p99 rss th;
+    say "%14s %12d %10.1f %10.1f %12d %12d" label held p50 p99 rss th;
     record ~experiment:"CONN" ~metric:(label ^ "_idle_conns")
       (float_of_int held);
     record ~experiment:"CONN" ~metric:(label ^ "_p50_us") p50;
@@ -1766,37 +1686,28 @@ let e_conn { fast; seed } =
     record ~experiment:"CONN" ~metric:(label ^ "_rss_kb") (float_of_int rss);
     record ~experiment:"CONN" ~metric:(label ^ "_threads") (float_of_int th)
   in
-  let ((th_held, _, th_p99, _, _) as threads_row) =
-    run_model ~label:"threads" ~conn_model:Net.Server.Threads ~event_loops:1
-      ~max_conns:thread_ceiling ~idle_target:thread_target
+  let run label ~idle_target =
+    let row = run_wall ~label ~idle_target in
+    report label row;
+    row
   in
-  report "threads" threads_row;
-  (* matched load: the event core holding the *thread model's* wall — the
-     apples-to-apples latency ablation.  The capacity row below holds a
-     ~10x bigger wall, where poll(2)'s O(n) kernel scan (~250ns/fd, so
-     ~2.4ms per wait at 10k fds) dominates the latency floor: that row
-     measures what latency costs at a capacity the thread model cannot
-     reach at all. *)
-  let ((_, _, evm_p99, _, _) as event_matched_row) =
-    run_model ~label:"event_matched" ~conn_model:Net.Server.Event
-      ~event_loops:2 ~max_conns:0 ~idle_target:th_held
+  let _, _, nowall_p99, _, _ = run "nowall" ~idle_target:0 in
+  (* the matched wall isolates what idle connections cost the active
+     path; the capacity wall is ~10x bigger, where poll(2)'s O(n) kernel
+     scan (~250ns/fd, so ~2.4ms per wait at 10k fds) dominates the
+     latency floor *)
+  let evm_held, _, evm_p99, _, _ =
+    run "event_matched" ~idle_target:matched_target
   in
-  report "event_matched" event_matched_row;
-  let ((ev_held, _, _, _, _) as event_row) =
-    run_model ~label:"event" ~conn_model:Net.Server.Event ~event_loops:2
-      ~max_conns:0 ~idle_target:event_target
-  in
-  report "event" event_row;
-  let capacity_speedup = float_of_int ev_held /. float_of_int th_held in
-  let p99_speedup = th_p99 /. evm_p99 in
+  let ev_held, _, _, _, _ = run "event" ~idle_target:event_target in
+  let capacity_speedup = float_of_int ev_held /. float_of_int evm_held in
+  let wall_p99_speedup = nowall_p99 /. evm_p99 in
   record ~experiment:"CONN" ~metric:"conn_capacity_speedup" capacity_speedup;
-  record ~experiment:"CONN" ~metric:"conn_p99_speedup" p99_speedup;
+  record ~experiment:"CONN" ~metric:"conn_wall_p99_speedup" wall_p99_speedup;
   say
-    "  event vs threads: %.2fx the held connections at the same fd limit, \
-     %.2fx the p99 at matched load"
-    capacity_speedup p99_speedup;
-  say "  (the thread model burns two OS threads per connection; the event";
-  say "   core multiplexes its wall on %d poll loops)" 2
+    "  capacity wall vs matched wall: %.2fx the held connections; p99 with \
+     no wall / p99 at the matched wall: %.2fx"
+    capacity_speedup wall_p99_speedup
 
 let experiments =
   [
@@ -1808,13 +1719,13 @@ let experiments =
     "E10", ("baseline comparison", e10_baseline);
     "E11", ("head index ablation", e11_ablation);
     "E13", ("cascade chain depth", e13_cascade);
-    "INC", ("incremental matching + concurrent read path", e_inc);
+    "INC", ("incremental matching: plan cache + dirty-set poke", e_inc);
     "MATCH", ("retry targeting at 100k-1M pending queries", e_match);
     "SCEN", ("scenario subsystem: k-way formation + lock-lease soak", e_scen);
     "BATCH", ("write batching x durability over loopback TCP", e_batch);
     "REPL", ("read replicas + checkpointed recovery", e_repl);
     "NET", ("travel workload over loopback TCP", e_net);
-    "CONN", ("connection scalability: event loops vs thread-per-conn", e_conn);
+    "CONN", ("connection scalability of the event loops", e_conn);
     "MICRO", ("engine primitive microbenchmarks", fun (_ : opts) -> e_micro ());
   ]
 

@@ -52,6 +52,9 @@ let run ~host ~port ~user ~replicas scripts =
   | exception Net.Client.Server_error m ->
     Printf.eprintf "server rejected the connection: %s\n" m;
     1
+  | exception Invalid_argument m ->
+    prerr_endline m;
+    2
   | client ->
     Printf.printf "connected to %s:%d as %s (server: %s)%s\n%!" host port user
       (Net.Client.banner client)

@@ -41,8 +41,8 @@ let say fmt =
     fmt
 
 let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-    ~durability ~max_batch ~replica_of ~replica_id ~conn_model ~event_loops
-    ~max_conns ~verbose =
+    ~durability ~max_batch ~replica_of ~replica_id ~event_loops ~max_conns
+    ~verbose =
   ensure_stdout ();
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
@@ -66,6 +66,15 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
         prerr_endline ("bad --replica-of '" ^ spec ^ "' (expected HOST:PORT)");
         exit 2)
   in
+  (* before the WAL is opened: a rejected port leaves no file behind *)
+  (try
+     Net.Wire.check_port ~what:"--port" ~min:0 port;
+     Option.iter
+       (fun (_, p) -> Net.Wire.check_port ~what:"--replica-of" ~min:1 p)
+       replica_of
+   with Invalid_argument m ->
+     prerr_endline m;
+     exit 2);
   (match scenario with
   | None | Some "locks" | Some "groups" -> ()
   | Some s ->
@@ -138,14 +147,6 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
          ^ "' (expected never|flush|fsync|group|group(N,USus))");
         exit 2)
   in
-  let conn_model =
-    match conn_model with
-    | "event" -> Net.Server.Event
-    | "threads" -> Net.Server.Threads
-    | s ->
-      prerr_endline ("unknown --conn-model '" ^ s ^ "' (expected event|threads)");
-      exit 2
-  in
   if event_loops < 1 then begin
     prerr_endline "--event-loops must be at least 1";
     exit 2
@@ -165,7 +166,6 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
       max_batch;
       replica_of;
       replica_id;
-      conn_model;
       event_loops;
       max_conns;
     }
@@ -286,21 +286,12 @@ let replica_id_opt =
     & info [ "replica-id" ] ~docv:"NAME"
         ~doc:"Name announced to the primary in the replica handshake.")
 
-let conn_model_opt =
-  Arg.(
-    value & opt string "event"
-    & info [ "conn-model" ] ~docv:"MODEL"
-        ~doc:
-          "Connection model: $(b,event) (poll-based event loops multiplexing \
-           non-blocking sockets, the default) or $(b,threads) \
-           (reader + writer thread per connection, the ablation baseline).")
-
 let event_loops_opt =
   Arg.(
     value
     & opt int Net.Server.default_config.Net.Server.event_loops
     & info [ "event-loops" ] ~docv:"N"
-        ~doc:"Event-loop worker threads under the event model.")
+        ~doc:"Event-loop worker threads; each owns its share of connections.")
 
 let max_conns_opt =
   Arg.(
@@ -319,14 +310,14 @@ let cmd =
     Term.(
       const
         (fun host port travel scenario seed wal read_timeout max_frame
-             durability max_batch replica_of replica_id conn_model event_loops
-             max_conns verbose ->
+             durability max_batch replica_of replica_id event_loops max_conns
+             verbose ->
           run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-            ~durability ~max_batch ~replica_of ~replica_id ~conn_model
-            ~event_loops ~max_conns ~verbose)
+            ~durability ~max_batch ~replica_of ~replica_id ~event_loops
+            ~max_conns ~verbose)
       $ host_opt $ port_opt $ travel_flag $ scenario_opt $ seed_opt $ wal_opt
       $ read_timeout_opt $ max_frame_opt $ durability_opt $ max_batch_opt
-      $ replica_of_opt $ replica_id_opt $ conn_model_opt $ event_loops_opt
-      $ max_conns_opt $ verbose_flag)
+      $ replica_of_opt $ replica_id_opt $ event_loops_opt $ max_conns_opt
+      $ verbose_flag)
 
 let () = exit (Cmd.eval' cmd)

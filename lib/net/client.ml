@@ -93,6 +93,10 @@ let open_link ~max_frame ~user ~host ~port =
 let connect ?(host = "127.0.0.1") ?(port = 7077)
     ?(max_frame = Wire.default_max_frame) ?(replicas = [])
     ?(retry = Backoff.no_retry) ~user () =
+  Wire.check_port ~what:"Client.connect: port" ~min:1 port;
+  List.iter
+    (fun (_, p) -> Wire.check_port ~what:"Client.connect: replica" ~min:1 p)
+    replicas;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let primary, banner =
     Backoff.retry ~policy:retry ~retry_on:transient (fun () ->

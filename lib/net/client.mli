@@ -27,7 +27,8 @@ val connect :
     read replicas for {!submit} routing.  [retry] governs connect-time
     retries on the primary (default {!Backoff.no_retry}: fail fast) and
     the down-marking backoff for replicas.  Raises {!Server_error} if the
-    server rejects the handshake. *)
+    server rejects the handshake, and [Invalid_argument] if any port lies
+    outside 1–65535. *)
 
 val user : t -> string
 val banner : t -> string

@@ -1,13 +1,4 @@
-(* Readiness multiplexing: poll(2) stub + sharded-select fallback. *)
-
-type engine = Poll | Select
-
-let choose () =
-  match Sys.getenv_opt "YOUTOPIA_NETPOLL" with
-  | Some "select" -> Select
-  | _ -> Poll
-
-let engine_name = function Poll -> "poll" | Select -> "select"
+(* Readiness multiplexing: a poll(2) stub. *)
 
 let readable = 1
 let writable = 2
@@ -17,70 +8,5 @@ external poll_wait :
   Unix.file_descr array -> int array -> int array -> int -> int -> int
   = "youtopia_poll_wait"
 
-(* select(2) caps at FD_SETSIZE (1024) descriptors per call, so the
-   fallback slices the fd space into shards small enough to fit.  Every
-   shard gets a zero-timeout sweep; only when nothing anywhere is ready do
-   we block — briefly, and only on shard 0, which the caller guarantees
-   contains its wakeup pipe.  Other shards' readiness is then at most one
-   sweep (≤ 50 ms) late, which the wakeup path never is. *)
-let shard_size = 768
-
-let select_wait ~fds ~events ~revents ~nfds ~timeout_ms =
-  Array.fill revents 0 nfds 0;
-  let ready = ref 0 in
-  let mark i bit =
-    if revents.(i) = 0 then incr ready;
-    revents.(i) <- revents.(i) lor bit
-  in
-  let run_shard lo hi timeout =
-    let idx = Hashtbl.create (2 * (hi - lo) + 1) in
-    let rd = ref [] and wr = ref [] in
-    for i = hi - 1 downto lo do
-      if events.(i) <> 0 then Hashtbl.replace idx fds.(i) i;
-      if events.(i) land readable <> 0 then rd := fds.(i) :: !rd;
-      if events.(i) land writable <> 0 then wr := fds.(i) :: !wr
-    done;
-    if !rd <> [] || !wr <> [] || timeout > 0.0 then
-      match Unix.select !rd !wr [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-        (* Some fd in the shard went stale; probe one by one and surface
-           the culprits as [error] so the loop tears them down. *)
-        for i = lo to hi - 1 do
-          if events.(i) <> 0 then
-            match Unix.select [ fds.(i) ] [] [] 0.0 with
-            | exception Unix.Unix_error (Unix.EBADF, _, _) -> mark i error
-            | _ -> ()
-        done
-      | r, w, _ ->
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt idx fd with
-            | Some i -> mark i readable
-            | None -> ())
-          r;
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt idx fd with
-            | Some i -> mark i writable
-            | None -> ())
-          w
-  in
-  let nshards = (nfds + shard_size - 1) / shard_size in
-  for s = 0 to nshards - 1 do
-    run_shard (s * shard_size) (min nfds ((s + 1) * shard_size)) 0.0
-  done;
-  if !ready = 0 && timeout_ms <> 0 && nfds > 0 then begin
-    let cap = 0.05 in
-    let t =
-      if timeout_ms < 0 then cap
-      else Float.min cap (float_of_int timeout_ms /. 1000.0)
-    in
-    run_shard 0 (min nfds shard_size) t
-  end;
-  !ready
-
-let wait eng ~fds ~events ~revents ~nfds ~timeout_ms =
-  match eng with
-  | Poll -> poll_wait fds events revents nfds timeout_ms
-  | Select -> select_wait ~fds ~events ~revents ~nfds ~timeout_ms
+let wait ~fds ~events ~revents ~nfds ~timeout_ms =
+  poll_wait fds events revents nfds timeout_ms

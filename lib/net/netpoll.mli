@@ -1,18 +1,5 @@
-(** Readiness multiplexing for the event-driven server core.
-
-    Two engines behind one interface: a [poll(2)] C stub (no fd-count
-    ceiling) and a pure-OCaml sharded [Unix.select] fallback for builds or
-    platforms where the stub is unwelcome.  The engine is chosen once at
-    server start — [YOUTOPIA_NETPOLL=select] (or [poll]) overrides the
-    default. *)
-
-type engine = Poll | Select
-
-val choose : unit -> engine
-(** Honours the [YOUTOPIA_NETPOLL] environment variable; defaults to
-    {!Poll}. *)
-
-val engine_name : engine -> string
+(** Readiness multiplexing for the event-loop server core: a [poll(2)] C
+    stub, with no fd-count ceiling. *)
 
 (** Interest / readiness bits, or-able. *)
 
@@ -21,18 +8,14 @@ val writable : int
 val error : int
 
 val wait :
-  engine ->
   fds:Unix.file_descr array ->
   events:int array ->
   revents:int array ->
   nfds:int ->
   timeout_ms:int ->
   int
-(** [wait eng ~fds ~events ~revents ~nfds ~timeout_ms] fills
+(** [wait ~fds ~events ~revents ~nfds ~timeout_ms] fills
     [revents.(0..nfds-1)] with readiness bits and returns the number of
     ready fds (0 on timeout or EINTR).  [timeout_ms < 0] blocks
-    indefinitely.  The caller must keep index 0 as its wakeup fd with
-    {!readable} interest: the select fallback shards the fd space and only
-    blocks on the shard containing index 0, sweeping the rest with a zero
-    timeout.  Closed-out fds surface as {!error} rather than an
+    indefinitely.  Closed-out fds surface as {!error} rather than an
     exception. *)

@@ -1,11 +1,9 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    Two connection models share one dispatch/executor core:
-
-    {b Event model} (default): one accept thread plus [config.event_loops]
-    event-loop workers, each multiplexing its share of {e non-blocking}
-    sockets via {!Netpoll} (a [poll(2)] stub, with a sharded-[select]
-    fallback).  Reads go through the incremental {!Wire.Decoder} so a
+    One accept thread hands each connection to one of [config.event_loops]
+    event-loop workers, which owns it until it closes.  A loop multiplexes
+    its {e non-blocking} sockets with one [poll(2)] call per iteration
+    ({!Netpoll}).  Reads go through the incremental {!Wire.Decoder} so a
     partial frame never blocks a loop; complete frames dispatch inline on
     the loop thread.  The write SUBMITs decoded during one poll iteration
     collect into the loop's open batch, which the loop itself executes at
@@ -13,31 +11,22 @@
     frames queue per connection (bounded by [max_outq] — a slow consumer
     is dropped, never buffered without limit) and are flushed by the
     owning loop; a self-pipe wakeup lets {e other} threads (another loop's
-    batch pushing to this loop's connection, a thread-model reader) hand
-    frames to the owning loop without blocking.  Backpressure: a
-    connection with [max_in_flight] responses queued unflushed loses
-    [POLLIN] interest until they drain.  Idle enforcement is loop-side
-    ([read_timeout] deadlines swept by the loop) and {e exempts}
-    connections whose user owns a parked pending query — a long
-    coordination wait must not race the idle timer — as well as replica
-    links.
+    batch pushing to this loop's connection) hand frames to the owning
+    loop without blocking.  Backpressure: a connection with
+    [max_in_flight] responses queued unflushed loses [POLLIN] interest
+    until they drain.  Idle enforcement is loop-side ([read_timeout]
+    deadlines swept by the loop) and {e exempts} connections whose user
+    owns a parked pending query — a long coordination wait must not race
+    the idle timer — as well as replica links.
 
-    {b Thread model} ([conn_model = Threads], the ablation baseline): per
-    connection, one reader thread (decoder-fed frames in, dispatch) and one
-    writer thread draining the outbound queue.  The reader executes the
-    writes one read decoded as one batch before it blocks again.
-    [SO_RCVTIMEO] provides the idle wakeup, with the same parked-query
-    exemption.
-
-    Engine work runs under a writer-preferring {!Rwlock}: read-only scripts
-    and admin probes share the engine; anything that can mutate is
-    exclusive, via the {b batch executor} (one lock acquisition, one WAL
-    group flush, one coordinator poke per batch; responses fan out after
-    release).  SQL is parsed {i outside} the lock.  Program order holds
-    per connection: any other frame from a connection with a write in the
-    open batch runs the batch first.  Pushes are handed off from the
-    coordinator's fulfilment path straight onto the owning connection's
-    outbound queue via {!Youtopia.Session.set_listener}.
+    Engine work runs under one mutex, the engine lock.  Writes go through
+    the {b batch executor} (one lock acquisition, one WAL group flush, one
+    coordinator poke per batch; responses fan out after release).  SQL is
+    parsed {i outside} the lock.  Program order holds per connection: any
+    other frame from a connection with a write in the open batch runs the
+    batch first.  Pushes are handed off from the coordinator's fulfilment
+    path straight onto the owning connection's outbound queue via
+    {!Youtopia.Session.set_listener}.
 
     Connections negotiated at protocol ≥ 2 receive bulky payloads
     (replication chunks, large results) as raw-bytes frames
@@ -46,8 +35,6 @@
 let log_src = Logs.Src.create "youtopia.net" ~doc:"Youtopia network server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-type conn_model = Event | Threads
 
 type config = {
   host : string;
@@ -59,9 +46,6 @@ type config = {
       (** frames a connection may have queued outbound before it is
           dropped as a slow consumer *)
   banner : string;
-  serialize_reads : bool;
-      (** run read-only scripts in the exclusive section too — the
-          global-mutex baseline for the concurrency benchmark *)
   max_batch : int;
       (** most write requests one batch executes; 1 is the per-request
           baseline *)
@@ -73,11 +57,10 @@ type config = {
           a redirect naming it, and an upstream loop bootstraps from a
           streamed snapshot then tails the primary's WAL *)
   replica_id : string;  (** name announced in the replica handshake *)
-  conn_model : conn_model;
-  event_loops : int;  (** event-loop workers ([Event] model) *)
+  event_loops : int;  (** event-loop workers *)
   max_in_flight : int;
       (** responses one connection may have queued unflushed before the
-          loop drops its read interest (event-model backpressure) *)
+          loop drops its read interest (backpressure) *)
   max_conns : int;  (** refuse accepts beyond this many live conns; 0 = ∞ *)
 }
 
@@ -90,12 +73,10 @@ let default_config =
     read_timeout = 0.;
     max_outq = 1024;
     banner = "youtopia";
-    serialize_reads = false;
     max_batch = 32;
     durability = None;
     replica_of = None;
     replica_id = "replica";
-    conn_model = Event;
     event_loops = 1;
     max_in_flight = 64;
     max_conns = 0;
@@ -107,21 +88,17 @@ type peer =
   | Client_peer of Youtopia.Session.t
   | Replica_peer of Replication.Hub.sink
 
-(** Which flusher owns a connection's socket writes. *)
-type home = Home_threads | Home_loop of int
-
 type conn = {
   conn_id : int;
   fd : Unix.file_descr;
   outq : (bool * string) Queue.t;  (** (raw, payload) awaiting the wire *)
   out_mu : Mutex.t;
-  out_cond : Condition.t;
   mutable closing : bool;
   mutable raw : bool;  (** negotiated protocol ≥ 2: bulky frames go raw *)
   mutable batched : int;
-      (** this connection's writes in the open batch; touched only by the
-          thread dispatching its frames (its loop, or its reader) *)
-  home : home;
+      (** this connection's writes in the open batch; touched only by its
+          loop *)
+  home : int;  (** index of the event loop that owns the connection *)
   dec : Wire.Decoder.t;
   mutable peer : peer option;
   mutable last_activity : float;
@@ -131,8 +108,6 @@ type conn = {
   mutable wbuf : Bytes.t;
   mutable woff : int;
   mutable wlen : int;
-  mutable reader : Thread.t option;  (** thread model only *)
-  mutable writer : Thread.t option;  (** thread model only *)
 }
 
 (** One write request in an open batch: everything the executor needs to
@@ -145,8 +120,8 @@ type write_req = {
   wr_t0 : float;  (** arrival time, for end-to-end submit latency *)
 }
 
-(** The write requests one dispatcher (an event loop, or a thread-model
-    reader) has decoded but not yet executed, newest first. *)
+(** The write requests one event loop has decoded but not yet executed,
+    newest first. *)
 type batch = { mutable reqs : write_req list; mutable size : int }
 
 (** One event-loop worker.  [lp_conns] and [lp_batch] are touched only by
@@ -172,6 +147,7 @@ type loop = {
   mutable lp_revents : int array;
   mutable lp_slots : conn option array;
   mutable lp_thread : Thread.t option;
+  mutable lp_drained : int;  (** connections the loop closed on its way out *)
 }
 
 type t = {
@@ -180,15 +156,13 @@ type t = {
   stats : Server_stats.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  engine_lock : Rwlock.t;
+  engine_lock : Mutex.t;
   conns : (int, conn) Hashtbl.t;
   conns_mu : Mutex.t;
   mutable next_conn_id : int;
   mutable running : bool;
   mutable accept_thread : Thread.t option;
-  (* event core *)
-  netpoll : Netpoll.engine;
-  loops : loop array;  (** empty under the thread model *)
+  loops : loop array;
   mutable next_loop : int;  (** round-robin adoption cursor *)
   (* replication *)
   hub : Replication.Hub.t option;
@@ -219,28 +193,24 @@ let hub_flush t =
 
 (* ---------------- engine access ---------------- *)
 
-let with_engine t f =
-  let waited = ref false in
-  let r =
-    Rwlock.with_write ~on_wait:(fun () -> waited := true) t.engine_lock f
-  in
-  Server_stats.on_engine_write t.stats ~waited:!waited;
-  r
+(* One engine section: [f] runs holding the engine lock.  The lock is
+   tried first, so [note] learns whether this acquisition had to wait.
+   Sections never nest — a re-lock from the holding thread raises. *)
+let engine_section t ~note f =
+  let waited = not (Mutex.try_lock t.engine_lock) in
+  if waited then Mutex.lock t.engine_lock;
+  note t.stats ~waited;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.engine_lock) f
 
-let with_engine_read t f =
-  if t.config.serialize_reads then with_engine t f
-  else begin
-    let waited = ref false in
-    let r =
-      Rwlock.with_read ~on_wait:(fun () -> waited := true) t.engine_lock f
-    in
-    Server_stats.on_engine_read t.stats ~waited:!waited;
-    r
-  end
+(** Anything that can mutate: DML, DDL, entangled submissions, cancels,
+    checkpoints, replica apply. *)
+let with_engine t f = engine_section t ~note:Server_stats.on_engine_write f
 
-(** A statement the engine can run under the shared lock — shared with the
-    client's replica routing so both sides agree (see
-    {!Sql.Ast.read_only}). *)
+(** Read-only scripts and admin probes: the same lock, counted apart. *)
+let with_engine_read t f = engine_section t ~note:Server_stats.on_engine_read f
+
+(** A statement that cannot mutate — shared with the client's replica
+    routing so both sides agree (see {!Sql.Ast.read_only}). *)
 let read_only_stmt : Sql.Ast.statement -> bool = Sql.Ast.read_only
 
 (* ---------------- outbound queue ---------------- *)
@@ -263,20 +233,15 @@ let wake lp =
     it only marks the poll non-blocking, in case this connection's
     interest was already built without the output. *)
 let wake_home t conn =
-  match conn.home with
-  | Home_threads -> ()
-  | Home_loop i ->
-    if i < Array.length t.loops then begin
-      let lp = t.loops.(i) in
-      if Thread.id (Thread.self ()) = lp.lp_tid then lp.lp_late_out <- true
-      else wake lp
-    end
+  let lp = t.loops.(conn.home) in
+  if Thread.id (Thread.self ()) = lp.lp_tid then lp.lp_late_out <- true
+  else wake lp
 
-(** Enqueue one (raw, payload) frame for the connection's flusher, bounded
-    by [config.max_outq]: a peer that stops reading while frames keep
-    arriving is dropped rather than buffered without limit.  The fd
-    shutdown kicks a blocked thread-model writer and surfaces as an error
-    readiness bit to an event loop, so normal teardown runs either way. *)
+(** Enqueue one (raw, payload) frame for the owning loop to flush,
+    bounded by [config.max_outq]: a peer that stops reading while frames
+    keep arriving is dropped rather than buffered without limit.  The fd
+    shutdown surfaces as an error readiness bit to the loop, so normal
+    teardown runs. *)
 let enqueue t conn item =
   Mutex.lock conn.out_mu;
   let overflow =
@@ -284,12 +249,10 @@ let enqueue t conn item =
     else if Queue.length conn.outq >= t.config.max_outq then begin
       conn.closing <- true;
       Queue.clear conn.outq;
-      Condition.signal conn.out_cond;
       true
     end
     else begin
       Queue.push item conn.outq;
-      Condition.signal conn.out_cond;
       false
     end
   in
@@ -311,37 +274,6 @@ let send t conn response =
     Server_stats.on_raw_frame_out t.stats;
     enqueue t conn (true, payload)
   | None -> enqueue t conn (false, Wire.encode_response response)
-
-(** Thread-model writer body: drain the queue to the socket; exit once the
-    connection is closing {i and} the queue is empty, so queued frames
-    (final errors, goodbye-time pushes) still reach the peer. *)
-let writer_loop t conn =
-  let rec next () =
-    Mutex.lock conn.out_mu;
-    let rec wait () =
-      if Queue.is_empty conn.outq && not conn.closing then begin
-        Condition.wait conn.out_cond conn.out_mu;
-        wait ()
-      end
-    in
-    wait ();
-    let item = if Queue.is_empty conn.outq then None else Some (Queue.pop conn.outq) in
-    Mutex.unlock conn.out_mu;
-    match item with
-    | None -> () (* closing and drained *)
-    | Some (raw, payload) ->
-      (match Wire.write_frame ~max_frame:t.config.max_frame ~raw conn.fd payload with
-      | () ->
-        Server_stats.on_frame_out t.stats ~bytes:(String.length payload + 4);
-        next ()
-      | exception (Wire.Closed | Wire.Protocol_error _ | Unix.Unix_error _) ->
-        (* peer gone or unwritable: stop draining; the reader notices EOF *)
-        Mutex.lock conn.out_mu;
-        conn.closing <- true;
-        Queue.clear conn.outq;
-        Mutex.unlock conn.out_mu)
-  in
-  next ()
 
 (* A failpoint on a loop seam: [Error] condemns the one connection under
    the seam (the loop itself must survive), [Delay] stalls the loop,
@@ -567,7 +499,7 @@ let execute_batch t batch =
   (* replicas ride the same fan-out discipline as client responses *)
   hub_flush t
 
-(** Execute and empty a dispatcher's open batch (no-op when empty). *)
+(** Execute and empty a loop's open batch (no-op when empty). *)
 let run_batch t b =
   if b.size > 0 then begin
     let reqs = List.rev b.reqs in
@@ -581,11 +513,11 @@ let run_batch t b =
     writes in the open batch run. *)
 let settle t b conn = if conn.batched > 0 then run_batch t b
 
-(** Submit dispatch.  Parsing happens on the dispatching thread, outside
-    any lock.  Read-only scripts run inline under the shared lock, after
-    the connection's own batched writes.  Writes join the dispatcher's
-    open batch [b]; a full batch runs at once, otherwise the dispatcher
-    runs it when it has nothing more decoded. *)
+(** Submit dispatch.  Parsing happens on the loop thread, outside any
+    lock.  Read-only scripts run inline under the engine lock, after the
+    connection's own batched writes.  Writes join the loop's open batch
+    [b]; a full batch runs at once, otherwise the loop runs it at the end
+    of its iteration. *)
 let handle_submit t b conn session ~id ~sql =
   let t0 = Unix.gettimeofday () in
   match Relational.Errors.guard (fun () -> Sql.Parser.parse_script sql) with
@@ -651,7 +583,7 @@ let handle_cancel t ~id ~query_id =
     Wire.Error { id; message = Printf.sprintf "Q%d is not pending" query_id }
 
 let handle_admin t ~id ~what =
-  (* admin probes only read engine state, so they share the engine *)
+  (* admin probes only read engine state: counted as engine reads *)
   match what with
   | "server" ->
     (* coordination poke counters ride along: plain int reads, no lock *)
@@ -741,7 +673,7 @@ let handle_admin t ~id ~what =
     Server_stats.on_error t.stats;
     Wire.Error { id; message = "unknown admin probe: " ^ other }
 
-(* ---------------- handshake and dispatch (both models) ---------------- *)
+(* ---------------- handshake and dispatch ---------------- *)
 
 exception Goodbye
 
@@ -751,12 +683,10 @@ exception Goodbye
     would reconnect with the same LSN and re-trip it forever, so a
     snapshot or catch-up larger than [max_outq] frames could never sync.
     The burst is the server's own doing, not evidence of a slow consumer:
-    on a loop-owned connection we {e are} the loop thread (the handshake
-    dispatches inline), so flush directly, waiting for writability when
-    the socket blocks; on a thread-model connection the writer thread
-    drains concurrently, so just wait for it to make room.  A replica
-    that genuinely stops reading still gets dropped: no queue progress
-    for [stall_limit] seconds is the slow-consumer verdict. *)
+    we {e are} the owning loop thread (the handshake dispatches inline),
+    so flush directly, waiting for writability when the socket blocks.  A
+    replica that genuinely stops reading still gets dropped: no queue
+    progress for [stall_limit] seconds is the slow-consumer verdict. *)
 let bootstrap_send t conn response =
   let high_water = max 1 (t.config.max_outq / 2) in
   let stall_limit = 30. in
@@ -774,47 +704,35 @@ let bootstrap_send t conn response =
     Mutex.lock conn.out_mu;
     conn.closing <- true;
     Queue.clear conn.outq;
-    Condition.signal conn.out_cond;
     Mutex.unlock conn.out_mu;
     (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     raise Wire.Closed
   in
-  (match conn.home with
-  | Home_loop _ ->
-    let rec drain ~stalled last =
-      if conn.closing then raise Wire.Closed
-      else if last >= high_water then begin
-        match event_flush t conn with
-        | `Dead ->
-          Mutex.lock conn.out_mu;
-          conn.closing <- true;
-          Mutex.unlock conn.out_mu;
-          raise Wire.Closed
-        | `Ok ->
-          let n = qlen () in
-          if n >= high_water then
-            if n < last then drain ~stalled:0. n
-            else if stalled >= stall_limit then drop_stalled ()
-            else begin
-              (try ignore (Unix.select [] [ conn.fd ] [] 0.5)
-               with Unix.Unix_error _ -> ());
-              drain ~stalled:(stalled +. 0.5) n
-            end
-      end
-    in
-    drain ~stalled:0. (qlen ())
-  | Home_threads ->
-    let rec wait ~stalled last =
-      if conn.closing then raise Wire.Closed
-      else if last >= high_water then begin
-        Thread.delay 0.002;
+  let rec drain ~stalled last =
+    if conn.closing then raise Wire.Closed
+    else if last >= high_water then begin
+      match event_flush t conn with
+      | `Dead ->
+        Mutex.lock conn.out_mu;
+        conn.closing <- true;
+        Mutex.unlock conn.out_mu;
+        raise Wire.Closed
+      | `Ok ->
         let n = qlen () in
-        if n < last then wait ~stalled:0. n
-        else if stalled >= stall_limit then drop_stalled ()
-        else wait ~stalled:(stalled +. 0.002) n
-      end
-    in
-    wait ~stalled:0. (qlen ()));
+        if n >= high_water then
+          if n < last then drain ~stalled:0. n
+          else if stalled >= stall_limit then drop_stalled ()
+          else begin
+            (try
+               ignore
+                 (Netpoll.wait ~fds:[| conn.fd |] ~events:[| Netpoll.writable |]
+                    ~revents:[| 0 |] ~nfds:1 ~timeout_ms:500)
+             with Failure _ -> ());
+            drain ~stalled:(stalled +. 0.5) n
+          end
+    end
+  in
+  drain ~stalled:0. (qlen ());
   send t conn response
 
 (** Send a replica its bootstrap stream.  The sink is already registered,
@@ -827,7 +745,7 @@ let bootstrap_send t conn response =
     file (no lock needed — a torn tail is an incomplete batch the live
     stream covers).  Otherwise — fresh replica against a truncated log, or
     a replica ahead of a restarted primary — stream a full checkpoint
-    snapshot cut under the shared engine lock, which excludes writers. *)
+    snapshot cut under the engine lock, which excludes writers. *)
 let bootstrap_replica t conn ~last_lsn =
   let db = Youtopia.System.database t.sys in
   match db.Relational.Database.wal with
@@ -988,116 +906,6 @@ let detach_peer t conn =
     Server_stats.on_replica_disconnect t.stats
   | None -> ()
 
-(* ---------------- thread model ---------------- *)
-
-(** Blocking read of the next complete text frame through the connection's
-    decoder.  [SO_RCVTIMEO] surfaces idle as EAGAIN/ETIMEDOUT: an exempt
-    connection just retries (its partial bytes wait safely in the
-    decoder), anyone else propagates the timeout to the reader's error
-    arm.  [idle] runs whenever the decoder is empty, just before the
-    reader blocks.  Mirrors the [wire.recv] / [wire.recv.drop] failpoints
-    of {!Wire.read_frame} per complete frame. *)
-let read_frame_conn t conn scratch ~idle =
-  let rec next_frame () =
-    match Wire.Decoder.next conn.dec with
-    | Some f -> f
-    | None ->
-      idle ();
-      let n =
-        try Unix.read conn.fd scratch 0 (Bytes.length scratch)
-        with
-        | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
-        | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-          as e ->
-          if idle_exempt t conn then -1
-          else begin
-            Server_stats.on_idle_timeout t.stats;
-            raise e
-          end
-      in
-      if n = 0 then raise Wire.Closed;
-      if n > 0 then begin
-        conn.last_activity <- Unix.gettimeofday ();
-        Wire.Decoder.feed conn.dec scratch 0 n
-      end;
-      next_frame ()
-  in
-  let rec frame () =
-    let kind, payload = next_frame () in
-    (try Fault.point "wire.recv" with Fault.Injected _ -> raise Wire.Closed);
-    if (try Fault.skip "wire.recv.drop" with Fault.Injected _ -> raise Wire.Closed)
-    then frame ()
-    else
-      match kind with
-      | Wire.Text -> payload
-      | Wire.Raw ->
-        raise
-          (Wire.Protocol_error
-             "unexpected raw frame (connection did not negotiate them)")
-  in
-  frame ()
-
-(** Thread-model teardown: detach the session/sink, drain the writer,
-    close the socket. *)
-let thread_teardown t conn =
-  detach_peer t conn;
-  Mutex.lock conn.out_mu;
-  conn.closing <- true;
-  Condition.signal conn.out_cond;
-  Mutex.unlock conn.out_mu;
-  (match conn.writer with Some th -> Thread.join th | None -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conns_mu;
-  Hashtbl.remove t.conns conn.conn_id;
-  Mutex.unlock t.conns_mu;
-  Server_stats.on_disconnect t.stats;
-  Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
-
-(** Thread-model reader: dispatch frames as they decode, executing the
-    writes of one read as one batch before blocking for the next. *)
-let reader_loop t conn =
-  let scratch = Bytes.create 65536 in
-  let b = { reqs = []; size = 0 } in
-  let last_word =
-    try
-      while true do
-        let payload =
-          read_frame_conn t conn scratch ~idle:(fun () -> run_batch t b)
-        in
-        Server_stats.on_frame_in t.stats ~bytes:(String.length payload + 4);
-        dispatch_frame t b conn payload
-      done;
-      None
-    with
-    | Wire.Closed | Goodbye -> None
-    | Wire.Protocol_error m ->
-      Server_stats.on_error t.stats;
-      Log.debug (fun f -> f "conn %d: protocol error: %s" conn.conn_id m);
-      Some m
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-      ->
-      Log.debug (fun f -> f "conn %d: read timeout" conn.conn_id);
-      Some "read timeout; closing"
-    | Unix.Unix_error _ -> None
-    | exn ->
-      (* any other decode/dispatch failure: the teardown below must still
-         run, or the session and fd leak and the writer waits forever *)
-      Server_stats.on_error t.stats;
-      Log.debug (fun f ->
-          f "conn %d: reader failed: %s" conn.conn_id (Printexc.to_string exn));
-      Some (Printexc.to_string exn)
-  in
-  (* writes already decoded still run, and answer before the last word *)
-  (try run_batch t b
-   with exn ->
-     Server_stats.on_error t.stats;
-     Log.err (fun f ->
-         f "conn %d: batch: %s" conn.conn_id (Printexc.to_string exn)));
-  Option.iter
-    (fun message -> send t conn (Wire.Error { id = 0; message }))
-    last_word;
-  thread_teardown t conn
-
 let make_conn t ~fd ~home =
   Mutex.lock t.conns_mu;
   let conn_id = t.next_conn_id in
@@ -1108,7 +916,6 @@ let make_conn t ~fd ~home =
       fd;
       outq = Queue.create ();
       out_mu = Mutex.create ();
-      out_cond = Condition.create ();
       closing = false;
       raw = false;
       batched = 0;
@@ -1120,8 +927,6 @@ let make_conn t ~fd ~home =
       wbuf = Bytes.create 0;
       woff = 0;
       wlen = 0;
-      reader = None;
-      writer = None;
     }
   in
   Hashtbl.replace t.conns conn_id conn;
@@ -1129,18 +934,9 @@ let make_conn t ~fd ~home =
   Server_stats.on_connect t.stats;
   conn
 
-let spawn_connection t fd =
-  Unix.setsockopt fd Unix.TCP_NODELAY true;
-  if t.config.read_timeout > 0. then
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.read_timeout;
-  let conn = make_conn t ~fd ~home:Home_threads in
-  conn.writer <- Some (Thread.create (fun () -> writer_loop t conn) ());
-  conn.reader <- Some (Thread.create (fun () -> reader_loop t conn) ());
-  Log.debug (fun f -> f "conn %d: accepted" conn.conn_id)
+(* ---------------- event loops ---------------- *)
 
-(* ---------------- event model ---------------- *)
-
-(** Event-model teardown, loop thread only.  Writes the connection already
+(** Connection teardown, loop thread only.  Writes the connection already
     sent still run first. *)
 let teardown_conn t lp conn =
   settle t lp.lp_batch conn;
@@ -1338,7 +1134,7 @@ let loop_run t lp =
       List.iter (teardown_conn t lp) !doomed;
       Server_stats.on_loop_iteration t.stats ~fds:!n;
       (match
-         Netpoll.wait t.netpoll ~fds:lp.lp_fds ~events:lp.lp_events
+         Netpoll.wait ~fds:lp.lp_fds ~events:lp.lp_events
            ~revents:lp.lp_revents ~nfds:!n
            ~timeout_ms:(if lp.lp_late_out then 0 else timeout_ms)
        with
@@ -1416,7 +1212,7 @@ let loop_run t lp =
           in
           List.iter
             (fun c ->
-              (* the exemption check takes the engine read lock, so it
+              (* the exemption check takes the engine lock, so it
                  only runs for connections already past their deadline *)
               if not (idle_exempt t c) then begin
                 Server_stats.on_idle_timeout t.stats;
@@ -1465,15 +1261,16 @@ let loop_run t lp =
       with _ -> ())
     lp.lp_conns;
   let cs = Hashtbl.fold (fun _ c acc -> c :: acc) lp.lp_conns [] in
-  List.iter (teardown_conn t lp) cs
+  List.iter (teardown_conn t lp) cs;
+  lp.lp_drained <- List.length cs
 
-(** Hand a fresh socket to the least-recently-used loop. *)
-let adopt_event_conn t fd =
+(** Hand a fresh socket to the next loop, round-robin. *)
+let adopt_conn t fd =
   Unix.setsockopt fd Unix.TCP_NODELAY true;
   Unix.set_nonblock fd;
   let lp = t.loops.(t.next_loop mod Array.length t.loops) in
   t.next_loop <- t.next_loop + 1;
-  let conn = make_conn t ~fd ~home:(Home_loop lp.lp_index) in
+  let conn = make_conn t ~fd ~home:lp.lp_index in
   Mutex.lock lp.lp_mu;
   Queue.push conn lp.lp_incoming;
   let backlog = Queue.length lp.lp_incoming in
@@ -1512,11 +1309,7 @@ let accept_loop t =
               t.config.max_conns);
         try Unix.close fd with Unix.Unix_error _ -> ()
       end
-      else begin
-        match t.config.conn_model with
-        | Threads -> spawn_connection t fd
-        | Event -> adopt_event_conn t fd
-      end
+      else adopt_conn t fd
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
       ->
       () (* listen socket closed during shutdown, or a racy abort *)
@@ -1534,6 +1327,10 @@ let accept_loop t =
 (* ---------------- lifecycle ---------------- *)
 
 let start ?(config = default_config) sys =
+  Wire.check_port ~what:"Server.start: port" ~min:0 config.port;
+  Option.iter
+    (fun (_, p) -> Wire.check_port ~what:"Server.start: replica_of" ~min:1 p)
+    config.replica_of;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
@@ -1559,32 +1356,29 @@ let start ?(config = default_config) sys =
       Some hub
     | _ -> None
   in
-  let netpoll = Netpoll.choose () in
   let loops =
-    match config.conn_model with
-    | Threads -> [||]
-    | Event ->
-      Array.init (max 1 config.event_loops) (fun i ->
-          let r, w = Unix.pipe () in
-          Unix.set_nonblock r;
-          Unix.set_nonblock w;
-          {
-            lp_index = i;
-            lp_wake_r = r;
-            lp_wake_w = w;
-            lp_waked = Atomic.make false;
-            lp_mu = Mutex.create ();
-            lp_incoming = Queue.create ();
-            lp_conns = Hashtbl.create 256;
-            lp_batch = { reqs = []; size = 0 };
-            lp_tid = -1;
-            lp_late_out = false;
-            lp_fds = Array.make 64 r;
-            lp_events = Array.make 64 0;
-            lp_revents = Array.make 64 0;
-            lp_slots = Array.make 64 None;
-            lp_thread = None;
-          })
+    Array.init (max 1 config.event_loops) (fun i ->
+        let r, w = Unix.pipe () in
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        {
+          lp_index = i;
+          lp_wake_r = r;
+          lp_wake_w = w;
+          lp_waked = Atomic.make false;
+          lp_mu = Mutex.create ();
+          lp_incoming = Queue.create ();
+          lp_conns = Hashtbl.create 256;
+          lp_batch = { reqs = []; size = 0 };
+          lp_tid = -1;
+          lp_late_out = false;
+          lp_fds = Array.make 64 r;
+          lp_events = Array.make 64 0;
+          lp_revents = Array.make 64 0;
+          lp_slots = Array.make 64 None;
+          lp_thread = None;
+          lp_drained = 0;
+        })
   in
   let t =
     {
@@ -1593,13 +1387,12 @@ let start ?(config = default_config) sys =
       stats = Server_stats.create ();
       listen_fd;
       bound_port;
-      engine_lock = Rwlock.create ();
+      engine_lock = Mutex.create ();
       conns = Hashtbl.create 64;
       conns_mu = Mutex.create ();
       next_conn_id = 1;
       running = true;
       accept_thread = None;
-      netpoll;
       loops;
       next_loop = 0;
       hub;
@@ -1613,8 +1406,8 @@ let start ?(config = default_config) sys =
   | None -> ());
   (match config.replica_of with
   | Some (host, rport) ->
-    (* replica mode: tail the primary, applying under the engine write
-       lock so local reads always see whole batches *)
+    (* replica mode: tail the primary, applying under the engine lock so
+       local reads always see whole batches *)
     let catalog = Youtopia.System.catalog sys in
     let cb =
       {
@@ -1650,22 +1443,16 @@ let start ?(config = default_config) sys =
     t.loops;
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   Log.info (fun f ->
-      f "listening on %s:%d%s%s" config.host bound_port
-        (match config.conn_model with
-        | Event ->
-          Printf.sprintf " (event core: %d loop(s), %s)" (Array.length t.loops)
-            (Netpoll.engine_name netpoll)
-        | Threads -> " (thread-per-connection)")
+      f "listening on %s:%d (%d event loop(s))%s" config.host bound_port
+        (Array.length t.loops)
         (match config.replica_of with
         | Some (h, p) -> Printf.sprintf " (read replica of %s:%d)" h p
         | None -> ""));
   t
 
-(** Graceful shutdown: stop accepting, then retire the connection owners —
-    event loops finish their iteration (its batch included) and flush
-    remaining output before closing their sockets; thread-model readers
-    are kicked off their blocking reads, run what they decoded, and their
-    writers drain.  Idempotent. *)
+(** Graceful shutdown: stop accepting, then retire the event loops — each
+    finishes its iteration (its batch included) and flushes remaining
+    output before closing its sockets.  Idempotent. *)
 let stop t =
   if t.running then begin
     t.running <- false;
@@ -1685,19 +1472,6 @@ let stop t =
         (try Unix.close lp.lp_wake_r with Unix.Unix_error _ -> ());
         (try Unix.close lp.lp_wake_w with Unix.Unix_error _ -> ()))
       t.loops;
-    (* thread model: kick readers off their blocking reads and join *)
-    let conns =
-      Mutex.lock t.conns_mu;
-      let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      Mutex.unlock t.conns_mu;
-      cs
-    in
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    List.iter
-      (fun c -> match c.reader with Some th -> Thread.join th | None -> ())
-      conns;
-    Log.info (fun f -> f "stopped; %d connection(s) drained" (List.length conns))
+    let drained = Array.fold_left (fun n lp -> n + lp.lp_drained) 0 t.loops in
+    Log.info (fun f -> f "stopped; %d connection(s) drained" drained)
   end

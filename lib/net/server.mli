@@ -1,50 +1,44 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    Two connection models ([config.conn_model]) share one dispatch and
-    batch-execution core.  The default {b event model} runs one accept
-    thread plus [event_loops] workers, each multiplexing its share of
-    non-blocking sockets via {!Netpoll} ([poll(2)] stub, sharded-[select]
-    fallback): reads feed the incremental {!Wire.Decoder}, complete frames
-    dispatch inline on the loop, outbound frames queue per connection
-    (bounded by [max_outq]) and are flushed by the owning loop, and a
-    self-pipe wakeup hands frames queued by other threads to the owning
-    loop.  A connection with [max_in_flight] responses queued unflushed
-    loses read interest until they drain (backpressure).  Idle deadlines
-    are swept loop-side and exempt connections whose user owns a parked
-    pending query, plus replica links.  The {b thread model} ([Threads],
-    the ablation baseline) keeps a reader + writer thread per connection
-    with [SO_RCVTIMEO] idle wakeups and the same exemption.
+    One accept thread hands each connection to one of [event_loops]
+    event-loop workers, which owns it until it closes.  Each loop
+    multiplexes its share of non-blocking sockets with [poll(2)]
+    ({!Netpoll}): reads feed the incremental {!Wire.Decoder}, complete
+    frames dispatch inline on the loop, outbound frames queue per
+    connection (bounded by [max_outq]) and are flushed by the owning loop,
+    and a self-pipe wakeup hands frames queued by other threads to the
+    owning loop.  A connection with [max_in_flight] responses queued
+    unflushed loses read interest until they drain (backpressure).  Idle
+    deadlines are swept loop-side and exempt connections whose user owns
+    a parked pending query, plus replica links.
 
-    Engine work runs under a writer-preferring {!Rwlock}: read-only
-    scripts and admin probes share the engine.  Writes run to completion
-    on the thread that decoded them: the write SUBMITs an event loop
-    decodes in one poll iteration (a thread-model reader: in one read)
-    form one batch of at most [max_batch] requests, which that thread
-    executes under one exclusive lock acquisition, with per-request error
-    isolation, one WAL group flush ({!Relational.Wal.with_batch}) and one
-    coordinator poke, then queues the responses — amortising lock
-    acquisition, log flush/fsync and coordination re-evaluation across
-    concurrent writers.  [max_batch = 1] is the per-request baseline.
-    Program order holds per connection: any other request from a
-    connection with a write in the open batch runs the batch first, so
-    its responses come back in request order and a read sees the writes
-    sent before it.  Pushes are handed off from the coordinator's
-    fulfilment path straight onto the owning connection's outbound queue
-    via {!Youtopia.Session.set_listener}, so clients receive coordination
-    answers without polling.
+    Engine work runs under one mutex, the engine lock; read-only scripts
+    and admin probes take it too, counted apart from writes.  Writes run
+    to completion on the loop that decoded them: the write SUBMITs a loop
+    decodes in one poll iteration form one batch of at most [max_batch]
+    requests, which the loop executes under one lock acquisition, with
+    per-request error isolation, one WAL group flush
+    ({!Relational.Wal.with_batch}) and one coordinator poke, then queues
+    the responses — amortising lock acquisition, log flush/fsync and
+    coordination re-evaluation across concurrent writers.
+    [max_batch = 1] is the per-request baseline.  Program order holds per
+    connection: any other request from a connection with a write in the
+    open batch runs the batch first, so its responses come back in request
+    order and a read sees the writes sent before it.  Pushes are handed
+    off from the coordinator's fulfilment path straight onto the owning
+    connection's outbound queue via {!Youtopia.Session.set_listener}, so
+    clients receive coordination answers without polling.
 
     Connections negotiated at protocol ≥ 2 receive bulky payloads
     (replication chunks, large result sets) as raw-bytes frames. *)
 
 val log_src : Logs.src
 
-type conn_model =
-  | Event  (** poll-based event loops multiplexing non-blocking sockets *)
-  | Threads  (** reader + writer thread per connection (ablation baseline) *)
-
 type config = {
   host : string;
-  port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
+  port : int;
+      (** 0 picks an ephemeral port; read it back with {!port}.  Must lie
+          in 0–65535 *)
   backlog : int;
   max_frame : int;  (** frames beyond this are rejected, both directions *)
   read_timeout : float;
@@ -54,9 +48,6 @@ type config = {
       (** frames a connection may have queued outbound before it is
           dropped as a slow consumer (a peer that stops reading) *)
   banner : string;  (** sent back in the WELCOME frame *)
-  serialize_reads : bool;
-      (** run read-only scripts in the exclusive section too — the
-          global-mutex baseline for the concurrency benchmark *)
   max_batch : int;
       (** most write requests one batch executes (default 32); 1 runs
           every write alone, the per-request baseline *)
@@ -70,12 +61,10 @@ type config = {
           ({!Wire.readonly_redirect}), and a background loop bootstraps
           from a streamed snapshot then tails the primary's WAL *)
   replica_id : string;  (** name announced in the replica handshake *)
-  conn_model : conn_model;
-  event_loops : int;
-      (** event-loop workers under the [Event] model (default 1) *)
+  event_loops : int;  (** event-loop workers (default 1) *)
   max_in_flight : int;
       (** responses one connection may have queued unflushed before the
-          owning loop drops its read interest (event-model backpressure) *)
+          owning loop drops its read interest (backpressure) *)
   max_conns : int;
       (** refuse accepts beyond this many live connections; 0 = unlimited *)
 }
@@ -83,14 +72,16 @@ type config = {
 val default_config : config
 (** 127.0.0.1:7077, 1 MiB frames, no read timeout, 1024-frame outbound
     queues; batches of at most 32 writes, durability untouched; not a
-    replica.  Event model, 1 loop, 64 unflushed responses per connection,
+    replica.  1 event loop, 64 unflushed responses per connection,
     unlimited connections. *)
 
 type t
 
 val start : ?config:config -> Youtopia.System.t -> t
-(** Bind, listen, and spawn the accept thread.  Raises [Unix.Unix_error]
-    if the address is unavailable. *)
+(** Bind, listen, and spawn the accept thread and the event loops.  Raises
+    [Invalid_argument] if [port] lies outside 0–65535 or the [replica_of]
+    port outside 1–65535, and [Unix.Unix_error] if the address is
+    unavailable. *)
 
 val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)

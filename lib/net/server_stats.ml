@@ -1,8 +1,8 @@
 (** Server-side counters: connections, frames, bytes, submissions, pushes,
     server-side submit handling latency, and the write-batching pipeline
     (batch sizes, WAL flush/fsync amortisation, latency histogram).  All
-    counters are guarded by one mutex — they are touched by every loop,
-    reader and writer thread. *)
+    counters are guarded by one mutex — they are touched by every loop
+    and by background threads (replica upstream, WAL flusher). *)
 
 (* Submit-latency histogram: log-spaced upper bounds in µs; one extra
    overflow bucket at the end.  p50/p99 are estimated as the upper bound of
@@ -76,8 +76,8 @@ type t = {
   mutable readonly_rejections : int;
       (** writes a read-only replica redirected to the primary *)
   (* event-loop core *)
-  mutable loops : int;  (** event loops running (0 = thread model) *)
-  mutable loop_iterations : int;  (** poll/select wait cycles across loops *)
+  mutable loops : int;  (** event loops running *)
+  mutable loop_iterations : int;  (** poll wait cycles across loops *)
   mutable loop_wakeups : int;  (** self-pipe wakeups drained *)
   mutable loop_fds_max : int;  (** most fds one loop has multiplexed *)
   mutable loop_adopt_backlog_max : int;
@@ -103,10 +103,10 @@ type snapshot = {
   submit_latency_p50 : float;  (** seconds, histogram upper-bound estimate *)
   submit_latency_p99 : float;  (** seconds, histogram upper-bound estimate *)
   submit_latency_hist : int array;
-  engine_reads : int;  (** engine read-lock (shared) acquisitions *)
-  engine_writes : int;  (** engine write-lock (exclusive) acquisitions *)
-  engine_read_waits : int;  (** read acquisitions that had to queue *)
-  engine_write_waits : int;  (** write acquisitions that had to queue *)
+  engine_reads : int;  (** engine-lock acquisitions for reads and probes *)
+  engine_writes : int;  (** engine-lock acquisitions for anything that writes *)
+  engine_read_waits : int;  (** read acquisitions that found the lock held *)
+  engine_write_waits : int;  (** write acquisitions that found the lock held *)
   batches : int;  (** write batches executed *)
   batched_requests : int;  (** write requests executed inside batches *)
   batch_size_mean : float;  (** 0 if no batches *)

@@ -22,10 +22,10 @@ type snapshot = {
   submit_latency_p99 : float;  (** seconds, same estimate at p99 *)
   submit_latency_hist : int array;
       (** log buckets ≤50/100/200/500/1k/2k/5k/10k/20k/50k/100k µs + overflow *)
-  engine_reads : int;  (** engine read-lock (shared) acquisitions *)
-  engine_writes : int;  (** engine write-lock (exclusive) acquisitions *)
-  engine_read_waits : int;  (** read acquisitions that had to queue *)
-  engine_write_waits : int;  (** write acquisitions that had to queue *)
+  engine_reads : int;  (** engine-lock acquisitions for reads and probes *)
+  engine_writes : int;  (** engine-lock acquisitions for anything that writes *)
+  engine_read_waits : int;  (** read acquisitions that found the lock held *)
+  engine_write_waits : int;  (** write acquisitions that found the lock held *)
   batches : int;  (** write batches executed *)
   batched_requests : int;  (** write requests executed inside batches *)
   batch_size_mean : float;  (** 0 if no batches *)
@@ -49,8 +49,8 @@ type snapshot = {
   repl_reconnects : int;
   readonly_rejections : int;
       (** writes this read-only replica redirected to the primary *)
-  loops : int;  (** event loops running (0 = thread model) *)
-  loop_iterations : int;  (** poll/select wait cycles across loops *)
+  loops : int;  (** event loops running *)
+  loop_iterations : int;  (** poll wait cycles across loops *)
   loop_wakeups : int;  (** self-pipe wakeups drained *)
   loop_fds_max : int;  (** most fds one loop has multiplexed *)
   loop_adopt_backlog_max : int;
@@ -71,10 +71,12 @@ val on_push : t -> unit
 val on_error : t -> unit
 
 val on_engine_read : t -> waited:bool -> unit
-(** One engine read-lock acquisition; [waited] if it had to queue. *)
+(** One engine-lock acquisition for a read or probe; [waited] if the lock
+    was held. *)
 
 val on_engine_write : t -> waited:bool -> unit
-(** One engine write-lock acquisition; [waited] if it had to queue. *)
+(** One engine-lock acquisition for a write; [waited] if the lock was
+    held. *)
 
 val on_batch : t -> size:int -> flushes:int -> fsyncs:int -> unit
 (** One drained write batch of [size] requests; [flushes]/[fsyncs] are the
@@ -100,7 +102,7 @@ val on_repl_reconnect : t -> unit
 val on_readonly_rejected : t -> unit
 
 val set_loops : t -> int -> unit
-(** Number of event loops this server runs (0 under the thread model). *)
+(** Number of event loops this server runs. *)
 
 val on_loop_iteration : t -> fds:int -> unit
 (** One wait cycle of a loop currently multiplexing [fds] fds (including

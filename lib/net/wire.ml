@@ -126,6 +126,11 @@ type response =
     {!default_max_frame} even after percent-escaping (worst case 3×). *)
 let repl_chunk_bytes = 256 * 1024
 
+let check_port ~what ~min p =
+  if p < min || p > 65535 then
+    invalid_arg
+      (Printf.sprintf "%s: port %d is outside %d-65535" what p min)
+
 (** Error message a read-only replica answers writes with; machine-parsable
     so clients can fail over to the primary it names. *)
 let readonly_redirect_prefix = "read-only replica; writes go to primary "

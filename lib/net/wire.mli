@@ -76,6 +76,12 @@ val repl_chunk_bytes : int
 (** Chunk budget for snapshot/batch payloads — stays under
     {!default_max_frame} even after escaping. *)
 
+val check_port : what:string -> min:int -> int -> unit
+(** [check_port ~what ~min p] raises [Invalid_argument] naming [what]
+    unless [min <= p <= 65535].  The socket layer keeps only the low 16
+    bits of a port, so 70000 would silently bind or dial 4464.  [min] is
+    0 for a listener (ephemeral port) and 1 for a dial target. *)
+
 val readonly_redirect_prefix : string
 
 val readonly_redirect : host:string -> port:int -> string

@@ -260,47 +260,6 @@ let test_pending_readers () =
   Alcotest.(check (list string)) "union" [ "ua"; "ub" ] (owners [ "TA"; "TB" ]);
   Alcotest.(check (list string)) "unknown table" [] (owners [ "nope" ])
 
-(* ------------------------------------------------------------------ *)
-
-let test_rwlock_shared_reads () =
-  let lock = Net.Rwlock.create () in
-  let both_in = ref false in
-  ignore (Net.Rwlock.read_lock lock);
-  let second =
-    Thread.create
-      (fun () ->
-        ignore (Net.Rwlock.read_lock lock);
-        both_in := true;
-        Net.Rwlock.read_unlock lock)
-      ()
-  in
-  Thread.join second;
-  (* the second reader got in while the first still held the lock *)
-  Alcotest.(check bool) "readers share" true !both_in;
-  Net.Rwlock.read_unlock lock
-
-let test_rwlock_writer_excludes () =
-  let lock = Net.Rwlock.create () in
-  let reader_in = ref false in
-  ignore (Net.Rwlock.write_lock lock);
-  let reader =
-    Thread.create
-      (fun () ->
-        let contended = Net.Rwlock.read_lock lock in
-        reader_in := true;
-        Alcotest.(check bool) "reader waited for the writer" true contended;
-        Net.Rwlock.read_unlock lock)
-      ()
-  in
-  Test_util.assert_quiet "reader blocked while writer holds" (fun () ->
-      not !reader_in);
-  Net.Rwlock.write_unlock lock;
-  Thread.join reader;
-  Alcotest.(check bool) "reader entered after release" true !reader_in;
-  (* and the lock is reusable afterwards *)
-  Alcotest.(check bool) "uncontended write" false (Net.Rwlock.write_lock lock);
-  Net.Rwlock.write_unlock lock
-
 let suite =
   [
     Alcotest.test_case "table versions bump on mutation" `Quick
@@ -316,7 +275,4 @@ let suite =
     Alcotest.test_case "poke fulfils after direct mutation" `Quick
       test_poke_fulfils_after_mutation;
     Alcotest.test_case "pending readers index" `Quick test_pending_readers;
-    Alcotest.test_case "rwlock: readers share" `Quick test_rwlock_shared_reads;
-    Alcotest.test_case "rwlock: writer excludes" `Quick
-      test_rwlock_writer_excludes;
   ]

@@ -270,15 +270,6 @@ let e2e_coordination server port =
 
 let test_e2e_coordination_with_push () = with_server e2e_coordination
 
-let test_e2e_coordination_threads () =
-  let config =
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      conn_model = Net.Server.Threads;
-    }
-  in
-  with_server ~config e2e_coordination
-
 let test_cancel_over_wire () =
   with_server (fun _server port ->
       let c = Net.Client.connect ~port ~user:"carol" () in
@@ -977,44 +968,77 @@ let test_multi_loop_clients () =
           check int "two loops" 2 s.Net.Server_stats.loops;
           check bool "loops iterated" true (s.Net.Server_stats.loop_iterations > 0)))
 
-let test_select_fallback_engine () =
-  Unix.putenv "YOUTOPIA_NETPOLL" "select";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "YOUTOPIA_NETPOLL" "poll")
-    (fun () ->
-      with_server (fun _server port ->
-          let c = Net.Client.connect ~port ~user:"sel" () in
-          Fun.protect
-            ~finally:(fun () -> Net.Client.close c)
-            (fun () ->
-              ignore (Net.Client.submit c "CREATE TABLE S (id INT)");
-              ignore (Net.Client.submit c "INSERT INTO S VALUES (1)");
-              check string_t "select engine serves" "ok"
-                (Net.Client.ping ~payload:"ok" c))))
-
+(* The one readiness engine on a socketpair: one byte is waiting on [a]
+   and nothing on [b], and both have send buffer room.  [Unix.select]
+   over the same fds is the reference view. *)
 let test_netpoll_engines_agree () =
-  List.iter
-    (fun engine ->
-      with_socketpair (fun a b ->
-          ignore (Unix.write_substring b "!" 0 1);
-          let fds = [| a |] in
-          let events = [| Net.Netpoll.readable lor Net.Netpoll.writable |] in
-          let revents = [| 0 |] in
-          let n =
-            Net.Netpoll.wait engine ~fds ~events ~revents ~nfds:1
-              ~timeout_ms:1000
+  with_socketpair (fun a b ->
+      ignore (Unix.write_substring b "!" 0 1);
+      let fds = [| a; b |] in
+      let both = Net.Netpoll.readable lor Net.Netpoll.writable in
+      let events = [| both; both |] in
+      let revents = [| 0; 0 |] in
+      let n =
+        Net.Netpoll.wait ~fds ~events ~revents ~nfds:2 ~timeout_ms:1000
+      in
+      check int "both fds ready" 2 n;
+      let r, w, _ = Unix.select [ a; b ] [ a; b ] [] 1.0 in
+      List.iteri
+        (fun i fd ->
+          let name = if i = 0 then "a" else "b" in
+          check bool (name ^ " readable as select sees it") (List.mem fd r)
+            (revents.(i) land Net.Netpoll.readable <> 0);
+          check bool (name ^ " writable as select sees it") (List.mem fd w)
+            (revents.(i) land Net.Netpoll.writable <> 0))
+        [ a; b ];
+      check bool "a readable" true (revents.(0) land Net.Netpoll.readable <> 0);
+      check bool "b not readable" false
+        (revents.(1) land Net.Netpoll.readable <> 0))
+
+(* One engine lock, two loops: while connection A's batch holds the lock
+   (a 0.3 s delay failpoint inside the section), connection B's read on
+   the other loop waits for it, sees A's INSERT, and counts the wait. *)
+let test_engine_section_excludes () =
+  let config =
+    { Net.Server.default_config with Net.Server.port = 0; event_loops = 2 }
+  in
+  with_server ~config (fun server port ->
+      (* round-robin adoption: a on loop 0, b on loop 1 *)
+      let a = Net.Client.connect ~port ~user:"a" () in
+      let b = Net.Client.connect ~port ~user:"b" () in
+      Fun.protect
+        ~finally:(fun () ->
+          Fault.disarm_all ();
+          Net.Client.close a;
+          Net.Client.close b)
+        (fun () ->
+          ignore (Net.Client.submit a "CREATE TABLE Held (id INT)");
+          Fault.arm ~one_shot:true "server.batch" (Fault.Delay 0.3);
+          let writer =
+            Thread.create
+              (fun () -> ignore (Net.Client.submit a "INSERT INTO Held VALUES (1)"))
+              ()
           in
-          let name = Net.Netpoll.engine_name engine in
-          check bool (name ^ " reports readiness") true (n >= 1);
-          check bool (name ^ " readable") true
-            (revents.(0) land Net.Netpoll.readable <> 0);
-          check bool (name ^ " writable") true
-            (revents.(0) land Net.Netpoll.writable <> 0)))
-    [ Net.Netpoll.Poll; Net.Netpoll.Select ]
+          (* the failpoint fires inside the section: A holds the lock *)
+          Test_util.wait_until "A's batch in the engine section" (fun () ->
+              Fault.fired "server.batch" = 1);
+          let count = Net.Client.submit b "SELECT COUNT(*) FROM Held" in
+          Thread.join writer;
+          (match count with
+          | Net.Wire.Sql_result s ->
+            if not (Astring.String.is_infix ~affix:"(1)" s) then
+              Alcotest.failf "the read did not wait for the write: %s" s
+          | _ -> Alcotest.fail "count should be a SQL result");
+          let s = Net.Server_stats.snapshot (Net.Server.stats server) in
+          check bool "the read's wait counted" true
+            (s.Net.Server_stats.engine_read_waits >= 1)))
 
 (* ---------------- idle deadlines ---------------- *)
 
-let idle_timeout_and_exemption config =
+let test_idle_exemption () =
+  let config =
+    { Net.Server.default_config with Net.Server.port = 0; read_timeout = 0.4 }
+  in
   with_server ~config (fun server port ->
       let alice = Net.Client.connect ~port ~user:"alice" () in
       let idler = raw_connect port in
@@ -1051,18 +1075,6 @@ let idle_timeout_and_exemption config =
           let s = Net.Server_stats.snapshot (Net.Server.stats server) in
           check bool "idle timeout counted" true
             (s.Net.Server_stats.idle_timeouts >= 1)))
-
-let test_idle_exemption_event () =
-  idle_timeout_and_exemption
-    { Net.Server.default_config with Net.Server.port = 0; read_timeout = 0.4 }
-
-let test_idle_exemption_threads () =
-  idle_timeout_and_exemption
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      read_timeout = 0.4;
-      conn_model = Net.Server.Threads;
-    }
 
 (* ---------------- failpoint seams ---------------- *)
 
@@ -1134,11 +1146,13 @@ let test_then_effect_fulfilment_pokes () =
 
 (* ---------------- the server binary ---------------- *)
 
-(* [dune runtest] runs from _build/default/test with the binary as a
-   dependency; a direct run from the repository root finds it built. *)
-let server_exe () =
+(* [dune runtest] runs from _build/default/test with the binaries as
+   dependencies; a direct run from the repository root finds them built. *)
+let bin_exe name =
   List.find_opt Sys.file_exists
-    [ "../bin/youtopia_server.exe"; "_build/default/bin/youtopia_server.exe" ]
+    [ "../bin/" ^ name ^ ".exe"; "_build/default/bin/" ^ name ^ ".exe" ]
+
+let server_exe () = bin_exe "youtopia_server"
 
 let free_port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1224,6 +1238,62 @@ let test_server_exits_without_stdout () =
         Unix.close w;
         (pid, fun () -> Unix.close r))
 
+(* ---------------- port range ---------------- *)
+
+(* The socket layer keeps a port's low 16 bits: 70000 would bind or dial
+   4464.  Listeners accept 0 (ephemeral); dial targets do not. *)
+let test_port_range_library () =
+  let sys = Youtopia.System.create () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let start config () = Net.Server.stop (Net.Server.start ~config sys) in
+  let cfg = { Net.Server.default_config with Net.Server.port = 0 } in
+  rejects "listen on 70000" (start { cfg with Net.Server.port = 70000 });
+  rejects "listen on -1" (start { cfg with Net.Server.port = -1 });
+  rejects "replica of :0"
+    (start { cfg with Net.Server.replica_of = Some ("127.0.0.1", 0) });
+  rejects "replica of :70000"
+    (start { cfg with Net.Server.replica_of = Some ("127.0.0.1", 70000) });
+  let connect ?replicas port () =
+    Net.Client.close (Net.Client.connect ~port ?replicas ~user:"u" ())
+  in
+  rejects "connect to 70000" (connect 70000);
+  rejects "connect to 0" (connect 0);
+  with_server (fun _server port ->
+      rejects "replica target 70000"
+        (connect ~replicas:[ ("127.0.0.1", 70000) ] port);
+      rejects "replica target 0" (connect ~replicas:[ ("127.0.0.1", 0) ] port);
+      (* in range still works *)
+      connect port ())
+
+(* Both binaries refuse an out-of-range port with exit 2 before doing
+   anything else. *)
+let test_port_range_binaries () =
+  match server_exe (), bin_exe "youtopia_client" with
+  | None, _ | _, None -> Alcotest.skip ()
+  | Some server, Some client ->
+    let exits_2 name argv =
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () -> Unix.close null)
+          (fun () -> Unix.create_process argv.(0) argv null null null)
+      in
+      match wait_exit pid ~timeout:20. with
+      | Some (Unix.WEXITED 2) -> ()
+      | Some (Unix.WEXITED n) -> Alcotest.failf "%s: exit %d" name n
+      | Some (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+        Alcotest.failf "%s: killed by signal %d" name n
+      | None -> Alcotest.failf "%s: still running after 20 s" name
+    in
+    exits_2 "server --port 70000" [| server; "--port"; "70000" |];
+    exits_2 "server --replica-of :70000"
+      [| server; "--port"; "0"; "--replica-of"; "127.0.0.1:70000" |];
+    exits_2 "client --port 70000" [| client; "--port"; "70000"; "--user"; "u" |]
+
 let suite =
   [
     Alcotest.test_case "notification round-trip" `Quick test_notification_roundtrip;
@@ -1277,16 +1347,16 @@ let suite =
     Alcotest.test_case "slow loris reassembled" `Quick test_slow_loris_survives;
     Alcotest.test_case "two event loops share clients" `Quick
       test_multi_loop_clients;
-    Alcotest.test_case "select fallback engine serves" `Quick
-      test_select_fallback_engine;
     Alcotest.test_case "netpoll engines agree" `Quick test_netpoll_engines_agree;
+    Alcotest.test_case "engine section excludes and counts the wait" `Quick
+      test_engine_section_excludes;
     Alcotest.test_case "idle sweep spares parked owners (event)" `Quick
-      test_idle_exemption_event;
-    Alcotest.test_case "idle sweep spares parked owners (threads)" `Quick
-      test_idle_exemption_threads;
+      test_idle_exemption;
     Alcotest.test_case "accept failpoint refuses" `Quick test_accept_failpoint;
+    Alcotest.test_case "out-of-range ports rejected" `Quick
+      test_port_range_library;
     Alcotest.test_case "server exits 0 without a stdout reader" `Quick
       test_server_exits_without_stdout;
-    Alcotest.test_case "push e2e under thread model" `Quick
-      test_e2e_coordination_threads;
+    Alcotest.test_case "binaries exit 2 on out-of-range ports" `Quick
+      test_port_range_binaries;
   ]
