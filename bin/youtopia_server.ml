@@ -144,7 +144,7 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
       | None ->
         prerr_endline
           ("unknown durability mode '" ^ s
-         ^ "' (expected never|flush|fsync|group|group(N,USus))");
+         ^ "' (expected never|flush|fsync)");
         exit 2)
   in
   if event_loops < 1 then begin
@@ -254,9 +254,9 @@ let durability_opt =
     & info [ "durability" ] ~docv:"MODE"
         ~doc:
           "WAL commit durability: $(b,never), $(b,flush) (no crash \
-           durability), $(b,fsync), $(b,group) or $(b,group\\(N,USus\\)) \
-           (group commit: one fsync per batch of up to N commits / US \
-           microseconds).  Default: leave the database's mode untouched.")
+           durability) or $(b,fsync).  A write batch syncs once at its end \
+           (see $(b,--max-batch)).  Default: leave the database's mode \
+           untouched.")
 
 let max_batch_opt =
   Arg.(

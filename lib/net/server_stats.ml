@@ -2,7 +2,7 @@
     server-side submit handling latency, and the write-batching pipeline
     (batch sizes, WAL flush/fsync amortisation, latency histogram).  All
     counters are guarded by one mutex — they are touched by every loop
-    and by background threads (replica upstream, WAL flusher). *)
+    and by the replica upstream thread. *)
 
 (* Submit-latency histogram: log-spaced upper bounds in µs; one extra
    overflow bucket at the end.  p50/p99 are estimated as the upper bound of

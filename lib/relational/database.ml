@@ -57,18 +57,32 @@ let recovery_stats db = db.recovery
 let with_wal_batch db f =
   match db.wal with None -> f () | Some wal -> Wal.with_batch wal f
 
-let log_ddl db record =
-  match db.wal with None -> () | Some wal -> Wal.append wal [ record; Wal.Commit 0 ]
+(* DDL is auto-committed: one batch of its own through {!Wal.append_commit},
+   synced as the durability mode promises.  If the log refuses or fails
+   it, [undo] reverts the catalog change, as a failed commit undoes a
+   transaction's changes. *)
+let log_ddl db record ~undo =
+  match db.wal with
+  | None -> ()
+  | Some wal -> (
+    match Wal.append_commit wal ~txn_id:0 [ record ] with
+    | () -> ()
+    | exception e ->
+      undo ();
+      raise e)
 
 (** [create_table db schema] — DDL is auto-committed and logged. *)
 let create_table db schema =
   let table = Catalog.create_table db.catalog schema in
-  log_ddl db (Wal.Create_table schema);
+  log_ddl db (Wal.Create_table schema) ~undo:(fun () ->
+      Catalog.drop_table db.catalog schema.Schema.name);
   table
 
 let drop_table db name =
+  let table = Catalog.find db.catalog name in
   Catalog.drop_table db.catalog name;
-  log_ddl db (Wal.Drop_table name)
+  log_ddl db (Wal.Drop_table name) ~undo:(fun () ->
+      Catalog.add_table db.catalog table)
 
 let find_table db name = Catalog.find db.catalog name
 

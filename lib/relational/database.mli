@@ -47,15 +47,18 @@ val recovery_stats : t -> recovery_stats option
 
 val with_wal_batch : t -> (unit -> 'a) -> 'a
 (** Run inside {!Wal.with_batch} when a WAL is attached: every commit in
-    the scope shares one flush (+ one fsync in the fsync modes).  Plain
+    the scope shares one flush (+ one fsync in the fsync mode).  Plain
     call otherwise. *)
 
-val log_ddl : t -> Wal.record -> unit
-
 val create_table : t -> Schema.t -> Table.t
-(** DDL is auto-committed and logged. *)
+(** DDL is auto-committed: the change is logged as one batch of its own
+    (see {!Wal.append_commit}), synced as the durability mode promises.
+    If the log refuses or fails the append (e.g. a poisoned log), the
+    catalog change is undone and the error re-raised. *)
 
 val drop_table : t -> string -> unit
+(** Auto-committed and logged like {!create_table}. *)
+
 val find_table : t -> string -> Table.t
 
 val fingerprint : t -> string list -> (int * int) list

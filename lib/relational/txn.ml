@@ -17,18 +17,12 @@ type state = Active | Committed | Aborted
 type manager = {
   mutex : Mutex.t;
   mutable next_id : int;
-  mutable on_commit : (op list -> int * (unit -> unit)) option;
+  mutable on_commit : (op list -> unit) option;
       (** durability hook; receives the redo log in execution order and
-          returns the batch's WAL LSN plus a wait closure that {!commit}
-          runs {i after} releasing the manager mutex — group commit can
-          only coalesce concurrent transactions if the durability wait
-          happens outside the lock *)
+          returns once the commit is as durable as the WAL mode promises *)
   mutable observers : (op list -> unit) list;
       (** commit observers (e.g. the coordinator's dirty-table tracker);
           run after [on_commit], in registration order *)
-  mutable lsn_observers : (lsn:int -> op list -> unit) list;
-      (** like [observers] but also told the commit's WAL LSN (0 when no
-          WAL is attached); run after the plain observers *)
 }
 
 type t = {
@@ -44,7 +38,6 @@ let create_manager () =
     next_id = 1;
     on_commit = None;
     observers = [];
-    lsn_observers = [];
   }
 
 let set_on_commit mgr hook = mgr.on_commit <- hook
@@ -53,11 +46,6 @@ let set_on_commit mgr hook = mgr.on_commit <- hook
     log (in execution order), after the durability hook.  Observers must not
     start transactions (the manager mutex is still held). *)
 let add_observer mgr f = mgr.observers <- mgr.observers @ [ f ]
-
-(** [add_lsn_observer mgr f] — like {!add_observer}, but [f] is also told
-    the WAL LSN the commit was assigned (0 without an attached WAL).  Runs
-    after the plain observers, same restrictions. *)
-let add_lsn_observer mgr f = mgr.lsn_observers <- mgr.lsn_observers @ [ f ]
 
 let begin_ mgr =
   Mutex.lock mgr.mutex;
@@ -96,6 +84,16 @@ let update t table row_id row =
   t.undo <- Upd (table, row_id, old, stored) :: t.undo;
   old
 
+(* reverse [ops], newest first (the undo log's own order) *)
+let undo_ops ops =
+  List.iter
+    (fun op ->
+      match op with
+      | Ins (table, row_id, _) -> ignore (Table.delete table row_id)
+      | Del (table, old) -> ignore (Table.insert table old)
+      | Upd (table, row_id, old, _) -> ignore (Table.update table row_id old))
+    ops
+
 (** {1 Savepoints}
 
     A savepoint marks a position in the undo log; [rollback_to] undoes every
@@ -125,13 +123,7 @@ let rollback_to t (sp : savepoint) =
     in
     split (depth - sp.sp_depth) [] t.undo
   in
-  List.iter
-    (fun op ->
-      match op with
-      | Ins (table, row_id, _) -> ignore (Table.delete table row_id)
-      | Del (table, old) -> ignore (Table.insert table old)
-      | Upd (table, row_id, old, _) -> ignore (Table.update table row_id old))
-    to_undo;
+  undo_ops to_undo;
   t.undo <- keep
 
 let commit t =
@@ -141,62 +133,34 @@ let commit t =
      manager mutex *)
   Fault.point "txn.commit";
   t.state <- Committed;
-  let wait =
-    if t.undo = [] then fun () -> ()
-    else begin
-      let redo = List.rev t.undo in
-      let lsn, wait =
-        match
-          match t.mgr.on_commit with
-          | Some hook -> hook redo
-          | None -> (0, fun () -> ())
-        with
-        | result -> result
-        | exception e ->
-          (* The durability hook failed before acknowledging anything:
-             nothing effective reached the log (a torn tail is truncated
-             on recovery), so undo the in-memory changes too — the caller
-             sees a clean abort, not a memory/disk split.  The lock must
-             not leak either way. *)
-          List.iter
-            (fun op ->
-              match op with
-              | Ins (table, row_id, _) -> ignore (Table.delete table row_id)
-              | Del (table, old) -> ignore (Table.insert table old)
-              | Upd (table, row_id, old, _) ->
-                ignore (Table.update table row_id old))
-            t.undo;
-          t.state <- Aborted;
-          Mutex.unlock t.mgr.mutex;
-          raise e
-      in
-      match
-        List.iter (fun f -> f redo) t.mgr.observers;
-        List.iter (fun f -> f ~lsn redo) t.mgr.lsn_observers
-      with
-      | () -> wait
-      | exception e ->
-        (* an observer failed AFTER the commit reached the log: the
-           transaction stays committed (recovery would replay it); only
-           release the lock and surface the error *)
-        Mutex.unlock t.mgr.mutex;
-        raise e
-    end
-  in
-  Mutex.unlock t.mgr.mutex;
-  (* durability wait outside the manager mutex: the next transaction can
-     begin (and append its own commit) while we wait for the group flush *)
-  wait ()
+  (if t.undo <> [] then begin
+     let redo = List.rev t.undo in
+     (match Option.iter (fun hook -> hook redo) t.mgr.on_commit with
+     | () -> ()
+     | exception e ->
+       (* The durability hook failed before acknowledging anything:
+          nothing effective reached the log (a torn tail is truncated on
+          recovery), so undo the in-memory changes too — the caller sees
+          a clean abort, not a memory/disk split.  The lock must not leak
+          either way. *)
+       undo_ops t.undo;
+       t.state <- Aborted;
+       Mutex.unlock t.mgr.mutex;
+       raise e);
+     match List.iter (fun f -> f redo) t.mgr.observers with
+     | () -> ()
+     | exception e ->
+       (* an observer failed AFTER the commit reached the log: the
+          transaction stays committed (recovery would replay it); only
+          release the lock and surface the error *)
+       Mutex.unlock t.mgr.mutex;
+       raise e
+   end);
+  Mutex.unlock t.mgr.mutex
 
 let rollback t =
   check_active t;
-  List.iter
-    (fun op ->
-      match op with
-      | Ins (table, row_id, _) -> ignore (Table.delete table row_id)
-      | Del (table, old) -> ignore (Table.insert table old)
-      | Upd (table, row_id, old, _) -> ignore (Table.update table row_id old))
-    t.undo;
+  undo_ops t.undo;
   t.state <- Aborted;
   Mutex.unlock t.mgr.mutex
 

@@ -17,22 +17,19 @@ type t
 
 val create_manager : unit -> manager
 
-val set_on_commit : manager -> (op list -> int * (unit -> unit)) option -> unit
+val set_on_commit : manager -> (op list -> unit) option -> unit
 (** Durability hook; receives the redo log in execution order and returns
-    the commit's WAL LSN plus a wait closure that {!commit} invokes
-    {i after} releasing the manager mutex, so a group-commit flush can
-    coalesce concurrent transactions.  Wired by {!Wal.attach}. *)
+    once the commit is as durable as the WAL mode promises (inside a
+    {!Wal.with_batch} scope, once it is written; the scope end syncs).  It
+    runs with the manager mutex held; if it raises, {!commit} undoes the
+    transaction's changes, releases the mutex and re-raises.  Wired by
+    {!Wal.attach}. *)
 
 val add_observer : manager -> (op list -> unit) -> unit
 (** Register a commit observer: called with every committed transaction's
     redo log (execution order), after the durability hook.  The
     coordinator's dirty-table tracker uses this.  Observers must not start
     transactions — the manager mutex is still held. *)
-
-val add_lsn_observer : manager -> (lsn:int -> op list -> unit) -> unit
-(** Like {!add_observer}, but the observer is also told the WAL LSN the
-    commit was assigned (0 without an attached WAL); runs after the plain
-    observers, same restrictions. *)
 
 val begin_ : manager -> t
 (** Blocks until the manager lock is available. *)

@@ -174,55 +174,24 @@ let decode_record line = codec_guard "record" decode_record_exn line
 
 (* ---------------- durability ---------------- *)
 
-type durability =
-  | Never
-  | Flush_per_commit
-  | Fsync_per_commit
-  | Group of { max_batch : int; max_delay_us : int }
+type durability = Never | Flush_per_commit | Fsync_per_commit
 
 let durability_to_string = function
   | Never -> "never"
   | Flush_per_commit -> "flush"
   | Fsync_per_commit -> "fsync"
-  | Group { max_batch; max_delay_us } ->
-    Printf.sprintf "group(%d,%dus)" max_batch max_delay_us
 
 let durability_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "never" -> Some Never
   | "flush" -> Some Flush_per_commit
   | "fsync" -> Some Fsync_per_commit
-  | "group" -> Some (Group { max_batch = 32; max_delay_us = 2000 })
-  | s ->
-    (match String.index_opt s '(' with
-    | Some i when String.length s > 0 && s.[String.length s - 1] = ')'
-                  && String.sub s 0 i = "group" ->
-      let body = String.sub s (i + 1) (String.length s - i - 2) in
-      (match String.split_on_char ',' body with
-      | [ b; d ] ->
-        let d =
-          let d = String.trim d in
-          if String.length d > 2 && String.sub d (String.length d - 2) 2 = "us"
-          then String.sub d 0 (String.length d - 2)
-          else d
-        in
-        (try
-           Some
-             (Group
-                {
-                  max_batch = int_of_string (String.trim b);
-                  max_delay_us = int_of_string d;
-                })
-         with _ -> None)
-      | _ -> None)
-    | _ -> None)
+  | _ -> None
 
 type io_stats = {
   commits_logged : int;
   flushes : int;
   fsyncs : int;
-  group_batches : int;
-  group_commits : int;
   batched_scopes : int;
   batched_commits : int;
 }
@@ -232,40 +201,30 @@ type io_stats = {
 type t = {
   path : string;
   mutable oc : out_channel option;
-  mu : Mutex.t;
-      (* guards [oc] writes, durability, counters and flusher state below *)
+  mu : Mutex.t;  (* guards every field below *)
   mutable durability : durability;
-  (* io counters (under [mu]) *)
+  (* io counters *)
   mutable commits_logged : int;
   mutable flushes : int;
   mutable fsyncs : int;
-  mutable group_batches : int;
-  mutable group_commits : int;
   mutable batched_scopes : int;
   mutable batched_commits : int;
-  (* group-commit flusher *)
-  work_cond : Condition.t;  (* a commit joined the pending group *)
-  flush_cond : Condition.t;  (* the pending group reached disk *)
-  mutable enqueued_gen : int;  (* commits appended, awaiting group flush *)
-  mutable flushed_gen : int;  (* commits made durable *)
-  mutable flusher : Thread.t option;
-  mutable flusher_stop : bool;
-  mutable flusher_error : exn option;
-      (* sticky: once the log failed to reach disk, every later commit
-         must fail loudly rather than pretend durability *)
+  mutable poisoned : exn option;
+      (* sticky: an append or sync failed part-way, so a torn line may sit
+         at the tail.  Appending after it would bury the tear mid-file,
+         where recovery's torn-tail truncation cannot see it, and acking a
+         commit after a failed sync would pretend durability — so every
+         later append re-raises this error instead *)
   (* deferred-sync batch scope, see [with_batch] *)
   mutable deferring : bool;
   mutable deferred_dirty : bool;
-  (* log sequence numbers (under [mu]) *)
+  (* log sequence numbers *)
   mutable base_lsn : int;  (** batches truncated away before this log's start *)
   mutable last_lsn : int;  (** LSN of the last commit-terminated batch *)
   mutable on_append : (lsn:int -> record list -> unit) option;
       (** shipping hook: called under [mu] with each complete batch
           (records + commit marker) as it reaches the log, in strict LSN
           order.  Must not call back into the log. *)
-  mutable pending_ship : record list;
-      (** records appended since the last commit marker, newest first;
-          they join the next batch handed to [on_append] *)
 }
 
 let channel t =
@@ -289,88 +248,14 @@ let do_fsync t =
           (Printf.sprintf "fsync %s: %s" t.path (Unix.error_message e))));
   t.fsyncs <- t.fsyncs + 1
 
-(* ---------------- group-commit flusher ---------------- *)
-
-(* OCaml has no Condition timedwait, so the flusher holds the group window
-   open by sleeping in short slices with [mu] released, then performs one
-   flush + one fsync for every commit that joined meanwhile. *)
-let flusher_loop t =
-  Mutex.lock t.mu;
-  let rec loop () =
-    if t.flusher_stop then begin
-      (* drain anything still pending so [close] never strands a waiter *)
-      if t.enqueued_gen > t.flushed_gen && t.flusher_error = None then begin
-        (try
-           do_flush t;
-           do_fsync t
-         with e -> t.flusher_error <- Some e);
-        t.flushed_gen <- t.enqueued_gen
-      end;
-      Condition.broadcast t.flush_cond;
-      Mutex.unlock t.mu
-    end
-    else if t.enqueued_gen = t.flushed_gen then begin
-      Condition.wait t.work_cond t.mu;
-      loop ()
-    end
-    else begin
-      let max_batch, max_delay_us =
-        match t.durability with
-        | Group { max_batch; max_delay_us } -> (max 1 max_batch, max 0 max_delay_us)
-        | _ -> (1, 0)
-      in
-      let deadline = Unix.gettimeofday () +. (float_of_int max_delay_us /. 1e6) in
-      let slice = Float.min 2e-4 (Float.max 5e-5 (float_of_int max_delay_us /. 1e6 /. 4.)) in
-      let rec gather () =
-        if
-          (not t.flusher_stop)
-          && t.enqueued_gen - t.flushed_gen < max_batch
-          && Unix.gettimeofday () < deadline
-        then begin
-          Mutex.unlock t.mu;
-          Thread.delay slice;
-          Mutex.lock t.mu;
-          gather ()
-        end
-      in
-      gather ();
-      let target = t.enqueued_gen in
-      (match
-         do_flush t;
-         do_fsync t
-       with
-      | () ->
-        t.group_batches <- t.group_batches + 1;
-        t.group_commits <- t.group_commits + (target - t.flushed_gen)
-      | exception e -> t.flusher_error <- Some e);
-      (* advance even on error: waiters check [flusher_error] on wake *)
-      t.flushed_gen <- target;
-      Condition.broadcast t.flush_cond;
-      loop ()
-    end
-  in
-  loop ()
-
-(* call with [mu] held *)
-let ensure_flusher t =
-  match t.durability, t.flusher with
-  | Group _, None ->
-    t.flusher_stop <- false;
-    t.flusher <- Some (Thread.create flusher_loop t)
-  | _ -> ()
-
-(* call with [mu] NOT held *)
-let stop_flusher t =
-  let joinee =
-    Mutex.lock t.mu;
-    let th = t.flusher in
-    t.flusher_stop <- true;
-    t.flusher <- None;
-    Condition.signal t.work_cond;
-    Mutex.unlock t.mu;
-    th
-  in
-  match joinee with None -> () | Some th -> Thread.join th
+(* the barrier the mode promises at commit (or at batch-scope end) *)
+let sync_per_mode t =
+  match t.durability with
+  | Never -> ()
+  | Flush_per_commit -> do_flush t
+  | Fsync_per_commit ->
+    do_flush t;
+    do_fsync t
 
 (* Scan an existing log for its LSN position without building a catalog:
    base from a leading [Lsn_base] line (written by prefix truncation), plus
@@ -401,88 +286,48 @@ let scan_lsns path =
 let open_log ?(durability = Flush_per_commit) path =
   let base_lsn, last_lsn = scan_lsns path in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  let t =
-    {
-      path;
-      oc = Some oc;
-      mu = Mutex.create ();
-      durability;
-      commits_logged = 0;
-      flushes = 0;
-      fsyncs = 0;
-      group_batches = 0;
-      group_commits = 0;
-      batched_scopes = 0;
-      batched_commits = 0;
-      work_cond = Condition.create ();
-      flush_cond = Condition.create ();
-      enqueued_gen = 0;
-      flushed_gen = 0;
-      flusher = None;
-      flusher_stop = false;
-      flusher_error = None;
-      deferring = false;
-      deferred_dirty = false;
-      base_lsn;
-      last_lsn;
-      on_append = None;
-      pending_ship = [];
-    }
-  in
-  Mutex.lock t.mu;
-  ensure_flusher t;
-  Mutex.unlock t.mu;
-  t
+  {
+    path;
+    oc = Some oc;
+    mu = Mutex.create ();
+    durability;
+    commits_logged = 0;
+    flushes = 0;
+    fsyncs = 0;
+    batched_scopes = 0;
+    batched_commits = 0;
+    poisoned = None;
+    deferring = false;
+    deferred_dirty = false;
+    base_lsn;
+    last_lsn;
+    on_append = None;
+  }
 
-let durability t =
-  Mutex.lock t.mu;
-  let d = t.durability in
-  Mutex.unlock t.mu;
-  d
-
-let set_durability t d =
-  let was_group =
-    Mutex.lock t.mu;
-    let wg = match t.durability with Group _ -> true | _ -> false in
-    t.durability <- d;
-    (match d with Group _ -> ensure_flusher t | _ -> ());
-    Mutex.unlock t.mu;
-    wg
-  in
-  match d with
-  | Group _ -> ()
-  | _ -> if was_group then stop_flusher t
+let durability t = Mutex.protect t.mu (fun () -> t.durability)
+let set_durability t d = Mutex.protect t.mu (fun () -> t.durability <- d)
 
 let io_stats t =
-  Mutex.lock t.mu;
-  let s =
-    {
-      commits_logged = t.commits_logged;
-      flushes = t.flushes;
-      fsyncs = t.fsyncs;
-      group_batches = t.group_batches;
-      group_commits = t.group_commits;
-      batched_scopes = t.batched_scopes;
-      batched_commits = t.batched_commits;
-    }
-  in
-  Mutex.unlock t.mu;
-  s
+  Mutex.protect t.mu (fun () ->
+      {
+        commits_logged = t.commits_logged;
+        flushes = t.flushes;
+        fsyncs = t.fsyncs;
+        batched_scopes = t.batched_scopes;
+        batched_commits = t.batched_commits;
+      })
 
 (** [reset_io_stats t] zeroes the io counters.  Recovery replay and
     re-creation of answer relations go through the same log, so a freshly
     recovered database would otherwise start life with their flushes
     already on the meter — bench and admin deltas must start from zero. *)
 let reset_io_stats t =
-  Mutex.lock t.mu;
-  t.commits_logged <- 0;
-  t.flushes <- 0;
-  t.fsyncs <- 0;
-  t.group_batches <- 0;
-  t.group_commits <- 0;
-  t.batched_scopes <- 0;
-  t.batched_commits <- 0;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () ->
+      t.commits_logged <- 0;
+      t.flushes <- 0;
+      t.fsyncs <- 0;
+      t.batched_scopes <- 0;
+      t.batched_commits <- 0)
 
 let path t = t.path
 
@@ -503,24 +348,6 @@ let set_on_append t hook =
   t.on_append <- hook;
   Mutex.unlock t.mu
 
-(* [mu] held.  Slice newly written records into commit-terminated batches,
-   assign each the next LSN, and hand complete batches to the shipping
-   hook; records not yet commit-terminated wait in [pending_ship]. *)
-let note_appended t records =
-  List.iter
-    (fun r ->
-      match r with
-      | Commit _ ->
-        t.last_lsn <- t.last_lsn + 1;
-        let batch = List.rev (r :: t.pending_ship) in
-        t.pending_ship <- [];
-        (match t.on_append with
-        | Some hook -> hook ~lsn:t.last_lsn batch
-        | None -> ())
-      | Lsn_base _ -> ()
-      | r -> t.pending_ship <- r :: t.pending_ship)
-    records
-
 let write_records t records =
   (* [mu] held by caller *)
   let oc = channel t in
@@ -536,8 +363,9 @@ let write_records t records =
   | Some n ->
     (* a write torn at byte [n]: the prefix reaches the file (flushed past
        the channel buffer so the torn bytes really land), the rest never
-       does.  The handle is poisoned exactly as a real torn write poisons
-       a log — recover by reopening the path after [truncate_torn_tail]. *)
+       does.  The caller poisons the handle exactly as a real torn write
+       poisons a log — recover by reopening the path after
+       [truncate_torn_tail]. *)
     output_string oc (String.sub payload 0 n);
     (try flush oc with Sys_error _ -> ());
     raise
@@ -546,184 +374,104 @@ let write_records t records =
            Printf.sprintf "write torn at byte %d/%d" n (String.length payload)
          ))
 
-let append t records =
-  Mutex.lock t.mu;
-  (match
-     write_records t records;
-     note_appended t records;
-     if t.deferring then t.deferred_dirty <- true else do_flush t
-   with
-  | () -> Mutex.unlock t.mu
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e)
-
 (** [sync t] forces everything appended so far onto disk: one flush + one
     fsync.  Raises [Wal_error] on a closed log or an fsync failure. *)
 let sync t =
-  Mutex.lock t.mu;
-  (match
-     do_flush t;
-     do_fsync t
-   with
-  | () -> Mutex.unlock t.mu
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e)
+  Mutex.protect t.mu (fun () ->
+      do_flush t;
+      do_fsync t)
 
-let raise_sticky t =
-  (* [mu] held *)
-  match t.flusher_error with
-  | Some e ->
-    Mutex.unlock t.mu;
-    raise e
-  | None -> ()
-
-let wait_flushed t gen =
-  Mutex.lock t.mu;
-  while t.flushed_gen < gen && t.flusher_error = None do
-    Condition.wait t.flush_cond t.mu
-  done;
-  let err = t.flusher_error in
-  Mutex.unlock t.mu;
-  match err with Some e -> raise e | None -> ()
-
-(** [durable_append_commit t ~txn_id records] appends one committed batch
-    (records + commit marker), assigns it the next LSN, and returns that
-    LSN with a wait closure that blocks until the batch is as durable as
-    the current mode promises.  The closure must be called {i after}
-    releasing any lock held across the append — that is what lets
-    concurrent commits coalesce into one group flush. *)
-let durable_append_commit t ~txn_id records =
-  Mutex.lock t.mu;
-  (match Fault.point "wal.commit" with
-  | () -> ()
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e);
-  raise_sticky t;
-  match
-    write_records t records;
-    write_records t [ Commit txn_id ];
-    note_appended t (records @ [ Commit txn_id ]);
-    let lsn = t.last_lsn in
-    t.commits_logged <- t.commits_logged + 1;
-    if t.deferring then begin
-      (* inside a batch scope: the scope end performs the single
-         mode-appropriate sync for every commit deferred here *)
-      t.deferred_dirty <- true;
-      t.batched_commits <- t.batched_commits + 1;
-      `Done lsn
-    end
-    else begin
-      match t.durability with
-      | Never -> `Done lsn
-      | Flush_per_commit ->
-        do_flush t;
-        `Done lsn
-      | Fsync_per_commit ->
-        do_flush t;
-        do_fsync t;
-        `Done lsn
-      | Group _ ->
-        t.enqueued_gen <- t.enqueued_gen + 1;
-        Condition.signal t.work_cond;
-        `Wait (lsn, t.enqueued_gen)
-    end
-  with
-  | `Done lsn ->
-    Mutex.unlock t.mu;
-    (lsn, fun () -> ())
-  | `Wait (lsn, gen) ->
-    Mutex.unlock t.mu;
-    (lsn, fun () -> wait_flushed t gen)
-  | exception e ->
-    (* the append may have left a torn line at the tail.  Recovery
-       truncates a torn *tail*, but a later append would bury the tear
-       mid-file and corrupt the log — so poison it: every subsequent
-       commit re-raises this error instead of appending. *)
-    t.flusher_error <- Some e;
-    Mutex.unlock t.mu;
-    raise e
-
-(** Append one committed batch and block until it is durable (legacy
-    blocking form of {!durable_append_commit}). *)
+(** [append_commit t ~txn_id records] is the log's one way in: it refuses
+    a poisoned log, writes the records and a commit marker in one buffered
+    write, assigns the batch the next LSN, hands it to the shipping hook,
+    then syncs as the mode promises — or, inside a {!with_batch} scope,
+    leaves that to the scope end.  Any failure past the refusal poisons
+    the log. *)
 let append_commit t ~txn_id records =
-  (snd (durable_append_commit t ~txn_id records)) ()
-
-(** [with_batch t f] defers every flush/fsync inside [f] and performs one
-    mode-appropriate sync at scope end (even if [f] raises): commits made
-    within the scope share a single flush — and a single fsync in the fsync
-    modes.  Scopes do not nest. *)
-let with_batch t f =
-  Mutex.lock t.mu;
-  if t.deferring then begin
-    Mutex.unlock t.mu;
-    Errors.fail (Errors.Wal_error "nested WAL batch scope")
-  end;
-  raise_sticky t;
-  t.deferring <- true;
-  t.deferred_dirty <- false;
-  t.batched_scopes <- t.batched_scopes + 1;
-  Mutex.unlock t.mu;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.mu;
-      t.deferring <- false;
-      let dirty = t.deferred_dirty in
-      t.deferred_dirty <- false;
+  Mutex.protect t.mu (fun () ->
+      Fault.point "wal.commit";
+      Option.iter raise t.poisoned;
+      let batch = records @ [ Commit txn_id ] in
       match
-        if dirty then begin
-          match t.durability with
-          | Never -> ()
-          | Flush_per_commit -> do_flush t
-          | Fsync_per_commit | Group _ ->
-            do_flush t;
-            do_fsync t
+        write_records t batch;
+        t.last_lsn <- t.last_lsn + 1;
+        t.commits_logged <- t.commits_logged + 1;
+        Option.iter (fun hook -> hook ~lsn:t.last_lsn batch) t.on_append;
+        if t.deferring then begin
+          t.deferred_dirty <- true;
+          t.batched_commits <- t.batched_commits + 1
         end
+        else sync_per_mode t
       with
-      | () -> Mutex.unlock t.mu
+      | () -> ()
       | exception e ->
-        Mutex.unlock t.mu;
+        t.poisoned <- Some e;
         raise e)
-    f
+
+(** [with_batch t f] defers every sync inside [f] and performs one
+    mode-appropriate sync at scope end (even if [f] raises): commits made
+    within the scope share a single flush — and a single fsync in the
+    fsync mode.  A failed scope-end sync poisons the log like a failed
+    per-commit sync, and its own exception is raised — unless [f] raised,
+    whose exception then wins.  Scopes do not nest. *)
+let with_batch t f =
+  Mutex.protect t.mu (fun () ->
+      if t.deferring then
+        Errors.fail (Errors.Wal_error "nested WAL batch scope");
+      Option.iter raise t.poisoned;
+      t.deferring <- true;
+      t.deferred_dirty <- false;
+      t.batched_scopes <- t.batched_scopes + 1);
+  let result =
+    match f () with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let synced =
+    Mutex.protect t.mu (fun () ->
+        t.deferring <- false;
+        let dirty = t.deferred_dirty in
+        t.deferred_dirty <- false;
+        match if dirty then sync_per_mode t with
+        | () -> None
+        | exception e ->
+          t.poisoned <- Some e;
+          Some e)
+  in
+  match result, synced with
+  | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt
+  | Ok _, Some e -> raise e
+  | Ok v, None -> v
 
 (** [crash t] simulates the process dying with the log open: the fd is
     closed {i without} flushing, so bytes still buffered in the channel
     never reach the file — exactly what SIGKILL does to them.  The handle
     is unusable afterwards; recover by reopening the path. *)
 let crash t =
-  Mutex.lock t.mu;
-  (match t.oc with
-  | None -> ()
-  | Some oc ->
-    (try Unix.close (Unix.descr_of_out_channel oc)
-     with Unix.Unix_error _ -> ());
-    t.oc <- None);
-  Mutex.unlock t.mu;
-  (* the flusher's final drain now fails against the closed fd and parks
-     in [flusher_error] instead of rescuing the buffered bytes *)
-  stop_flusher t
+  Mutex.protect t.mu (fun () ->
+      Option.iter
+        (fun oc ->
+          (try Unix.close (Unix.descr_of_out_channel oc)
+           with Unix.Unix_error _ -> ());
+          t.oc <- None)
+        t.oc)
 
 let close t =
-  stop_flusher t;
-  Mutex.lock t.mu;
-  match t.oc with
-  | None -> Mutex.unlock t.mu
-  | Some oc ->
-    let fin =
-      try
-        flush oc;
-        (match t.durability with
-        | Fsync_per_commit | Group _ -> do_fsync t
-        | Never | Flush_per_commit -> ());
-        None
-      with e -> Some e
-    in
-    close_out_noerr oc;
-    t.oc <- None;
-    Mutex.unlock t.mu;
-    (match fin with Some e -> raise e | None -> ())
+  Mutex.protect t.mu (fun () ->
+      Option.iter
+        (fun oc ->
+          let fin =
+            match
+              flush oc;
+              if t.durability = Fsync_per_commit then do_fsync t
+            with
+            | () -> None
+            | exception e -> Some e
+          in
+          close_out_noerr oc;
+          t.oc <- None;
+          Option.iter raise fin)
+        t.oc)
 
 (* ---------------- recovery ---------------- *)
 
@@ -740,8 +488,8 @@ let read_records path =
     in
     let lines = read_lines [] in
     (* Decode every line once; remember where the last decodable commit
-       marker sits.  Group commit writes a whole multi-record batch in one
-       buffered write, so a torn tail can now span several lines — any
+       marker sits.  A batch scope writes several multi-record batches
+       before one flush, so a torn tail can span several lines — any
        undecodable line strictly AFTER the last commit marker belongs to a
        batch that has no commit marker and would be discarded anyway.  An
        undecodable line at-or-before the last commit marker sits inside a
@@ -1015,14 +763,12 @@ let records_of_ops ops =
         Update (Table.name table, old_row, new_row))
     ops
 
-(** [attach wal mgr] wires a transaction manager's commit hook to the log.
-    The hook returns the durability wait closure, which {!Txn.commit} runs
-    after releasing the manager mutex — in [Group] mode that is what lets
-    concurrent commits pile into one flusher batch. *)
+(** [attach wal mgr] wires a transaction manager's commit hook to the log:
+    each commit is one {!append_commit}, made under the manager mutex. *)
 let attach t (mgr : Txn.manager) =
   let counter = ref 0 in
   Txn.set_on_commit mgr
     (Some
        (fun ops ->
          incr counter;
-         durable_append_commit t ~txn_id:!counter (records_of_ops ops)))
+         append_commit t ~txn_id:!counter (records_of_ops ops)))

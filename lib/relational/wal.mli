@@ -13,18 +13,19 @@
        there is no [fsync].}
     {- [Fsync_per_commit] — one [flush] + one [fsync] per commit.  Full
        single-commit durability at the cost of a disk round-trip per
-       transaction.  An [fsync] failure raises [Wal_error] at the
-       committing caller — never silently ignored.}
-    {- [Group _] — group commit: a dedicated flusher thread coalesces every
-       commit that arrives within [max_delay_us] (or until [max_batch]
-       commits are pending) into {e one} buffered write + {e one} [fsync];
-       commit acks block only until their batch's flush completes.  An
-       [fsync] failure is sticky: the waiting commits and every later
-       commit fail loudly.}}
+       transaction.}}
+
+    Every committed batch — a transaction's redo records, or one
+    auto-committed DDL record — enters through {!append_commit}, which
+    syncs as the mode promises.  Group commit is {!with_batch}: inside a
+    scope the per-commit sync is deferred, and the scope end performs one
+    sync covering every commit made in it.  A failed append or sync is
+    sticky: the log is poisoned, and every later append and scope fails
+    loudly with the same error instead of pretending durability.
 
     Recovery replays every {i complete} batch into a fresh catalog; a torn
     {i batch} tail — any run of undecodable or commit-less trailing lines
-    after the last commit marker, which group commit can now produce — is
+    after the last commit marker, which a batch scope can produce — is
     discarded, and {!truncate_torn_tail} physically removes it before the
     log is reopened for append.
 
@@ -56,22 +57,16 @@ type durability =
   | Flush_per_commit
       (** flush to the OS per commit — {b no} crash durability (no fsync) *)
   | Fsync_per_commit  (** flush + fsync per commit *)
-  | Group of { max_batch : int; max_delay_us : int }
-      (** group commit: one flush + one fsync per batch of concurrent
-          commits, closed after [max_batch] commits or [max_delay_us] *)
 
 val durability_to_string : durability -> string
 
 val durability_of_string : string -> durability option
-(** Accepts ["never"], ["flush"], ["fsync"], ["group"] (defaults 32
-    commits / 2000 µs) and ["group(<max_batch>,<max_delay_us>)"]. *)
+(** Accepts ["never"], ["flush"] and ["fsync"] (case-insensitive). *)
 
 type io_stats = {
   commits_logged : int;  (** committed batches appended *)
   flushes : int;  (** channel flushes performed *)
   fsyncs : int;  (** fsyncs performed *)
-  group_batches : int;  (** flusher batches written *)
-  group_commits : int;  (** commits coalesced into those batches *)
   batched_scopes : int;  (** {!with_batch} scopes entered *)
   batched_commits : int;  (** commits deferred inside those scopes *)
 }
@@ -99,13 +94,12 @@ type t
 
 val open_log : ?durability:durability -> string -> t
 (** Opens for append, creating the file if needed.  [durability] defaults
-    to [Flush_per_commit]; [Group] starts the flusher thread. *)
+    to [Flush_per_commit]. *)
 
 val durability : t -> durability
 
 val set_durability : t -> durability -> unit
-(** Switching into [Group] starts the flusher; switching out stops it
-    (after draining pending commits). *)
+(** Takes effect from the next commit (or scope end). *)
 
 val io_stats : t -> io_stats
 
@@ -132,19 +126,14 @@ val set_on_append : t -> (lsn:int -> record list -> unit) option -> unit
     {!Txn.add_observer} this also sees auto-committed DDL, which bypasses
     the transaction manager. *)
 
-val append : t -> record list -> unit
-(** Raw append + flush (deferred inside {!with_batch}); used for DDL and by
-    tests.  Does not fsync. *)
-
 val append_commit : t -> txn_id:int -> record list -> unit
-(** One committed batch: the records followed by a commit marker; blocks
-    until the batch is as durable as the current mode promises. *)
-
-val durable_append_commit : t -> txn_id:int -> record list -> int * (unit -> unit)
-(** Like {!append_commit} but returns the batch's assigned LSN and the
-    durability wait as a closure so the caller can release its locks
-    first — required for group commit to coalesce anything (see
-    {!Txn.set_on_commit}). *)
+(** The one way to append: the records followed by a commit marker, in
+    one buffered write, assigned the next LSN and shipped.  Returns once
+    the batch is as durable as the current mode promises; inside
+    {!with_batch} the sync is left to the scope end.  A poisoned log
+    refuses the batch by re-raising the error that poisoned it; any
+    failure of this append past that check poisons the log.  Transactions
+    pass their commit counter as [txn_id], auto-committed DDL passes 0. *)
 
 val sync : t -> unit
 (** Force one flush + one fsync of everything appended so far.  Raises
@@ -154,8 +143,11 @@ val with_batch : t -> (unit -> 'a) -> 'a
 (** Defer every flush/fsync inside the scope; at scope end (even on
     exception) perform one mode-appropriate sync covering all deferred
     commits.  The server's batch executor wraps each batch in this
-    so a batch costs one flush (+ one fsync in the fsync modes) total.
-    Scopes do not nest. *)
+    so a batch costs one flush (+ one fsync in the fsync mode) total.
+    A failed scope-end sync poisons the log and raises its own exception
+    (typically [Db_error (Wal_error _)]); if the body raised, the body's
+    exception is re-raised instead.  Scopes do not nest, and a poisoned
+    log refuses to open one. *)
 
 val crash : t -> unit
 (** Simulate the process dying with the log open: close the fd {i without}
@@ -165,8 +157,7 @@ val crash : t -> unit
     tests. *)
 
 val close : t -> unit
-(** Stops the flusher (draining pending commits), flushes, fsyncs in the
-    fsync modes, and closes the file. *)
+(** Flushes, fsyncs in the fsync mode, and closes the file. *)
 
 (** {1 Recovery} *)
 

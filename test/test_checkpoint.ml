@@ -232,15 +232,14 @@ let test_truncate_wal_prefix () =
 let test_reset_io_stats () =
   with_tmp_dir (fun path ->
       let db = seeded path 3 in
-      (* 3 txn commits (DDL appends without going through the commit path) *)
+      (* 1 CREATE TABLE + 3 txn commits: DDL takes the commit path *)
       let io = Option.get (Database.wal_io db) in
-      check int "commits counted" 3 io.Wal.commits_logged;
+      check int "commits counted" 4 io.Wal.commits_logged;
       Database.reset_io_stats db;
       let io = Option.get (Database.wal_io db) in
       check int "commits zeroed" 0 io.Wal.commits_logged;
       check int "flushes zeroed" 0 io.Wal.flushes;
       check int "fsyncs zeroed" 0 io.Wal.fsyncs;
-      check int "group batches zeroed" 0 io.Wal.group_batches;
       check int "batched scopes zeroed" 0 io.Wal.batched_scopes;
       insert db 4;
       let io = Option.get (Database.wal_io db) in

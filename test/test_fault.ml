@@ -212,6 +212,72 @@ let test_wal_partial_write_recovers_prefix () =
           check bool "recovery = committed prefix" true (expect = dump recovered);
           Database.close recovered))
 
+(* DDL after a torn append: it takes the same append as a commit, so the
+   poisoned log refuses it too, and the catalog change is undone.  Were it
+   written after the torn bytes, recovery would fail on the tear
+   mid-file. *)
+let test_ddl_after_torn_append_refused () =
+  with_clean (fun () ->
+      with_tmp_dir (fun path ->
+          let db = seeded path 5 in
+          let expect = dump db in
+          (match Fault.arm_spec "wal.append" "partial(4)!" with
+          | Ok () -> ()
+          | Result.Error e -> Alcotest.fail e);
+          check bool "torn append surfaces" true
+            (raises_injected (fun () -> insert db 6));
+          let b =
+            Schema.make ~primary_key:[ 0 ] "B" [ Schema.column "id" Ctype.TInt ]
+          in
+          check bool "DDL refused by the poisoned log" true
+            (raises_injected (fun () -> ignore (Database.create_table db b)));
+          check bool "refused DDL undone in memory" true (expect = dump db);
+          Database.crash db;
+          let recovered = Database.recover path in
+          check bool "recovery = committed prefix" true (expect = dump recovered);
+          Database.close recovered))
+
+(* a failed batch-scope sync: the scope raises the sync's own error (not
+   a [Fun.Finally_raised] wrapper) and poisons the log like a failed
+   per-commit sync; a body's own exception still wins over the sync's *)
+let test_batch_scope_sync_failure_sticky () =
+  let scope_with_failing_fsync body =
+    with_tmp_dir (fun path ->
+        let db = seeded path 2 in
+        Database.set_durability db Wal.Fsync_per_commit;
+        (match Fault.arm_spec "wal.fsync" "error(EIO)!" with
+        | Ok () -> ()
+        | Result.Error e -> Alcotest.fail e);
+        let outcome =
+          match Database.with_wal_batch db (fun () -> body db) with
+          | () -> "returned"
+          | exception Fault.Injected ("wal.fsync", _) -> "sync error"
+          | exception Exit -> "body error"
+          | exception e -> Printexc.to_string e
+        in
+        let commit_refused = raises_injected (fun () -> insert db 9) in
+        let scope_refused =
+          raises_injected (fun () -> Database.with_wal_batch db (fun () -> ()))
+        in
+        Database.close db;
+        (outcome, commit_refused, scope_refused))
+  in
+  with_clean (fun () ->
+      let outcome, commit_refused, scope_refused =
+        scope_with_failing_fsync (fun db -> insert db 3)
+      in
+      check string_t "scope raises the sync's own error" "sync error" outcome;
+      check bool "later commit refused" true commit_refused;
+      check bool "later scope refused" true scope_refused);
+  with_clean (fun () ->
+      let outcome, commit_refused, _ =
+        scope_with_failing_fsync (fun db ->
+            insert db 3;
+            raise Exit)
+      in
+      check string_t "body's exception wins" "body error" outcome;
+      check bool "log poisoned all the same" true commit_refused)
+
 (* an injected commit error: with_txn rolls back and the engine stays
    usable (the manager mutex is released) *)
 let test_txn_commit_error_rolls_back () =
@@ -500,6 +566,10 @@ let suite =
     Alcotest.test_case "arming from the environment" `Quick test_env_init;
     Alcotest.test_case "torn WAL append: recovery keeps the prefix" `Quick
       test_wal_partial_write_recovers_prefix;
+    Alcotest.test_case "DDL after a torn WAL append is refused" `Quick
+      test_ddl_after_torn_append_refused;
+    Alcotest.test_case "failed batch-scope sync is sticky" `Quick
+      test_batch_scope_sync_failure_sticky;
     Alcotest.test_case "injected commit error rolls back" `Quick
       test_txn_commit_error_rolls_back;
     Alcotest.test_case "torn checkpoint falls back to older snapshot" `Quick

@@ -1,7 +1,8 @@
 (* Durability modes and group commit: what each mode actually does at
-   commit time (io_stats), that group commit coalesces concurrent
-   transactions into fewer fsyncs without losing any, and that the batch
-   scope amortises flushes. *)
+   commit time (io_stats), that concurrent transactions each get their
+   own fsync without losing any, that DDL syncs like any other commit,
+   and that the batch scope — the log's group commit — amortises
+   flushes. *)
 
 open Relational
 
@@ -81,17 +82,15 @@ let test_never_buffers () =
       check int "everything still replayable after close" 5
         (rows_after_replay path))
 
-(** Group commit under real concurrency: 8 threads × 25 serializable
-    transactions against one database.  Every commit must survive replay,
-    and the flusher must have coalesced commits — strictly fewer fsyncs
-    than commits. *)
-let test_group_commit_concurrent () =
+(** Concurrency on the one commit path: 8 threads × 25 serializable
+    transactions against one database under [Fsync_per_commit].  Every
+    commit must be logged, fsynced on its own and survive replay. *)
+let test_concurrent_fsync_per_commit () =
   with_tmp (fun path ->
       let db = Database.create () in
-      Database.attach_wal
-        ~durability:(Wal.Group { max_batch = 8; max_delay_us = 3_000 })
-        db path;
+      Database.attach_wal ~durability:Wal.Fsync_per_commit db path;
       let table = Database.create_table db (schema ()) in
+      let before = Option.get (Database.wal_io db) in
       let threads = 8 and per_thread = 25 in
       let worker t =
         for i = 0 to per_thread - 1 do
@@ -107,17 +106,32 @@ let test_group_commit_concurrent () =
       let io = Option.get (Database.wal_io db) in
       let commits = threads * per_thread in
       check int "every transaction logged" commits
-        (io.Wal.commits_logged - 0);
-      check int "every commit went through the flusher" commits
-        io.Wal.group_commits;
-      check bool "fsyncs happened" true (io.Wal.fsyncs >= 1);
-      check bool
-        (Printf.sprintf "coalescing: %d fsyncs < %d commits" io.Wal.fsyncs
-           commits)
-        true
-        (io.Wal.fsyncs < commits);
+        (io.Wal.commits_logged - before.Wal.commits_logged);
+      check int "one fsync per commit" commits
+        (io.Wal.fsyncs - before.Wal.fsyncs);
       Database.close db;
       check int "no committed row lost" commits (rows_after_replay path))
+
+(** DDL takes the commit path: under [Fsync_per_commit] an acked
+    CREATE/DROP TABLE is one logged commit and one fsync, not bytes
+    waiting for some later commit's barrier. *)
+let test_ddl_follows_durability () =
+  with_tmp (fun path ->
+      let db = Database.create () in
+      Database.attach_wal ~durability:Wal.Fsync_per_commit db path;
+      let step name f =
+        let before = Option.get (Database.wal_io db) in
+        f ();
+        let after = Option.get (Database.wal_io db) in
+        check int (name ^ ": one commit") 1
+          (after.Wal.commits_logged - before.Wal.commits_logged);
+        check int (name ^ ": one fsync") 1 (after.Wal.fsyncs - before.Wal.fsyncs)
+      in
+      step "create" (fun () -> ignore (Database.create_table db (schema ())));
+      step "drop" (fun () -> Database.drop_table db "Accounts");
+      Database.close db;
+      check bool "replay ends without the dropped table" false
+        (Catalog.mem (Wal.replay path) "Accounts"))
 
 (** {!Wal.with_batch} defers the per-commit sync: N commits inside one
     scope cost one flush (+ one fsync in the fsync modes) at scope end. *)
@@ -141,18 +155,21 @@ let test_with_batch_amortises () =
       Wal.close log;
       check int "all rows replayed" 10 (rows_after_replay path))
 
-(** Switching durability at runtime starts/stops the flusher cleanly and
-    commits keep working in every mode. *)
+(** Switching durability at runtime takes effect from the next commit,
+    and commits keep working in every mode. *)
 let test_set_durability_switches () =
   with_tmp (fun path ->
       let log = Wal.open_log ~durability:Wal.Flush_per_commit path in
       Wal.append_commit log ~txn_id:0 [ Wal.Create_table (schema ()) ];
-      Wal.set_durability log (Wal.Group { max_batch = 4; max_delay_us = 500 });
-      Wal.append_commit log ~txn_id:1 [ insert_record 1 ];
       Wal.set_durability log Wal.Fsync_per_commit;
-      Wal.append_commit log ~txn_id:2 [ insert_record 2 ];
+      Wal.append_commit log ~txn_id:1 [ insert_record 1 ];
       let io = Wal.io_stats log in
-      check int "group path used once" 1 io.Wal.group_commits;
+      check int "fsync mode fsynced once" 1 io.Wal.fsyncs;
+      Wal.set_durability log Wal.Never;
+      Wal.append_commit log ~txn_id:2 [ insert_record 2 ];
+      let io' = Wal.io_stats log in
+      check int "never mode does not flush" io.Wal.flushes io'.Wal.flushes;
+      check bool "mode reads back" true (Wal.durability log = Wal.Never);
       Wal.close log;
       check int "both commits survive" 2 (rows_after_replay path))
 
@@ -176,16 +193,12 @@ let test_durability_strings () =
       Alcotest.fail ("unparsable: " ^ Wal.durability_to_string d)
   in
   List.iter roundtrip
-    [
-      Wal.Never;
-      Wal.Flush_per_commit;
-      Wal.Fsync_per_commit;
-      Wal.Group { max_batch = 16; max_delay_us = 500 };
-    ];
-  check bool "bare group has defaults" true
-    (match Wal.durability_of_string "group" with
-    | Some (Wal.Group _) -> true
-    | _ -> false);
+    [ Wal.Never; Wal.Flush_per_commit; Wal.Fsync_per_commit ];
+  List.iter
+    (fun s ->
+      check bool (s ^ " rejected") true (Wal.durability_of_string s = None))
+    (* the retired group-commit spellings *)
+    [ "group"; Printf.sprintf "group(%d,%dus)" 8 2000 ];
   check bool "garbage rejected" true
     (Wal.durability_of_string "eventually" = None)
 
@@ -195,8 +208,10 @@ let suite =
     Alcotest.test_case "flush per commit never fsyncs" `Quick
       test_flush_per_commit_no_fsync;
     Alcotest.test_case "never-mode buffers" `Quick test_never_buffers;
-    Alcotest.test_case "group commit coalesces concurrent txns" `Quick
-      test_group_commit_concurrent;
+    Alcotest.test_case "concurrent txns fsync every commit" `Quick
+      test_concurrent_fsync_per_commit;
+    Alcotest.test_case "DDL follows the durability mode" `Quick
+      test_ddl_follows_durability;
     Alcotest.test_case "with_batch amortises sync" `Quick
       test_with_batch_amortises;
     Alcotest.test_case "set_durability switches modes" `Quick

@@ -128,7 +128,7 @@ let test_cut_at_boundaries () =
           check int (Printf.sprintf "boundary %d" i) i rows)
         boundaries)
 
-(* ---------------- group-commit batches ---------------- *)
+(* ---------------- batch-scope writes ---------------- *)
 
 (** Byte offset just past each commit-marker line (including its newline),
     in order — the durable batch boundaries of any log, however the bytes
@@ -154,9 +154,9 @@ let commit_line_ends path =
   close_in ic;
   List.rev !ends
 
-(** Group commit writes several commits in ONE buffered write, so a torn
-    tail can cut across multiple records and commit markers at once.
-    Truncate a group-written log at EVERY byte: recovery must always yield
+(** A batch scope writes several commits before ONE flush, so a torn tail
+    can cut across multiple records and commit markers at once.  Truncate
+    a scope-written log at EVERY byte: recovery must always yield
     exactly the batches whose commit markers survived (prefix-of-batches),
     never an error. *)
 let test_every_offset_of_group_batch () =

@@ -63,7 +63,7 @@ let kill_points =
     "checkpoint.write";
   ]
 
-let durabilities = [ "fsync"; "flush"; "group(8,2000us)" ]
+let durabilities = [ "fsync"; "flush" ]
 
 (* ---------------- small utilities ---------------- *)
 
