@@ -110,8 +110,8 @@ let pair_sql name friend =
      CHOOSE 1"
     name friend
 
-let fresh_travel ?config ~seed ~n_flights () =
-  Travel.Datagen.make_system ?config ~seed ~n_flights ~n_hotels:8 ()
+let fresh_travel ~seed ~n_flights () =
+  Travel.Datagen.make_system ~seed ~n_flights ~n_hotels:8 ()
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Figure 1: the mutual-match primitive, microbenchmarked. *)
@@ -218,16 +218,11 @@ let e5_groups { fast; seed } =
 (* ------------------------------------------------------------------ *)
 (* E8 — loaded pending store: arrival latency vs pending size. *)
 
-let run_pending_sweep ?(probes = 20) ~seed ~use_head_index sizes =
+let run_pending_sweep ~seed sizes =
+  let probes = 20 in
   List.map
     (fun n ->
-      let config =
-        {
-          Core.Coordinator.default_config with
-          Core.Coordinator.use_head_index;
-        }
-      in
-      let sys = fresh_travel ~config ~seed ~n_flights:64 () in
+      let sys = fresh_travel ~seed ~n_flights:64 () in
       let coordinator = Youtopia.System.coordinator sys in
       let cat = Youtopia.System.catalog sys in
       List.iter
@@ -259,25 +254,9 @@ let e8_pending { fast; seed } =
   say "%10s %20s" "pending" "pair match lat(us)";
   List.iter
     (fun (n, lat) -> say "%10d %20.1f" n (lat *. 1e6))
-    (run_pending_sweep ~seed ~use_head_index:true sizes);
+    (run_pending_sweep ~seed sizes);
   say "(head-indexed candidate lookup keeps arrival latency nearly flat";
   say " as unrelated pending queries accumulate)"
-
-(* ------------------------------------------------------------------ *)
-(* E11 — ablation: pending-store head index on vs off. *)
-
-let e11_ablation { fast; seed } =
-  header "E11 (ablation) — pending-store head/constraint index on vs off";
-  (* the scan variant is quadratic (every fulfilment retries every pending
-     query), so the ablation sweep stops at 1024 *)
-  let sizes = if fast then [ 16; 128 ] else [ 16; 64; 256; 1024 ] in
-  let indexed = run_pending_sweep ~probes:5 ~seed ~use_head_index:true sizes in
-  let scanned = run_pending_sweep ~probes:5 ~seed ~use_head_index:false sizes in
-  say "%10s %18s %18s %10s" "pending" "indexed(us)" "scan(us)" "speedup";
-  List.iter2
-    (fun (n, a) (_, b) ->
-      say "%10d %18.1f %18.1f %9.1fx" n (a *. 1e6) (b *. 1e6) (b /. a))
-    indexed scanned
 
 (* ------------------------------------------------------------------ *)
 (* E9 — database size sensitivity of grounding. *)
@@ -691,20 +670,19 @@ let e_micro () =
   say "  query grounding (first): %8.0f ns" ground_ns
 
 (* ------------------------------------------------------------------ *)
-(* INC — incremental matching: versioned plan cache + dirty-set poke.
+(* INC — incremental matching: versioned plan cache + table-level poke.
 
    A loaded pending store under mutation-driven pokes.  [n_pending]
    never-fulfillable queries (each waits on a ghost partner) are spread
    across [n_tables] base tables; every query also reads a shared [Common]
    table that never changes.  Each measured iteration inserts one
-   non-matching row into one base table and pokes.  The four config
-   variants isolate the two mechanisms:
-   - dirty-set poke retries only the mutated table's readers (1/n_tables
-     of the store) instead of everything;
-   - the plan cache re-grounds every retry whose tables are unchanged from
-     memoized rows — under exact dirty targeting that is the [Common]
-     sub-plan (the mutated table's sub-plan is a genuine miss). *)
-let inc_variant ~fast ~use_plan_cache ~use_dirty_poke =
+   non-matching row into one base table (directly, so the tuple-level
+   probe has nothing to add) and pokes.  Two retry policies:
+   - [All], the baseline, retries everything and grounds uncached;
+   - [Tables] retries only the mutated table's readers (1/n_tables of the
+     store), and the plan cache re-grounds their [Common] sub-plan from
+     memoized rows (the mutated table's sub-plan is a genuine miss). *)
+let inc_variant ~fast ~retry =
   let n_tables = 16 in
   let rows_per_table = if fast then 64 else 200 in
   let common_rows = if fast then 128 else 400 in
@@ -727,16 +705,7 @@ let inc_variant ~fast ~use_plan_cache ~use_dirty_poke =
         make_table (Printf.sprintf "T%d" j) rows_per_table)
   in
   ignore (make_table "Common" common_rows);
-  let config =
-    {
-      Core.Coordinator.default_config with
-      Core.Coordinator.use_plan_cache;
-      use_dirty_poke;
-      (* tuple poke pinned off: INC isolates the table-level dirty set and
-         plan cache; the tuple-level grid is the MATCH experiment *)
-      use_tuple_poke = false;
-    }
-  in
+  let config = { Core.Coordinator.default_config with Core.Coordinator.retry } in
   let coord = Core.Coordinator.create ~config db in
   Core.Coordinator.declare_answer_relation coord
     (Schema.make "Res"
@@ -777,40 +746,25 @@ let inc_variant ~fast ~use_plan_cache ~use_dirty_poke =
         done)
   in
   let per_poke total = float_of_int total /. float_of_int n_pokes in
-  let retries =
-    if use_dirty_poke then per_poke (stats.Core.Stats.dirty_retries - r0)
-    else float_of_int n_pending
-  in
   ( elapsed *. 1e9 /. float_of_int n_pokes,
     per_poke (stats.Core.Stats.groundings - g0),
-    retries )
+    per_poke (stats.Core.Stats.dirty_retries - r0) )
 
 let e_inc { fast; _ } =
-  header "INC — incremental matching: plan cache + dirty-set poke";
+  header "INC — incremental matching: plan cache + table-level poke";
   let variants =
     [
-      "baseline (retry all, no cache)", false, false;
-      "plan cache only", true, false;
-      "dirty-set poke only", false, true;
-      "cache + dirty-set", true, true;
+      "baseline (retry all, no cache)", "baseline", Core.Coordinator.All;
+      "cache + table-level", "full", Tables;
     ]
   in
   say "%32s %16s %18s %16s" "variant" "ns/poke" "groundings/poke"
     "retries/poke";
   let results =
     List.map
-      (fun (label, use_plan_cache, use_dirty_poke) ->
-        let ns, groundings, retries =
-          inc_variant ~fast ~use_plan_cache ~use_dirty_poke
-        in
+      (fun (label, slug, retry) ->
+        let ns, groundings, retries = inc_variant ~fast ~retry in
         say "%32s %16.0f %18.1f %16.1f" label ns groundings retries;
-        let slug =
-          match use_plan_cache, use_dirty_poke with
-          | false, false -> "baseline"
-          | true, false -> "cache_only"
-          | false, true -> "dirty_only"
-          | true, true -> "full"
-        in
         record ~experiment:"INC" ~metric:(slug ^ "_ns_per_poke") ns;
         record ~experiment:"INC" ~metric:(slug ^ "_groundings_per_poke")
           groundings;
@@ -819,31 +773,24 @@ let e_inc { fast; _ } =
       variants
   in
   (match results with
-  | [ baseline; _; _; full ] ->
-    say "  poke speedup, cache + dirty-set vs baseline: %.1fx"
+  | [ baseline; full ] ->
+    say "  poke speedup, cache + table-level vs baseline: %.1fx"
       (baseline /. full);
     record ~experiment:"INC" ~metric:"poke_speedup" (baseline /. full)
   | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* MATCH — retry targeting at scale: 100k (fast) / 1M pending queries with
-   Zipf-skewed selection constants, bursty localized commits.  Three poke
-   strategies: retry-everything (no index), table-level dirty set, and
-   tuple-level constraint-index probing.  The headline metrics are
-   retries-per-commit — deterministic counts given the seed, so the
+   Zipf-skewed selection constants, bursty localized commits.  Three retry
+   policies: [All] (retry everything, uncached), [Tables] (table-level
+   reader set) and [Tuples] (constraint-index probing).  The headline
+   metrics are retries-per-commit — deterministic counts given the seed, so the
    tuple-vs-table ratio is CI-gateable even on a noisy 1-core box — plus
    wall-clock ns/poke and end-to-end fulfilment latency. *)
 
-type match_mode = M_noindex | M_table | M_tuple
-
-let match_mode_slug = function
-  | M_noindex -> "noindex"
-  | M_table -> "table"
-  | M_tuple -> "tuple"
-
 (* One MATCH variant: build the pending population, drive bursty commits,
    measure.  Returns (ns/poke, retries/commit, fulfilment ms). *)
-let match_variant ~fast ~seed ~mode =
+let match_variant ~fast ~seed ~retry =
   let n_tables = 8 in
   let n_consts = 10_000 in
   let n_pending = if fast then 100_000 else 1_000_000 in
@@ -851,7 +798,9 @@ let match_variant ~fast ~seed ~mode =
   (* poke_all re-executes every pending query per poke; a couple of commits
      is plenty to measure it (and all it can show is the flat line) *)
   let n_commits =
-    match mode with M_noindex -> 2 | _ -> if fast then 24 else 32
+    match retry with
+    | Core.Coordinator.All -> 2
+    | Tables | Tuples -> if fast then 24 else 32
   in
   let seed_rows = 32 in
   let db = Database.create () in
@@ -869,13 +818,7 @@ let match_variant ~fast ~seed ~mode =
         done;
         t)
   in
-  let config =
-    {
-      Core.Coordinator.default_config with
-      Core.Coordinator.use_dirty_poke = (mode <> M_noindex);
-      use_tuple_poke = (mode = M_tuple);
-    }
-  in
+  let config = { Core.Coordinator.default_config with Core.Coordinator.retry } in
   let coord = Core.Coordinator.create ~config db in
   Core.Coordinator.declare_answer_relation coord
     (Schema.make "Res"
@@ -924,11 +867,8 @@ let match_variant ~fast ~seed ~mode =
         done)
   in
   let retries_per_commit =
-    match mode with
-    | M_noindex -> float_of_int n_pending
-    | _ ->
-      float_of_int (stats.Core.Stats.dirty_retries - r0)
-      /. float_of_int n_commits
+    float_of_int (stats.Core.Stats.dirty_retries - r0)
+    /. float_of_int n_commits
   in
   (* fulfilment latency: park a real pair on a fresh constant, commit the
      enabling row, time the poke that matches and notifies them *)
@@ -969,18 +909,17 @@ let e_match { fast; seed } =
      tuple-level";
   let variants =
     [
-      "retry everything", M_noindex;
-      "table-level dirty set", M_table;
-      "tuple-level index", M_tuple;
+      "retry everything", "noindex", Core.Coordinator.All;
+      "table-level reader set", "table", Tables;
+      "tuple-level index", "tuple", Tuples;
     ]
   in
   say "%24s %16s %18s %14s" "variant" "ns/poke" "retries/commit" "fulfil(ms)";
   let results =
     List.map
-      (fun (label, mode) ->
-        let ns, retries, fulfil_ms = match_variant ~fast ~seed ~mode in
+      (fun (label, slug, retry) ->
+        let ns, retries, fulfil_ms = match_variant ~fast ~seed ~retry in
         say "%24s %16.0f %18.1f %14.2f" label ns retries fulfil_ms;
-        let slug = match_mode_slug mode in
         record ~experiment:"MATCH" ~metric:(slug ^ "_ns_per_poke") ns;
         record ~experiment:"MATCH"
           ~metric:(slug ^ "_retries_per_commit")
@@ -1006,8 +945,9 @@ let e_match { fast; seed } =
    formation with >=100k parked members (each waiting on ghost partners)
    spread over Zipf-popular (dest, day) buckets; commits are bursty
    under-capacity ride insertions into Zipf-drawn buckets, so tuple-level
-   probing retries only the mutated bucket's members while the table-level
-   dirty set retries every parked member on every commit.  Retry counts
+   probing ([Tuples]) retries only the mutated bucket's members while the
+   table-level reader set ([Tables]) retries every parked member on every
+   commit.  Retry counts
    are deterministic given the seed, so the per-k tuple-vs-table ratios
    are the CI-gated metrics; clique-close latency at full load is the
    informational headline.  Part 2: a lock-lease soak driven by the shared
@@ -1025,20 +965,18 @@ let scen_bucket gen =
 (* One group-formation variant: park the population, drive bursty
    commits, measure.  Returns (ns/poke, retries/commit, close-lat us,
    pending size). *)
-let scen_group_variant ~fast ~seed ~k ~tuple =
+let scen_group_variant ~fast ~seed ~k ~retry =
   let n_pending = if fast then 100_000 else 200_000 in
   let burst = 8 in
-  (* the table-level dirty set retries all of [n_pending] per commit, so a
+  (* the table-level reader set retries all of [n_pending] per commit, so a
      few commits are plenty to verify the flat line *)
-  let n_commits = if tuple then (if fast then 12 else 24) else 4 in
-  let n_dests = Array.length Scenarios.Groups.dests in
-  let config =
-    {
-      Core.Coordinator.default_config with
-      Core.Coordinator.use_dirty_poke = true;
-      use_tuple_poke = tuple;
-    }
+  let n_commits =
+    match retry with
+    | Core.Coordinator.Tuples -> if fast then 12 else 24
+    | Tables | All -> 4
   in
+  let n_dests = Array.length Scenarios.Groups.dests in
+  let config = { Core.Coordinator.default_config with Core.Coordinator.retry } in
   let sys =
     (* capacity k-1: real rides exist in every bucket but none can seat the
        whole clique, so parked members stay parked through the measurement *)
@@ -1151,22 +1089,24 @@ let e_scen { fast; seed } =
     "SCEN — scenario subsystem: k-way group formation at 100k+ pending; \
      lock-lease soak";
   (* -------- part 1: k-way formation, tuple vs table retry targeting ---- *)
-  (* the table-level dirty set retries every parked member per commit
+  (* the table-level reader set retries every parked member per commit
      regardless of k, so one measured run (at k = 2) is the shared
      denominator for every ratio *)
-  let _, table_retries, _, np = scen_group_variant ~fast ~seed ~k:2 ~tuple:false in
+  let _, table_retries, _, np =
+    scen_group_variant ~fast ~seed ~k:2 ~retry:Tables
+  in
   say
-    "table-level dirty set, k=2: %.0f retries/commit over %d parked members"
+    "table-level reader set, k=2: %.0f retries/commit over %d parked members"
     table_retries np;
   if int_of_float table_retries <> np then
-    failwith "SCEN: table-level dirty set should retry every parked member";
+    failwith "SCEN: table-level reader set should retry every parked member";
   record ~experiment:"SCEN" ~metric:"table_retries_per_commit" table_retries;
   say "%6s %10s %14s %18s %16s %10s" "k" "pending" "ns/poke"
     "tuple retr/commit" "close lat(us)" "vs table";
   List.iter
     (fun k ->
       let ns, retries, close_us, np =
-        scen_group_variant ~fast ~seed ~k ~tuple:true
+        scen_group_variant ~fast ~seed ~k ~retry:Tuples
       in
       let speedup = table_retries /. retries in
       say "%6d %10d %14.0f %18.1f %16.1f %9.0fx" k np ns retries close_us
@@ -1717,7 +1657,6 @@ let experiments =
     "E8", ("pending store sweep", e8_pending);
     "E9", ("database size sweep", e9_dbsize);
     "E10", ("baseline comparison", e10_baseline);
-    "E11", ("head index ablation", e11_ablation);
     "E13", ("cascade chain depth", e13_cascade);
     "INC", ("incremental matching: plan cache + dirty-set poke", e_inc);
     "MATCH", ("retry targeting at 100k-1M pending queries", e_match);

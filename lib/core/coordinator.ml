@@ -13,8 +13,8 @@
     query asks for "whatever flight the group picked"), so after every
     fulfilment the coordinator retries the pending queries whose constraints
     mention a touched answer relation, until a fixpoint.  [poke] retries
-    everything — call it after ordinary database updates (new flights,
-    freed seats) that may unblock pending coordinations. *)
+    the pending queries a database change could unblock — call it after
+    ordinary database updates (new flights, freed seats). *)
 
 open Relational
 
@@ -24,30 +24,17 @@ let log_src = Logs.Src.create "youtopia.coordinator" ~doc:"Youtopia coordination
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type retry = Tuples | Tables | All
+
 type config = {
   matcher : Matcher.config;
-  use_head_index : bool;  (** ablation switch for the pending-store index *)
-  auto_retry : bool;  (** cascade retries after each fulfilment *)
-  use_plan_cache : bool;  (** ground retries from the versioned plan cache *)
-  use_dirty_poke : bool;  (** poke retries only readers of changed tables *)
-  use_tuple_poke : bool;
-      (** poke retries only the queries whose extracted equality
-          constraints a committed tuple satisfies; non-probeable changes
-          (deletes, DDL, direct mutations) widen to table-level readers *)
+  retry : retry;  (** which pending queries a poke retries; see the .mli *)
 }
 
-let default_config =
-  {
-    matcher = Matcher.default_config;
-    use_head_index = true;
-    auto_retry = true;
-    use_plan_cache = true;
-    use_dirty_poke = true;
-    use_tuple_poke = true;
-  }
+let default_config = { matcher = Matcher.default_config; retry = Tuples }
 
 (* Per-table record of committed rows since the last poke, fed by the
-   commit observer under [use_tuple_poke].  [ops] counts redo-log entries so
+   commit observer under [Tuples].  [ops] counts redo-log entries so
    the poke can check the table's version advanced by exactly that much —
    any other advance means a mutation bypassed the observer and the table
    must widen to its full reader set.  Updates buffer both images: a row
@@ -71,13 +58,11 @@ type t = {
   pending : Pending.t;
   config : config;
   stats : Stats.t;
-  cache : Plan_cache.t option;  (** grounding memo, [use_plan_cache] *)
+  cache : Plan_cache.t option;  (** grounding memo; [None] under [All] *)
   versions : (string, int * int) Hashtbl.t;
-      (** last-poke [(uid, version)] snapshot per table, [use_dirty_poke] *)
-  dirty : (string, unit) Hashtbl.t;
-      (** tables touched since the last poke drained them *)
+      (** last-poke [(uid, version)] snapshot per table *)
   deltas : (string, delta) Hashtbl.t;
-      (** committed row images since the last poke, [use_tuple_poke] *)
+      (** committed row images since the last poke, [Tuples] only *)
   mutable next_id : int;
   mutable listeners : (Events.notification -> unit) list;
   deadlines : (int, float) Hashtbl.t;
@@ -96,12 +81,11 @@ let create ?(config = default_config) db =
     {
       db;
       answers = Answers.create db;
-      pending = Pending.create ~use_head_index:config.use_head_index ();
+      pending = Pending.create ();
       config;
       stats = Stats.create ();
-      cache = (if config.use_plan_cache then Some (Plan_cache.create ()) else None);
+      cache = (if config.retry = All then None else Some (Plan_cache.create ()));
       versions = Hashtbl.create 32;
-      dirty = Hashtbl.create 32;
       deltas = Hashtbl.create 32;
       next_id = 1;
       listeners = [];
@@ -109,13 +93,13 @@ let create ?(config = default_config) db =
       mu = Mutex.create ();
     }
   in
-  (* Eager dirty tracking: every committed transaction records the tables it
-     touched — and, under [use_tuple_poke], the committed row images, so the
-     next poke can probe them against the pending store's constraint index
-     instead of waking every reader.  Direct (non-transactional) [Table]
-     mutations are caught by the version-snapshot diff at poke time instead
-     — see [refresh_dirty]. *)
-  if config.use_dirty_poke || config.use_tuple_poke then
+  (* Under [Tuples] every committed transaction records its row images, so
+     the next poke can probe them against the pending store's constraint
+     index instead of waking every reader.  Direct (non-transactional)
+     [Table] mutations leave no delta; the version-snapshot diff at poke
+     time widens their tables — see [poke_delta].  Without the observer
+     ([Tables]) no delta is ever recorded and every changed table widens. *)
+  if config.retry = Tuples then
     Txn.add_observer db.Database.txns (fun ops ->
         List.iter
           (fun op ->
@@ -125,42 +109,39 @@ let create ?(config = default_config) db =
                 -> tbl
             in
             let name = String.lowercase_ascii (Table.name table) in
-            Hashtbl.replace t.dirty name ();
-            if t.config.use_tuple_poke then begin
-              let d =
-                match Hashtbl.find_opt t.deltas name with
-                | Some d -> d
-                | None ->
-                  let d =
-                    { d_ops = 0; d_rows = []; d_n_rows = 0; d_widen = false }
-                  in
-                  Hashtbl.add t.deltas name d;
-                  d
-              in
-              d.d_ops <- d.d_ops + 1;
-              let push row =
-                if not d.d_widen then
-                  if d.d_n_rows >= max_delta_rows then begin
-                    d.d_widen <- true;
-                    d.d_rows <- []
-                  end
-                  else begin
-                    d.d_rows <- row :: d.d_rows;
-                    d.d_n_rows <- d.d_n_rows + 1
-                  end
-              in
-              match op with
-              | Txn.Ins (_, _, row) -> push row
-              | Txn.Upd (_, _, old_row, new_row) ->
-                push old_row;
-                push new_row
-              | Txn.Del (_, _) ->
-                (* a deleted row can unblock queries whose plans *exclude*
-                   it (anti-joins, NOT IN); the constraint index only says
-                   which rows a plan selects, so be conservative *)
-                d.d_widen <- true;
-                d.d_rows <- []
-            end)
+            let d =
+              match Hashtbl.find_opt t.deltas name with
+              | Some d -> d
+              | None ->
+                let d =
+                  { d_ops = 0; d_rows = []; d_n_rows = 0; d_widen = false }
+                in
+                Hashtbl.add t.deltas name d;
+                d
+            in
+            d.d_ops <- d.d_ops + 1;
+            let push row =
+              if not d.d_widen then
+                if d.d_n_rows >= max_delta_rows then begin
+                  d.d_widen <- true;
+                  d.d_rows <- []
+                end
+                else begin
+                  d.d_rows <- row :: d.d_rows;
+                  d.d_n_rows <- d.d_n_rows + 1
+                end
+            in
+            match op with
+            | Txn.Ins (_, _, row) -> push row
+            | Txn.Upd (_, _, old_row, new_row) ->
+              push old_row;
+              push new_row
+            | Txn.Del (_, _) ->
+              (* a deleted row can unblock queries whose plans *exclude* it
+                 (anti-joins, NOT IN); the constraint index only says which
+                 rows a plan selects, so be conservative *)
+              d.d_widen <- true;
+              d.d_rows <- [])
           ops);
   t
 
@@ -346,8 +327,7 @@ let submit_instance ?deadline t (q : Equery.t) : outcome =
   match try_match t q with
   | Some success ->
     let notifications = fulfil t success in
-    if t.config.auto_retry then
-      ignore (cascade_rev t success.Matcher.new_tuples []);
+    ignore (cascade_rev t success.Matcher.new_tuples []);
     let own =
       List.find
         (fun n -> n.Events.query_id = q.Equery.id)
@@ -427,41 +407,12 @@ let cancel t id =
 (* ------------------------------------------------------------------ *)
 (* Poke. *)
 
-(* Fold tables changed since the last poke into [t.dirty]: diff the
-   [(uid, version)] snapshot against the live catalog.  This catches direct
-   [Table] mutations that bypass the transaction manager (and therefore the
-   commit observer); the [uid] part catches a table dropped and recreated
-   under the same name.  Dropped tables are marked dirty too, so readers of
-   a vanished table get their (failing) retry, matching the
-   retry-everything semantics. *)
-let refresh_dirty t =
-  Catalog.iter
-    (fun table ->
-      let name = String.lowercase_ascii (Table.name table) in
-      let now = (Table.uid table, Table.version table) in
-      match Hashtbl.find_opt t.versions name with
-      | Some prev when prev = now -> ()
-      | _ ->
-        Hashtbl.replace t.versions name now;
-        Hashtbl.replace t.dirty name ())
-    t.db.Database.catalog;
-  let dropped =
-    Hashtbl.fold
-      (fun name _ acc ->
-        if Catalog.mem t.db.Database.catalog name then acc else name :: acc)
-      t.versions []
-  in
-  List.iter
-    (fun name ->
-      Hashtbl.remove t.versions name;
-      Hashtbl.replace t.dirty name ())
-    dropped
-
-(* The pre-incremental poke: retry every pending query until a full pass
-   fulfils nothing.  Kept as the [use_dirty_poke = false] ablation baseline
-   (and the reference the equivalence property tests against). *)
+(* The uncached reference ([All]): retry every pending query until a full
+   pass fulfils nothing.  Every pass counts the whole store as retried. *)
 let poke_all t =
   let rec fixpoint acc =
+    t.stats.Stats.dirty_retries <-
+      t.stats.Stats.dirty_retries + Pending.size t.pending;
     let progressed = ref false in
     let acc =
       List.fold_left
@@ -479,48 +430,13 @@ let poke_all t =
   in
   List.rev (fixpoint [])
 
-(* Dirty-set poke: retry only the pending queries whose db atoms read a
-   table that changed since the last poke.  The first poke sees an empty
-   snapshot, so every table is dirty and every pending query is retried —
-   from then on a poke after a localized mutation touches only that
-   table's readers.  Fulfilments cascade (answer-constraint waiters) and
-   re-dirty the tables their side effects touched, so the loop runs until
-   nothing is dirty; it terminates because a pass that fulfils nothing
-   leaves the snapshot current. *)
-let poke_dirty t =
-  let rec loop acc =
-    refresh_dirty t;
-    let dirty = Hashtbl.fold (fun name () acc -> name :: acc) t.dirty [] in
-    if dirty = [] then acc
-    else begin
-      Hashtbl.reset t.dirty;
-      let targets = Pending.readers t.pending dirty in
-      let n_targets = List.length targets in
-      t.stats.Stats.dirty_retries <- t.stats.Stats.dirty_retries + n_targets;
-      t.stats.Stats.dirty_skipped <-
-        t.stats.Stats.dirty_skipped + (Pending.size t.pending - n_targets);
-      let acc =
-        List.fold_left
-          (fun acc (q : Equery.t) ->
-            if not (Pending.mem t.pending q.Equery.id) then acc
-            else
-              match try_match t q with
-              | None -> acc
-              | Some success ->
-                let notifications = fulfil t success in
-                cascade_rev t success.Matcher.new_tuples
-                  (List.rev_append notifications acc))
-          acc targets
-      in
-      loop acc
-    end
-  in
-  List.rev (loop [])
-
-(* Like [refresh_dirty], but reports each changed table with how far its
-   version advanced since the snapshot: [Some d] when the uid is unchanged
-   and a previous snapshot existed, [None] otherwise (first sighting, drop +
-   recreate, or outright drop — all of which must widen). *)
+(* Diff the [(uid, version)] snapshot against the live catalog and report
+   each changed table with how far its version advanced: [Some d] when the
+   uid is unchanged and a previous snapshot existed, [None] otherwise
+   (first sighting, drop + recreate, or outright drop — all of which must
+   widen).  The diff catches direct [Table] mutations that bypass the
+   transaction manager; dropped tables are reported so readers of a
+   vanished table get their (failing) retry, as under [All]. *)
 let refresh_changed t =
   let changed = ref [] in
   Catalog.iter
@@ -551,21 +467,24 @@ let refresh_changed t =
     dropped;
   !changed
 
-(* Tuple-level poke: probe the committed row images against the pending
-   store's constraint index and retry only the hit set.  A changed table is
-   probeable when its buffered delta accounts for the *whole* version
-   advance ([d_ops] redo entries, one version bump each) — otherwise some
-   mutation bypassed the observer (direct [Table] calls, DDL) and the table
-   widens to its full reader set, exactly [poke_dirty]'s behaviour.  The
-   no-table ("") bucket is always retried, as in [Pending.readers]: those
-   queries wait only on partners.  Loops to fixpoint for the same reason
-   [poke_dirty] does. *)
+(* The targeted poke ([Tuples] and [Tables]): probe the committed row
+   images against the pending store's constraint index and retry only the
+   hit set.  A changed table is probeable when its buffered delta accounts
+   for the *whole* version advance ([d_ops] redo entries, one version bump
+   each) — otherwise some mutation bypassed the observer (direct [Table]
+   calls, DDL) and the table widens to its full reader set.  Under [Tables]
+   no delta is recorded, so every changed table widens.  The no-table ("")
+   bucket is always retried (see [Pending.reader_ids]): those queries wait
+   only on partners.  The first poke sees an empty snapshot, so every table
+   widens and every pending query is retried.  Fulfilments cascade and
+   change the tables their side effects touch, so the loop runs until no
+   table changed; a pass that fulfils nothing leaves the snapshot
+   current. *)
 let poke_delta t =
   let rec loop acc =
     let changed = refresh_changed t in
     if changed = [] then acc
     else begin
-      Hashtbl.reset t.dirty;
       let probed_ids = ref [] and n_rows = ref 0 and widened = ref [] in
       List.iter
         (fun (name, advance) ->
@@ -620,16 +539,11 @@ let poke_delta t =
   List.rev (loop [])
 
 let poke_locked t =
-  if t.config.use_tuple_poke then poke_delta t
-  else if t.config.use_dirty_poke then poke_dirty t
-  else poke_all t
+  match t.config.retry with All -> poke_all t | Tuples | Tables -> poke_delta t
 
 (** [poke t] — call after database updates that may unblock coordinations;
-    returns the notifications produced.  With [use_tuple_poke] only the
-    pending queries whose extracted constraints a committed tuple satisfies
-    are retried; with [use_dirty_poke] only the pending queries reading a
-    changed table; otherwise every pending query is retried to a
-    fixpoint. *)
+    returns the notifications produced.  Which pending queries are retried
+    depends on [config.retry]; every policy yields the same trace. *)
 let poke t =
   Mutex.lock t.mu;
   Fun.protect
@@ -639,9 +553,9 @@ let poke t =
       poke_locked t)
 
 (** [poke_batch ~statements t] — one poke covering a whole write batch.
-    The dirty set already accumulated every table the batch's transactions
-    touched (commit observer + version-snapshot diff), and a poke drains
-    the whole set to a fixpoint, so this is semantically identical to
+    The version snapshot (and, under [Tuples], the buffered row images)
+    already covers every change the batch's transactions made, and a poke
+    drains them to a fixpoint, so this is semantically identical to
     poking after every statement — batching changes the {i count}, not the
     outcome (the equivalence property I7 checks this).  [statements] is
     how many DML statements this single poke amortises, recorded in

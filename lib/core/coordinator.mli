@@ -11,9 +11,9 @@
     Fulfilment can {b cascade}: committed answer tuples may satisfy the
     constraints of queries that are still pending, so after every fulfilment
     the coordinator retries the pending queries whose constraints could
-    unify with a fresh tuple, until a fixpoint.  {!poke} retries everything
-    — call it after ordinary database updates (new flights, freed seats)
-    that may unblock pending coordinations. *)
+    unify with a fresh tuple, until a fixpoint.  {!poke} retries the
+    pending queries a database change could unblock — call it after
+    ordinary database updates (new flights, freed seats). *)
 
 open Relational
 
@@ -21,22 +21,24 @@ val log_src : Logs.src
 (** Log source ("youtopia.coordinator"); enable a [Logs] reporter at debug
     level to trace arrivals, parking, and fulfilments. *)
 
-type config = {
-  matcher : Matcher.config;
-  use_head_index : bool;  (** ablation switch for the pending-store indexes *)
-  auto_retry : bool;  (** cascade retries after each fulfilment *)
-  use_plan_cache : bool;
-      (** ground retries from the versioned {!Plan_cache}; ablation switch *)
-  use_dirty_poke : bool;
-      (** {!poke} retries only readers of changed tables; ablation switch *)
-  use_tuple_poke : bool;
-      (** {!poke} probes committed row images against the pending store's
-          constraint index and retries only the hit set; deletes, DDL and
-          direct [Table] mutations widen to the table-level reader set.
-          Takes precedence over [use_dirty_poke]; ablation switch *)
-}
+(** Which pending queries a {!poke} retries.  [Tuples] is the production
+    policy; [Tables] and [All] are reference semantics that the property
+    tests and benches compare it against.  Every policy produces the same
+    coordination trace (properties I6, I8 and I10). *)
+type retry =
+  | Tuples
+      (** probe the committed row images against the pending store's
+          constraint index and retry only the hit set; changes the probe
+          cannot account for widen to the table's reader set *)
+  | Tables  (** retry every reader of every changed table *)
+  | All
+      (** retry every pending query to a fixpoint, grounding without the
+          plan cache: the uncached reference *)
+
+type config = { matcher : Matcher.config; retry : retry }
 
 val default_config : config
+(** Default matcher budget, [retry = Tuples]. *)
 
 type t
 
@@ -59,7 +61,7 @@ val stats : t -> Stats.t
 val database : t -> Database.t
 
 val plan_cache : t -> Plan_cache.t option
-(** The grounding memo, when [use_plan_cache] is on. *)
+(** The grounding memo; [None] under [retry = All]. *)
 
 val subscribe : t -> (Events.notification -> unit) -> unit
 
@@ -81,21 +83,20 @@ val cancel : t -> int -> bool
 
 val poke : t -> Events.notification list
 (** Call after database updates that may unblock coordinations; returns the
-    notifications produced.  With [use_tuple_poke] (the default) the
-    committed row images recorded since the last poke are probed against
-    the pending store's constraint index and only the hit set is retried —
-    changes the probe cannot account for (deletes, DDL, direct [Table]
-    mutations, a version advance the redo log doesn't explain) widen that
-    table to its full reader set.  With only [use_dirty_poke], every
-    pending query reading a changed table is retried (tables touched by
-    committed transactions are recorded eagerly; direct [Table] mutations
-    are caught by a version-snapshot diff at poke time).  With both off,
-    every pending query is retried to a fixpoint.  All three modes produce
-    identical traces (qcheck property I8). *)
+    notifications produced, after cascading to a fixpoint.  Under [Tuples]
+    (the default) the committed row images recorded since the last poke are
+    probed against the pending store's constraint index and only the hit
+    set is retried — changes the probe cannot account for (deletes, DDL,
+    direct [Table] mutations, a version advance the redo log doesn't
+    explain) widen that table to its full reader set.  Under [Tables] every
+    changed table widens: tables are found by a version-snapshot diff of the
+    catalog, which also catches direct [Table] mutations.  Under [All] every
+    pending query is retried, counting the whole store in
+    [Stats.dirty_retries] on each pass. *)
 
 val poke_batch : ?statements:int -> t -> Events.notification list
 (** One poke covering a whole write batch: semantically identical to
-    {!poke} (the dirty set accumulated across the batch is drained to the
+    {!poke} (the changes accumulated across the batch are drained to the
     same fixpoint), but counted as a single batch-level poke amortising
     [statements] DML statements in {!Stats} ([batch_pokes] /
     [batch_poke_stmts]).  The server's batch executor calls this once

@@ -6,9 +6,7 @@
     by constant value (with a separate bucket for variable positions).  A
     candidate lookup for a partially-ground answer constraint intersects the
     per-position buckets, which prunes most of the pending set before any
-    unification is attempted.  The index can be disabled
-    ([~use_head_index:false]) for the ablation benchmark — candidates then
-    degrade to a scan of the whole store. *)
+    unification is attempted. *)
 
 open Relational
 module Int_set = Set.Make (Int)
@@ -25,8 +23,9 @@ type t = {
   c_by_const : (string * int * Value.t, Int_set.t ref) Hashtbl.t;
   c_by_var : (string * int, Int_set.t ref) Hashtbl.t;
   (* reverse index: base-table name (lowercased) → ids of pending queries
-     whose db-atom sub-plans read that table; drives the dirty-set poke and
-     doubles as the base bucket of the constraint index below *)
+     whose db-atom sub-plans read that table; drives the poke's
+     table-level widening and doubles as the base bucket of the
+     constraint index below *)
   by_table : (string, Int_set.t ref) Hashtbl.t;
   (* constraint index over db-atom sub-plans, keyed on the base-table
      equality predicates [Plan.constraints] extracts: per (table, column)
@@ -43,12 +42,11 @@ type t = {
      raised on remove (monotone = conservative); bounded by the number of
      distinct table names, not by churn. *)
   t_arity : (string, int) Hashtbl.t;
-  use_head_index : bool;
   mutable n : int;  (** live size, maintained by add/remove *)
   mutable peak : int;
 }
 
-let create ?(use_head_index = true) () =
+let create () =
   {
     queries = Int_map.empty;
     by_rel = Hashtbl.create 64;
@@ -61,7 +59,6 @@ let create ?(use_head_index = true) () =
     t_by_const = Hashtbl.create 256;
     t_by_var = Hashtbl.create 64;
     t_arity = Hashtbl.create 64;
-    use_head_index;
     n = 0;
     peak = 0;
   }
@@ -181,7 +178,7 @@ let index_heads t (q : Equery.t) bop =
   (* a query is a reader of the base tables its sub-plans scan AND of the
      answer relations its constraints watch (those change through ordinary
      transactions too — every fulfilment inserts answer tuples).  A query
-     touching neither lands in the "" bucket, which [readers] always
+     touching neither lands in the "" bucket, which [reader_ids] always
      includes: nothing localises its retries. *)
   let ans_tables =
     List.map (fun (tbl, _, _) -> tbl) (ans_accesses q)
@@ -256,43 +253,16 @@ let lookup_indexed t ~rel_tbl ~const_tbl ~var_tbl (subst : Subst.t)
     |> List.filter_map (fun id -> Int_map.find_opt id t.queries)
 
 (** [candidates t subst atom] — pending queries whose head might unify with
-    [atom] (resolved under [subst]).  With the head index this intersects
-    per-position buckets; without it, it scans the store filtering by
-    relation name only. *)
+    [atom] (resolved under [subst]), found by intersecting per-position
+    buckets. *)
 let candidates t (subst : Subst.t) (atom : Atom.t) : Equery.t list =
-  let rel = rel_key atom.Atom.rel in
-  if not t.use_head_index then
-    Int_map.fold
-      (fun _ q acc ->
-        if
-          List.exists
-            (fun (h : Atom.t) -> rel_key h.Atom.rel = rel)
-            q.Equery.heads
-        then q :: acc
-        else acc)
-      t.queries []
-    |> List.rev
-  else
-    lookup_indexed t ~rel_tbl:t.by_rel ~const_tbl:t.by_const ~var_tbl:t.by_var
-      subst atom
+  lookup_indexed t ~rel_tbl:t.by_rel ~const_tbl:t.by_const ~var_tbl:t.by_var
+    subst atom
 
-(** [readers t names] — pending queries whose db-atom sub-plans read at
-    least one of the named base tables (names are matched
-    case-insensitively).  The dirty-set poke retries exactly these. *)
-let readers t (names : string list) : Equery.t list =
-  let ids =
-    List.fold_left
-      (fun acc name ->
-        match Hashtbl.find_opt t.by_table (rel_key name) with
-        | Some b -> Int_set.union acc !b
-        | None -> acc)
-      Int_set.empty ("" :: names)
-  in
-  Int_set.elements ids |> List.filter_map (fun id -> Int_map.find_opt id t.queries)
-
-(** [reader_ids t names] — like {!readers} but returns sorted ids (the ""
-    bucket included); [poke_delta] unions these with {!probe} hits before
-    resolving to queries. *)
+(** [reader_ids t names] — sorted ids of pending queries reading (or
+    watching) one of the named tables, case-insensitively, plus the ""
+    bucket; [poke_delta] unions these with {!probe} hits before resolving
+    to queries. *)
 let reader_ids t (names : string list) : int list =
   List.fold_left
     (fun acc name ->
@@ -356,20 +326,8 @@ let probe t ~table (row : Tuple.t) : int list =
     could unify with the ground atom [atom]; the coordinator's cascade uses
     this to retry only the queries a fresh answer tuple could help. *)
 let interested t (atom : Atom.t) : Equery.t list =
-  if not t.use_head_index then
-    Int_map.fold
-      (fun _ q acc ->
-        if
-          List.exists
-            (fun (a : Atom.t) -> Atom.same_rel a atom)
-            q.Equery.ans_atoms
-        then q :: acc
-        else acc)
-      t.queries []
-    |> List.rev
-  else
-    lookup_indexed t ~rel_tbl:t.c_by_rel ~const_tbl:t.c_by_const
-      ~var_tbl:t.c_by_var Subst.empty atom
+  lookup_indexed t ~rel_tbl:t.c_by_rel ~const_tbl:t.c_by_const
+    ~var_tbl:t.c_by_var Subst.empty atom
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut Equery.pp) (to_list t)

@@ -6,13 +6,15 @@
     position, by constant value, with a separate bucket for variable
     positions) and a mirror {b constraint index} over body answer atoms.  A
     candidate lookup intersects per-position buckets, pruning most of the
-    pending set before any unification is attempted.  Both indexes can be
-    disabled ([~use_head_index:false]) for the ablation benchmark —
-    lookups then degrade to scans of the whole store. *)
+    pending set before any unification is attempted.  A third index over
+    the tables each query reads ({!reader_ids}) and the equality
+    constraints its accesses pin ({!probe}) drives the coordinator's poke.
+    There is no scan path: the property tests in [test_pending_index.ml]
+    check the indexed lookups against unification over the whole store. *)
 
 type t
 
-val create : ?use_head_index:bool -> unit -> t
+val create : unit -> t
 
 val size : t -> int
 val peak : t -> int
@@ -43,18 +45,14 @@ val tables_read : Equery.t -> string list
 (** Base tables a query's db-atom sub-plans scan (lowercased, sorted,
     deduplicated). *)
 
-val readers : t -> string list -> Equery.t list
-(** [readers t names] — pending queries whose db-atom sub-plans read at
-    least one of the named base tables (case-insensitive) {i or} whose
-    answer constraints watch one of them (answer relations are catalog
-    tables; fulfilments mutate them through ordinary transactions), plus
-    every query touching {i neither} (nothing localises its retries).  The
-    coordinator's dirty-set poke retries exactly these. *)
-
 val reader_ids : t -> string list -> int list
-(** Like {!readers} but returns sorted instance ids (the no-table bucket
-    always included); used by the tuple-level poke to union table-level
-    fallbacks with {!probe} hits before resolving ids to queries. *)
+(** [reader_ids t names] — sorted ids of pending queries whose db-atom
+    sub-plans read at least one of the named base tables (case-insensitive)
+    {i or} whose answer constraints watch one of them (answer relations are
+    catalog tables; fulfilments mutate them through ordinary transactions),
+    plus every query touching {i neither} (nothing localises its retries).
+    The poke retries these when a table widens, and unions them with
+    {!probe} hits before resolving ids to queries. *)
 
 val probe : t -> table:string -> Relational.Tuple.t -> int list
 (** [probe t ~table row] — sorted ids of pending queries reading [table]

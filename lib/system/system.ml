@@ -16,14 +16,11 @@ type t = {
   mu : Mutex.t;
 }
 
-let create ?(config = Core.Coordinator.default_config) ?wal_path ?durability () =
-  let db = Database.create () in
-  (match wal_path with
-  | None -> ()
-  | Some path -> Database.attach_wal ?durability db path);
+(* Build the coordinator over [db] and route every notification to the
+   mailbox of the owner's session(s). *)
+let make ~config db =
   let coordinator = Core.Coordinator.create ~config db in
   let t = { db; coordinator; sessions = []; mu = Mutex.create () } in
-  (* Route every notification to the mailbox of the owner's session(s). *)
   Core.Coordinator.subscribe coordinator (fun n ->
       List.iter
         (fun session ->
@@ -31,6 +28,13 @@ let create ?(config = Core.Coordinator.default_config) ?wal_path ?durability () 
             Session.deliver session n)
         t.sessions);
   t
+
+let create ?(config = Core.Coordinator.default_config) ?wal_path ?durability () =
+  let db = Database.create () in
+  (match wal_path with
+  | None -> ()
+  | Some path -> Database.attach_wal ?durability db path);
+  make ~config db
 
 (** [recover ?config ~wal_path ~answer_relations ()] rebuilds a system from
     a write-ahead log: the regular tables AND the answer relations are
@@ -40,18 +44,10 @@ let create ?(config = Core.Coordinator.default_config) ?wal_path ?durability () 
     unanswered requests are re-submitted by their owners after a crash. *)
 let recover ?(config = Core.Coordinator.default_config) ?durability ~wal_path
     ~answer_relations () =
-  let db = Database.recover ?durability wal_path in
-  let coordinator = Core.Coordinator.create ~config db in
+  let t = make ~config (Database.recover ?durability wal_path) in
   List.iter
-    (fun rel -> Core.Coordinator.adopt_answer_relation coordinator rel)
+    (fun rel -> Core.Coordinator.adopt_answer_relation t.coordinator rel)
     answer_relations;
-  let t = { db; coordinator; sessions = []; mu = Mutex.create () } in
-  Core.Coordinator.subscribe coordinator (fun n ->
-      List.iter
-        (fun session ->
-          if Session.user session = n.Core.Events.owner then
-            Session.deliver session n)
-        t.sessions);
   t
 
 let database t = t.db

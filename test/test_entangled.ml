@@ -219,14 +219,6 @@ let test_pending_index_candidates () =
   Pending.remove store 1;
   check int "removed" 0 (List.length (Pending.candidates store Subst.empty atom))
 
-let test_pending_no_index_scan () =
-  let db, _ = make_system () in
-  let cat = cat_of db in
-  let store = Pending.create ~use_head_index:false () in
-  Pending.add store (Equery.freshen ~id:1 (paper_query cat "Kramer" "Jerry"));
-  let atom = Atom.make "Reservation" [ Term.Const (v_str "Kramer"); Term.Var "f" ] in
-  check int "scan finds it" 1 (List.length (Pending.candidates store Subst.empty atom))
-
 (* ---------------- grounding ---------------- *)
 
 let test_ground_enumerates_paris_flights () =
@@ -776,7 +768,6 @@ let suite =
       test_safety_accepts_var_bound_by_answer_atom;
     Alcotest.test_case "workload matchability" `Quick test_check_matchable;
     Alcotest.test_case "pending index candidates" `Quick test_pending_index_candidates;
-    Alcotest.test_case "pending scan without index" `Quick test_pending_no_index_scan;
     Alcotest.test_case "grounding enumerates choices" `Quick
       test_ground_enumerates_paris_flights;
     Alcotest.test_case "grounding respects bindings" `Quick

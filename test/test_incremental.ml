@@ -1,6 +1,6 @@
 (* Unit tests for the incremental-matching machinery: table versioning,
-   fingerprints, the versioned plan cache, commit observers, the dirty-set
-   poke, and the server's read-write lock. *)
+   fingerprints, the versioned plan cache, commit observers, the
+   table-level poke targeting, and the retry-all reference's counters. *)
 
 open Relational
 open Core
@@ -166,7 +166,7 @@ let pair_sql ~me ~partner ~dest table =
      dest='%s') AND ('%s', fno) IN ANSWER R CHOOSE 1"
     me table dest partner
 
-let make_coord () =
+let make_coord ?config () =
   let db = Database.create () in
   let mk name =
     let t =
@@ -178,7 +178,7 @@ let make_coord () =
     t
   in
   let ta = mk "TA" and tb = mk "TB" in
-  let coord = Coordinator.create db in
+  let coord = Coordinator.create ?config db in
   Coordinator.declare_answer_relation coord
     (Schema.make "R"
        [ Schema.column "name" Ctype.TText; Schema.column "fno" Ctype.TInt ]);
@@ -251,7 +251,8 @@ let test_pending_readers () =
   submit_pending coord cat ~me:"ub" ~table:"TB";
   let pending = Coordinator.pending coord in
   let owners names =
-    Pending.readers pending names
+    Pending.reader_ids pending names
+    |> List.filter_map (Pending.get pending)
     |> List.map (fun (q : Equery.t) -> q.Equery.owner)
     |> List.sort compare
   in
@@ -259,6 +260,29 @@ let test_pending_readers () =
   Alcotest.(check (list string)) "case-insensitive" [ "ub" ] (owners [ "tb" ]);
   Alcotest.(check (list string)) "union" [ "ua"; "ub" ] (owners [ "TA"; "TB" ]);
   Alcotest.(check (list string)) "unknown table" [] (owners [ "nope" ])
+
+(* The retry-all reference counts its work like the targeted poke does:
+   every pass retries, and counts, the whole pending store. *)
+let test_retry_all_counts () =
+  let db, coord, _, _ =
+    make_coord
+      ~config:{ Coordinator.default_config with Coordinator.retry = All }
+      ()
+  in
+  let cat = db.Database.catalog in
+  let n = 5 in
+  for i = 1 to n do
+    submit_pending coord cat ~me:(Printf.sprintf "u%d" i)
+      ~table:(if i mod 2 = 0 then "TA" else "TB")
+  done;
+  let stats = Coordinator.stats coord in
+  let r0 = stats.Stats.dirty_retries in
+  ignore (Coordinator.poke coord);
+  Alcotest.(check int) "one poke retries all N" n
+    (stats.Stats.dirty_retries - r0);
+  ignore (Coordinator.poke coord);
+  Alcotest.(check int) "a quiescent poke retries all N again" (2 * n)
+    (stats.Stats.dirty_retries - r0)
 
 let suite =
   [
@@ -275,4 +299,6 @@ let suite =
     Alcotest.test_case "poke fulfils after direct mutation" `Quick
       test_poke_fulfils_after_mutation;
     Alcotest.test_case "pending readers index" `Quick test_pending_readers;
+    Alcotest.test_case "retry-all poke counts every retry" `Quick
+      test_retry_all_counts;
   ]

@@ -184,11 +184,12 @@ let prop_group_cliques =
         && List.length (List.sort_uniq compare (List.map snd answers)) = 1
       else answers = [] && Pending.size (Coordinator.pending coord) = size)
 
-(* I6 (incremental equivalence): the versioned plan cache and the dirty-set
-   poke are pure optimizations — across randomized interleavings of
+(* I6 (incremental equivalence): the versioned plan cache and targeted
+   retries are pure optimizations — across randomized interleavings of
    submissions, direct table mutations (insert AND delete, both bypassing
-   the transaction manager) and pokes, every config combination produces
-   identical outcomes, notifications, answer tuples and pending sets. *)
+   the transaction manager) and pokes, the cached [Tables] and [Tuples]
+   policies produce the same outcomes, notifications, answer tuples and
+   pending sets as the uncached retry-all reference [All]. *)
 
 type action =
   | Submit of int * bool * int  (* pair id, A/B side, dest index *)
@@ -225,18 +226,12 @@ let rec outcome_digest = function
   | Coordinator.Multi os ->
     "multi:" ^ String.concat ";" (List.map outcome_digest os)
 
-(* Replay [actions] under [config]; the digest trace captures everything
+(* Replay [actions] under [retry]; the digest trace captures everything
    observable (per-action result, final answers, final pending set).
    [batch_pokes] routes every Poke through {!Coordinator.poke_batch}
    instead of {!Coordinator.poke} — the two must be indistinguishable. *)
-let run_actions ?(batch_pokes = false) ~use_plan_cache ~use_dirty_poke actions =
-  (* tuple poke pinned off: I6/I7 compare dirty-set against retry-everything;
-     the three-way grid including tuple-level targeting is I8 below *)
-  let config =
-    { Coordinator.default_config with
-      Coordinator.use_plan_cache; use_dirty_poke;
-      use_tuple_poke = false }
-  in
+let run_actions ?(batch_pokes = false) ~retry actions =
+  let config = { Coordinator.default_config with Coordinator.retry } in
   let db = Database.create () in
   let flights =
     Database.create_table db
@@ -310,13 +305,10 @@ let prop_incremental_equivalence =
   QCheck.Test.make
     ~name:"plan cache + dirty poke preserve outcomes (I6)" ~count:80
     (QCheck.make action_gen) (fun actions ->
-      let reference =
-        run_actions ~use_plan_cache:false ~use_dirty_poke:false actions
-      in
+      let reference = run_actions ~retry:All actions in
       List.for_all
-        (fun (use_plan_cache, use_dirty_poke) ->
-          run_actions ~use_plan_cache ~use_dirty_poke actions = reference)
-        [ true, false; false, true; true, true ])
+        (fun retry -> run_actions ~retry actions = reference)
+        [ Coordinator.Tables; Tuples ])
 
 (* I7 (batched coordination equivalence): the server's write batching
    replaces one poke per statement with one {!Coordinator.poke_batch} per
@@ -324,7 +316,7 @@ let prop_incremental_equivalence =
 
    I7a — poke_batch IS poke: routing every poke of an I6 workload through
    poke_batch leaves the full observable trace bit-identical, under every
-   config combination.
+   retry policy.
 
    I7b — for monotone (insert-only) workloads, poking once per batch of
    statements reaches the same coordination outcome as poking after every
@@ -336,11 +328,10 @@ let prop_poke_batch_is_poke =
   QCheck.Test.make ~name:"poke_batch trace-equivalent to poke (I7a)" ~count:60
     (QCheck.make action_gen) (fun actions ->
       List.for_all
-        (fun (use_plan_cache, use_dirty_poke) ->
-          run_actions ~batch_pokes:false ~use_plan_cache ~use_dirty_poke actions
-          = run_actions ~batch_pokes:true ~use_plan_cache ~use_dirty_poke
-              actions)
-        [ false, false; true, false; false, true; true, true ])
+        (fun retry ->
+          run_actions ~batch_pokes:false ~retry actions
+          = run_actions ~batch_pokes:true ~retry actions)
+        [ Coordinator.All; Tables; Tuples ])
 
 (* Insert-only workload: submissions and table growth, no deletes — the
    wire write path the BATCH benchmark exercises. *)
@@ -452,9 +443,9 @@ let prop_batched_poke_equivalence =
 (* I8 (tuple-targeting equivalence): the constraint-indexed tuple-level poke
    is a pure optimization — across randomized interleavings of submissions,
    committed inserts/updates/deletes, direct (observer-bypassing) inserts,
-   drop/recreate DDL and pokes, all three poke modes (retry-everything,
-   table-level dirty set, tuple-level probing) produce identical outcomes,
-   notifications, answer tuples and pending sets.  Both sides of a pair
+   drop/recreate DDL and pokes, all three retry policies ([All], [Tables],
+   [Tuples]) produce identical outcomes, notifications, answer tuples and
+   pending sets.  Both sides of a pair
    read the same table (like I6's single Flights table), so which query
    seeds the matcher search never depends on which side a poke retries
    first. *)
@@ -506,11 +497,8 @@ let print_xactions actions =
          | XPoke b -> if b then "PokeBatch" else "Poke")
        actions)
 
-let run_xactions ~use_dirty_poke ~use_tuple_poke actions =
-  let config =
-    { Coordinator.default_config with
-      Coordinator.use_dirty_poke; use_tuple_poke }
-  in
+let run_xactions ~retry actions =
+  let config = { Coordinator.default_config with Coordinator.retry } in
   let db = Database.create () in
   let xschema name =
     Schema.make ~primary_key:[ 0 ] name
@@ -619,13 +607,10 @@ let prop_tuple_poke_equivalence =
   QCheck.Test.make
     ~name:"tuple-level poke preserves outcomes (I8)" ~count:80
     (QCheck.make ~print:print_xactions xaction_gen) (fun actions ->
-      let reference =
-        run_xactions ~use_dirty_poke:false ~use_tuple_poke:false actions
-      in
+      let reference = run_xactions ~retry:All actions in
       List.for_all
-        (fun (use_dirty_poke, use_tuple_poke) ->
-          run_xactions ~use_dirty_poke ~use_tuple_poke actions = reference)
-        [ true, false; false, true; true, true ])
+        (fun retry -> run_xactions ~retry actions = reference)
+        [ Coordinator.Tables; Tuples ])
 
 (* I9 (k-way all-or-nothing, randomized): the scenario subsystem's group
    formation generalises the pair properties to cliques of k ∈ {3,5,8}.
@@ -744,8 +729,7 @@ let prop_kway_all_or_nothing =
 (* I10 (k-way poke-grid equivalence): randomized group-formation workloads
    — complete and partial cliques of k ∈ {3,5,8} over (dest, day) buckets,
    committed ride arrivals, interleaved pokes — replay identically under
-   all three retry modes {retry-everything, table-level dirty set,
-   tuple-level probing}.  Every seeded ride is full (capacity 0), so every
+   all three retry policies ([All], [Tables], [Tuples]).  Every seeded ride is full (capacity 0), so every
    clique parks until a GRide commits seats into its bucket; the poke is
    then the only path to fulfilment, which is exactly the machinery the
    grid varies. *)
@@ -786,11 +770,8 @@ let print_gactions actions =
          | GPoke b -> if b then "PokeBatch" else "Poke")
        actions)
 
-let run_gactions ~use_dirty_poke ~use_tuple_poke actions =
-  let config =
-    { Coordinator.default_config with
-      Coordinator.use_dirty_poke; use_tuple_poke }
-  in
+let run_gactions ~retry actions =
+  let config = { Coordinator.default_config with Coordinator.retry } in
   let app = Scenarios.Groups.create ~config ~seed:1 ~n_rides:6 ~capacity:0 () in
   let sys = Scenarios.Groups.system app in
   let db = Youtopia.System.database sys in
@@ -861,13 +842,10 @@ let prop_kway_poke_grid =
   QCheck.Test.make
     ~name:"k-way formation equivalent across poke grid (I10)" ~count:30
     (QCheck.make ~print:print_gactions gaction_gen) (fun actions ->
-      let reference =
-        run_gactions ~use_dirty_poke:false ~use_tuple_poke:false actions
-      in
+      let reference = run_gactions ~retry:All actions in
       List.for_all
-        (fun (use_dirty_poke, use_tuple_poke) ->
-          run_gactions ~use_dirty_poke ~use_tuple_poke actions = reference)
-        [ true, false; true, true ])
+        (fun retry -> run_gactions ~retry actions = reference)
+        [ Coordinator.Tables; Tuples ])
 
 let suite =
   [

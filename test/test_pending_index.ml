@@ -1,6 +1,8 @@
 (* Unit tests for the tuple-level constraint index: Plan.constraints
    extraction, Pending.probe under partial grounding, remove-then-poke,
-   bucket churn, and coordinator-level tuple-driven retry targeting. *)
+   bucket churn, and coordinator-level tuple-driven retry targeting; and a
+   property holding the head and constraint indexes to unification over
+   the whole store. *)
 
 open Relational
 open Core
@@ -350,6 +352,184 @@ let test_size_counter () =
   Alcotest.(check int) "drained" 0 (Pending.size pending);
   Alcotest.(check int) "peak survives" 2 (Pending.peak pending)
 
+(* ------------------------------------------------------------------ *)
+(* The head and constraint indexes against their definition.  A random
+   store of entangled queries, built from SQL templates over a 3-value
+   domain, is probed with random atoms: [candidates] must return every
+   query with a head that unifies with the probe, and [interested] every
+   query with an answer constraint that unifies with the ground atom —
+   before and after random removals. *)
+
+let idx_names = [| "a"; "b"; "c" |]
+
+let idx_templates =
+  [|
+    (fun n1 n2 c1 _ ->
+      Printf.sprintf
+        "SELECT '%s', x INTO ANSWER R WHERE x IN (SELECT id FROM T WHERE grp \
+         = %d) AND ('%s', x) IN ANSWER R CHOOSE 1"
+        n1 c1 n2);
+    (fun n1 n2 c1 c2 ->
+      Printf.sprintf
+        "SELECT '%s', %d INTO ANSWER S WHERE ('%s', %d) IN ANSWER R CHOOSE 1" n1
+        c1 n2 c2);
+    (fun n1 n2 c1 _ ->
+      Printf.sprintf
+        "SELECT ('%s', x) INTO ANSWER R, ('%s', x) INTO ANSWER S WHERE x IN \
+         (SELECT id FROM T WHERE grp = %d) AND ('%s', x) IN ANSWER S CHOOSE 1"
+        n1 n2 c1 n1);
+    (fun n1 n2 c1 c2 ->
+      Printf.sprintf
+        "SELECT '%s', x INTO ANSWER S WHERE x IN (SELECT id FROM T) AND ('%s', \
+         x) IN ANSWER R AND ('%s', %d) IN ANSWER S CHOOSE 1"
+        n1 n2 n2 (max c1 c2));
+  |]
+
+(* A probe argument: a constant, a variable the probe's substitution binds
+   to a constant, or a free variable. *)
+type idx_arg = Const of int | Bound of int | Free
+
+type idx_case = {
+  queries : (int * int * int * int * int) list;  (* template, n1, n2, c1, c2 *)
+  probes : (bool * idx_arg * idx_arg) list;  (* R?, name arg, int arg *)
+  removals : bool list;  (* remove the i-th query? *)
+}
+
+let idx_case_gen =
+  QCheck.Gen.(
+    let d3 = int_bound 2 in
+    let arg =
+      frequency
+        [
+          3, map (fun v -> Const v) d3;
+          1, map (fun v -> Bound v) d3;
+          1, return Free;
+        ]
+    in
+    let* queries =
+      list_size (int_range 0 12)
+        (map
+           (fun ((t, n1, n2), (c1, c2)) -> t, n1, n2, c1, c2)
+           (pair
+              (triple (int_bound (Array.length idx_templates - 1)) d3 d3)
+              (pair d3 d3)))
+    in
+    let* probes = list_size (int_range 1 8) (triple bool arg arg) in
+    let+ removals = list_repeat (List.length queries) bool in
+    { queries; probes; removals })
+
+let print_idx_case c =
+  let pr_arg = function
+    | Const v -> Printf.sprintf "%d" v
+    | Bound v -> Printf.sprintf "?=%d" v
+    | Free -> "?"
+  in
+  Printf.sprintf "queries=[%s] probes=[%s] removals=[%s]"
+    (String.concat "; "
+       (List.map
+          (fun (t, n1, n2, c1, c2) ->
+            Printf.sprintf "T%d(%s,%s,%d,%d)" t idx_names.(n1) idx_names.(n2)
+              c1 c2)
+          c.queries))
+    (String.concat "; "
+       (List.map
+          (fun (r, a, b) ->
+            Printf.sprintf "%s(%s,%s)" (if r then "R" else "S") (pr_arg a)
+              (pr_arg b))
+          c.probes))
+    (String.concat "" (List.map (fun b -> if b then "x" else ".") c.removals))
+
+let idx_catalog () =
+  let db = Database.create () in
+  let t =
+    Database.create_table db
+      (Schema.make "T"
+         [ Schema.column "id" Ctype.TInt; Schema.column "grp" Ctype.TInt ])
+  in
+  ignore (Table.insert t [| v_int 0; v_int 0 |]);
+  let coord = Coordinator.create db in
+  List.iter
+    (fun rel ->
+      Coordinator.declare_answer_relation coord
+        (Schema.make rel
+           [ Schema.column "name" Ctype.TText; Schema.column "x" Ctype.TInt ]))
+    [ "R"; "S" ];
+  db.Database.catalog
+
+let ground_or v = function Term.Var _ -> Term.Const v | t -> t
+
+let prop_index_complete =
+  QCheck.Test.make ~name:"head and constraint indexes are complete" ~count:200
+    (QCheck.make ~print:print_idx_case idx_case_gen) (fun c ->
+      let cat = idx_catalog () in
+      let store = Pending.create () in
+      let queries =
+        List.mapi
+          (fun i (t, n1, n2, c1, c2) ->
+            let q =
+              Translate.of_sql cat ~owner:"u"
+                (idx_templates.(t) idx_names.(n1) idx_names.(n2) c1 c2)
+              |> Equery.freshen ~id:(i + 1)
+            in
+            Pending.add store q;
+            q)
+          c.queries
+      in
+      let ids qs =
+        List.sort_uniq compare (List.map (fun (q : Equery.t) -> q.Equery.id) qs)
+      in
+      (* the reference: every live query some atom of [atoms_of q] unifies
+         with [atom] under [subst] *)
+      let expected atoms_of subst atom =
+        List.filter
+          (fun (q : Equery.t) ->
+            Pending.mem store q.Equery.id
+            && List.exists
+                 (fun a -> Subst.unify_atoms subst a atom <> None)
+                 (atoms_of q))
+          queries
+        |> ids
+      in
+      let live got = List.for_all (Pending.mem store) got in
+      let covers want got = List.for_all (fun id -> List.mem id got) want in
+      let check_probes () =
+        List.for_all
+          (fun (is_r, a0, a1) ->
+            let rel = if is_r then "R" else "S" in
+            let term var value = function
+              | Const v -> Term.Const (value v), Fun.id
+              | Bound v ->
+                Term.Var var, fun s -> Subst.bind s var (Term.Const (value v))
+              | Free -> Term.Var var, Fun.id
+            in
+            let t0, b0 = term "probe_n" (fun v -> v_str idx_names.(v)) a0 in
+            let t1, b1 = term "probe_x" v_int a1 in
+            let subst = b1 (b0 Subst.empty) in
+            let atom = Atom.make rel [ t0; t1 ] in
+            let cands = ids (Pending.candidates store subst atom) in
+            (* [interested] takes a ground atom: free arguments become 0 *)
+            let ground =
+              Atom.make rel
+                [
+                  Subst.apply_term subst t0 |> ground_or (v_str idx_names.(0));
+                  Subst.apply_term subst t1 |> ground_or (v_int 0);
+                ]
+            in
+            let inter = ids (Pending.interested store ground) in
+            live cands && live inter
+            && covers (expected (fun q -> q.Equery.heads) subst atom) cands
+            && covers
+                 (expected (fun q -> q.Equery.ans_atoms) Subst.empty ground)
+                 inter)
+          c.probes
+      in
+      let before = check_probes () in
+      List.iter2
+        (fun (q : Equery.t) remove ->
+          if remove then Pending.remove store q.Equery.id)
+        queries c.removals;
+      before && check_probes ())
+
 let suite =
   [
     Alcotest.test_case "extract: equality conjuncts" `Quick
@@ -372,4 +552,5 @@ let suite =
     Alcotest.test_case "churn: buckets reclaimed on remove" `Quick
       test_bucket_churn;
     Alcotest.test_case "size: O(1) counter" `Quick test_size_counter;
+    QCheck_alcotest.to_alcotest prop_index_complete;
   ]

@@ -16,9 +16,10 @@ they get a wider tolerance: `--qps-tolerance` (default 0.60).  `_speedup`
 ratios are self-normalizing — batched and per-request variants hit the
 same disk in the same run — so they carry the tight `--tolerance` and are
 the gate's real teeth.  The committed baseline is already a conservative
-floor (per-metric minimum over several runs).  Metrics present in one
-file but not the other are reported but never fail the gate (new metrics
-must not break old baselines and vice versa).
+floor (per-metric minimum over several runs).  A gated baseline metric
+missing from the current run fails the gate (`MISSING`): a renamed or
+dropped metric must not silently leave the gate.  A gated metric present
+only in the current run is reported as `NEW` and passes.
 """
 
 import argparse
@@ -57,7 +58,8 @@ def main():
         if not gated(metric):
             continue
         if metric not in cur:
-            print(f"  SKIP {metric}: missing from current run")
+            print(f"  {'MISSING':>10} {metric}: absent from current run")
+            failures.append(metric)
             continue
         b, c = base[metric], cur[metric]
         tol = args.tolerance if metric.endswith("_speedup") else args.qps_tolerance
@@ -71,8 +73,8 @@ def main():
             print(f"  NEW {metric}: {cur[metric]:.4g} (no baseline)")
 
     if failures:
-        print(f"FAIL: {len(failures)} metric(s) regressed beyond tolerance: "
-              f"{', '.join(failures)}")
+        print(f"FAIL: {len(failures)} metric(s) regressed beyond tolerance "
+              f"or missing: {', '.join(failures)}")
         return 1
     print("PASS: no gated metric regressed beyond tolerance")
     return 0
