@@ -670,7 +670,7 @@ let e_micro () =
   say "  query grounding (first): %8.0f ns" ground_ns
 
 (* ------------------------------------------------------------------ *)
-(* INC — incremental matching: versioned plan cache + table-level poke.
+(* INC — incremental matching: table-level poke.
 
    A loaded pending store under mutation-driven pokes.  [n_pending]
    never-fulfillable queries (each waits on a ghost partner) are spread
@@ -678,10 +678,14 @@ let e_micro () =
    table that never changes.  Each measured iteration inserts one
    non-matching row into one base table (directly, so the tuple-level
    probe has nothing to add) and pokes.  Two retry policies:
-   - [All], the baseline, retries everything and grounds uncached;
+   - [All], the baseline, retries everything;
    - [Tables] retries only the mutated table's readers (1/n_tables of the
-     store), and the plan cache re-grounds their [Common] sub-plan from
-     memoized rows (the mutated table's sub-plan is a genuine miss). *)
+     store).
+   Every retry re-runs both of its query's sub-plans, the unchanged
+   [Common] one included.  [poke_retry_speedup], the ratio of retries per
+   poke, is a deterministic count ([n_tables] by construction) that CI
+   gates; [poke_speedup] is the wall-clock ratio, recorded but not
+   gated. *)
 let inc_variant ~fast ~retry =
   let n_tables = 16 in
   let rows_per_table = if fast then 64 else 200 in
@@ -728,7 +732,7 @@ let inc_variant ~fast ~retry =
     | _ -> failwith "INC: query should park (ghost partner never arrives)"
   done;
   (* prime: first poke retries everything in every variant (empty version
-     snapshot, cold cache) — keep it out of the measured region *)
+     snapshot) — keep it out of the measured region *)
   ignore (Core.Coordinator.poke coord);
   let stats = Core.Coordinator.stats coord in
   let g0 = stats.Core.Stats.groundings in
@@ -751,11 +755,11 @@ let inc_variant ~fast ~retry =
     per_poke (stats.Core.Stats.dirty_retries - r0) )
 
 let e_inc { fast; _ } =
-  header "INC — incremental matching: plan cache + table-level poke";
+  header "INC — incremental matching: table-level poke";
   let variants =
     [
-      "baseline (retry all, no cache)", "baseline", Core.Coordinator.All;
-      "cache + table-level", "full", Tables;
+      "baseline (retry all)", "baseline", Core.Coordinator.All;
+      "table-level", "full", Tables;
     ]
   in
   say "%32s %16s %18s %16s" "variant" "ns/poke" "groundings/poke"
@@ -769,20 +773,23 @@ let e_inc { fast; _ } =
         record ~experiment:"INC" ~metric:(slug ^ "_groundings_per_poke")
           groundings;
         record ~experiment:"INC" ~metric:(slug ^ "_retries_per_poke") retries;
-        ns)
+        ns, retries)
       variants
   in
-  (match results with
-  | [ baseline; full ] ->
-    say "  poke speedup, cache + table-level vs baseline: %.1fx"
-      (baseline /. full);
-    record ~experiment:"INC" ~metric:"poke_speedup" (baseline /. full)
-  | _ -> ())
+  match results with
+  | [ (baseline, baseline_retries); (full, full_retries) ] ->
+    say "  poke speedup, table-level vs baseline: %.1fx" (baseline /. full);
+    record ~experiment:"INC" ~metric:"poke_speedup" (baseline /. full);
+    say "  retries per poke, baseline / table-level: %.1fx"
+      (baseline_retries /. full_retries);
+    record ~experiment:"INC" ~metric:"poke_retry_speedup"
+      (baseline_retries /. full_retries)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* MATCH — retry targeting at scale: 100k (fast) / 1M pending queries with
    Zipf-skewed selection constants, bursty localized commits.  Three retry
-   policies: [All] (retry everything, uncached), [Tables] (table-level
+   policies: [All] (retry everything), [Tables] (table-level
    reader set) and [Tuples] (constraint-index probing).  The headline
    metrics are retries-per-commit — deterministic counts given the seed, so the
    tuple-vs-table ratio is CI-gateable even on a noisy 1-core box — plus
@@ -1658,7 +1665,7 @@ let experiments =
     "E9", ("database size sweep", e9_dbsize);
     "E10", ("baseline comparison", e10_baseline);
     "E13", ("cascade chain depth", e13_cascade);
-    "INC", ("incremental matching: plan cache + dirty-set poke", e_inc);
+    "INC", ("incremental matching: table-level poke", e_inc);
     "MATCH", ("retry targeting at 100k-1M pending queries", e_match);
     "SCEN", ("scenario subsystem: k-way formation + lock-lease soak", e_scen);
     "BATCH", ("write batching x durability over loopback TCP", e_batch);

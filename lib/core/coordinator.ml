@@ -58,7 +58,6 @@ type t = {
   pending : Pending.t;
   config : config;
   stats : Stats.t;
-  cache : Plan_cache.t option;  (** grounding memo; [None] under [All] *)
   versions : (string, int * int) Hashtbl.t;
       (** last-poke [(uid, version)] snapshot per table *)
   deltas : (string, delta) Hashtbl.t;
@@ -84,7 +83,6 @@ let create ?(config = default_config) db =
       pending = Pending.create ();
       config;
       stats = Stats.create ();
-      cache = (if config.retry = All then None else Some (Plan_cache.create ()));
       versions = Hashtbl.create 32;
       deltas = Hashtbl.create 32;
       next_id = 1;
@@ -155,7 +153,6 @@ let answers t = t.answers
 let pending t = t.pending
 let stats t = t.stats
 let database t = t.db
-let plan_cache t = t.cache
 
 let subscribe t listener = t.listeners <- listener :: t.listeners
 
@@ -226,17 +223,6 @@ let run_side_effect t txn subst = function
 (* ------------------------------------------------------------------ *)
 (* Fulfilment. *)
 
-(* A query leaving the pending store takes its memoized sub-plan results
-   with it; the cache only ever holds rows for plans that can be asked for
-   again. *)
-let forget_plans t (q : Equery.t) =
-  match t.cache with
-  | None -> ()
-  | Some cache ->
-    List.iter
-      (fun (d : Equery.db_atom) -> Plan_cache.forget cache d.Equery.plan)
-      q.Equery.db_atoms
-
 let fulfil t (success : Matcher.success) : Events.notification list =
   Log.debug (fun m ->
       m "fulfilling group {%s} with %d new tuple(s)"
@@ -261,8 +247,7 @@ let fulfil t (success : Matcher.success) : Events.notification list =
   List.iter
     (fun (q : Equery.t) ->
       Pending.remove t.pending q.Equery.id;
-      Hashtbl.remove t.deadlines q.Equery.id;
-      forget_plans t q)
+      Hashtbl.remove t.deadlines q.Equery.id)
     success.Matcher.group;
   t.stats.Stats.groups_fulfilled <- t.stats.Stats.groups_fulfilled + 1;
   t.stats.Stats.answered <-
@@ -283,8 +268,8 @@ let fulfil t (success : Matcher.success) : Events.notification list =
   notifications
 
 let try_match t (q : Equery.t) =
-  Matcher.find ?cache:t.cache ~cat:t.db.Database.catalog ~answers:t.answers
-    ~pending:t.pending ~config:t.config.matcher ~stats:t.stats q
+  Matcher.find ~cat:t.db.Database.catalog ~answers:t.answers ~pending:t.pending
+    ~config:t.config.matcher ~stats:t.stats q
 
 (* Retry pending queries that a newly committed answer tuple could actually
    help: an answer constraint must *unify* with one of [tuples] (a relation-
@@ -380,9 +365,6 @@ let expire t ~now =
       in
       List.iter
         (fun id ->
-          (match Pending.get t.pending id with
-          | Some q -> forget_plans t q
-          | None -> ());
           Pending.remove t.pending id;
           Hashtbl.remove t.deadlines id;
           t.stats.Stats.cancelled <- t.stats.Stats.cancelled + 1)
@@ -395,19 +377,18 @@ let cancel t id =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
-      match Pending.get t.pending id with
-      | Some q ->
-        forget_plans t q;
+      if Pending.mem t.pending id then begin
         Pending.remove t.pending id;
         Hashtbl.remove t.deadlines id;
         t.stats.Stats.cancelled <- t.stats.Stats.cancelled + 1;
         true
-      | None -> false)
+      end
+      else false)
 
 (* ------------------------------------------------------------------ *)
 (* Poke. *)
 
-(* The uncached reference ([All]): retry every pending query until a full
+(* The reference ([All]): retry every pending query until a full
    pass fulfils nothing.  Every pass counts the whole store as retried. *)
 let poke_all t =
   let rec fixpoint acc =

@@ -31,9 +31,7 @@ type retry =
           constraint index and retry only the hit set; changes the probe
           cannot account for widen to the table's reader set *)
   | Tables  (** retry every reader of every changed table *)
-  | All
-      (** retry every pending query to a fixpoint, grounding without the
-          plan cache: the uncached reference *)
+  | All  (** retry every pending query to a fixpoint: the reference *)
 
 type config = { matcher : Matcher.config; retry : retry }
 
@@ -59,9 +57,6 @@ val answers : t -> Answers.t
 val pending : t -> Pending.t
 val stats : t -> Stats.t
 val database : t -> Database.t
-
-val plan_cache : t -> Plan_cache.t option
-(** The grounding memo; [None] under [retry = All]. *)
 
 val subscribe : t -> (Events.notification -> unit) -> unit
 

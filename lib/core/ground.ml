@@ -25,18 +25,13 @@ let preds_consistent subst preds =
       | Subst.True | Subst.Unknown -> true)
     preds
 
-(** [enumerate ?cache cat stats q subst yield] calls [yield subst'] for
-    every extension of [subst] that satisfies all of [q]'s database atoms,
+(** [enumerate cat stats q subst yield] calls [yield subst'] for every
+    extension of [subst] that satisfies all of [q]'s database atoms,
     pinned equalities and (bound) predicates.  [yield] may raise to abort
     the enumeration (the matcher uses an exception to escape on success).
-
-    With [?cache], each atom's sub-plan result comes from the versioned
-    {!Plan_cache}: a retry of a pending query whose base tables are
-    unchanged re-grounds from cached rows instead of re-running its
-    scans/joins.  Cache traffic is mirrored into [stats]. *)
-let enumerate ?(cache : Plan_cache.t option) (cat : Catalog.t)
-    (stats : Stats.t) (q : Equery.t) (subst : Subst.t)
-    (yield : Subst.t -> unit) : unit =
+    Each atom's sub-plan runs on the live catalog. *)
+let enumerate (cat : Catalog.t) (stats : Stats.t) (q : Equery.t)
+    (subst : Subst.t) (yield : Subst.t -> unit) : unit =
   (* Pinned x = const conjuncts first. *)
   let pinned =
     List.fold_left
@@ -52,29 +47,10 @@ let enumerate ?(cache : Plan_cache.t option) (cat : Catalog.t)
     if not (preds_consistent subst q.Equery.preds) then ()
     else begin
       (* Materialise each atom's rows once per enumeration. *)
-      let run_plan plan =
-        match cache with
-        | None -> Executor.run cat plan
-        | Some c ->
-          (* mirror the cache's own counters into the engine stats *)
-          let k = Plan_cache.counters c in
-          let h0 = k.Plan_cache.hits
-          and m0 = k.Plan_cache.misses
-          and i0 = k.Plan_cache.invalidations
-          and e0 = k.Plan_cache.evictions in
-          let rows = Plan_cache.run c cat plan in
-          stats.Stats.cache_hits <- stats.Stats.cache_hits + k.Plan_cache.hits - h0;
-          stats.Stats.cache_misses <-
-            stats.Stats.cache_misses + k.Plan_cache.misses - m0;
-          stats.Stats.cache_invalidations <-
-            stats.Stats.cache_invalidations + k.Plan_cache.invalidations - i0;
-          stats.Stats.cache_evictions <-
-            stats.Stats.cache_evictions + k.Plan_cache.evictions - e0;
-          rows
-      in
       let atoms =
         List.map
-          (fun (d : Equery.db_atom) -> d.Equery.binding, run_plan d.Equery.plan)
+          (fun (d : Equery.db_atom) ->
+            d.Equery.binding, Executor.run cat d.Equery.plan)
           q.Equery.db_atoms
       in
       let rec solve subst remaining =
@@ -108,9 +84,9 @@ let enumerate ?(cache : Plan_cache.t option) (cat : Catalog.t)
     end
 
 (** [first cat stats q subst] — the first satisfying extension, if any. *)
-let first ?cache cat stats q subst =
+let first cat stats q subst =
   let exception Got of Subst.t in
   try
-    enumerate ?cache cat stats q subst (fun s -> raise (Got s));
+    enumerate cat stats q subst (fun s -> raise (Got s));
     None
   with Got s -> Some s

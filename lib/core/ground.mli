@@ -15,17 +15,14 @@ val preds_consistent : Subst.t -> Term.pred list -> bool
 (** No predicate is definitely false under the substitution. *)
 
 val enumerate :
-  ?cache:Plan_cache.t ->
   Catalog.t -> Stats.t -> Equery.t -> Subst.t -> (Subst.t -> unit) -> unit
-(** [enumerate ?cache cat stats q subst yield] calls [yield subst'] for
-    every extension of [subst] that satisfies all of [q]'s database atoms,
+(** [enumerate cat stats q subst yield] calls [yield subst'] for every
+    extension of [subst] that satisfies all of [q]'s database atoms,
     pinned equalities and (bound) predicates.  [yield] may raise to abort
     the enumeration (the matcher uses an exception to escape on success).
-    With [?cache], sub-plan results come from the versioned {!Plan_cache}
-    (cache traffic is mirrored into [stats]) — a retry whose base tables
-    are unchanged re-grounds from cached rows. *)
+    Every atom's sub-plan runs on the live catalog ({!Executor.run}), so a
+    retry always sees the current tables. *)
 
 val first :
-  ?cache:Plan_cache.t ->
   Catalog.t -> Stats.t -> Equery.t -> Subst.t -> Subst.t option
 (** The first satisfying extension, if any. *)

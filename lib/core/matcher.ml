@@ -48,9 +48,8 @@ type success = {
 exception Found of success
 exception Budget_exhausted
 
-let find ?(cache : Plan_cache.t option) ~(cat : Catalog.t)
-    ~(answers : Answers.t) ~(pending : Pending.t) ~(config : config)
-    ~(stats : Stats.t) (seed : Equery.t) : success option =
+let find ~(cat : Catalog.t) ~(answers : Answers.t) ~(pending : Pending.t)
+    ~(config : config) ~(stats : Stats.t) (seed : Equery.t) : success option =
   stats.Stats.match_attempts <- stats.Stats.match_attempts + 1;
   let steps = ref 0 in
   let trace = ref [] in
@@ -162,7 +161,7 @@ let find ?(cache : Plan_cache.t option) ~(cat : Catalog.t)
                         Printf.sprintf
                           "%s unifies with head of pending Q%d; grounding it"
                           (Atom.to_string resolved) p.Equery.id);
-                    Ground.enumerate ?cache cat stats p subst' (fun subst'' ->
+                    Ground.enumerate cat stats p subst' (fun subst'' ->
                         solve
                           (rest @ p.Equery.ans_atoms)
                           subst'' (p :: group) (n_group + 1)))
@@ -170,7 +169,7 @@ let find ?(cache : Plan_cache.t option) ~(cat : Catalog.t)
           (Pending.candidates pending subst resolved)
   in
   match
-    Ground.enumerate ?cache cat stats seed Subst.empty (fun subst ->
+    Ground.enumerate cat stats seed Subst.empty (fun subst ->
         solve seed.Equery.ans_atoms subst [ seed ] 1)
   with
   | () -> None

@@ -45,7 +45,6 @@ type success = {
 }
 
 val find :
-  ?cache:Plan_cache.t ->
   cat:Catalog.t ->
   answers:Answers.t ->
   pending:Pending.t ->
@@ -55,6 +54,4 @@ val find :
   success option
 (** One match attempt seeded by the given query.  Pure with respect to the
     database and the pending store — fulfilment is the coordinator's job —
-    so the admin interface can dry-run it for any pending query.  With
-    [?cache], grounding consults the versioned {!Plan_cache} (see
-    {!Ground.enumerate}). *)
+    so the admin interface can dry-run it for any pending query. *)

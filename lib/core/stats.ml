@@ -13,13 +13,9 @@ type t = {
   mutable unify_attempts : int;
   mutable groundings : int;  (** database-atom row bindings explored *)
   mutable budget_exhausted : int;  (** searches cut off by max_steps *)
-  mutable cache_hits : int;  (** plan-cache hits during grounding *)
-  mutable cache_misses : int;  (** plan-cache misses (executions) *)
-  mutable cache_invalidations : int;  (** stale entries refreshed *)
   mutable pokes : int;  (** poke calls *)
   mutable dirty_retries : int;  (** pending queries retried by a poke *)
   mutable dirty_skipped : int;  (** pending queries a poke did not retry *)
-  mutable cache_evictions : int;  (** plan-cache entries evicted by CLOCK *)
   mutable batch_pokes : int;  (** batch-level pokes (one per write batch) *)
   mutable batch_poke_stmts : int;  (** statements covered by those pokes *)
   mutable tuple_probes : int;  (** committed tuples probed by poke_delta *)
@@ -42,13 +38,9 @@ let create () =
     unify_attempts = 0;
     groundings = 0;
     budget_exhausted = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_invalidations = 0;
     pokes = 0;
     dirty_retries = 0;
     dirty_skipped = 0;
-    cache_evictions = 0;
     batch_pokes = 0;
     batch_poke_stmts = 0;
     tuple_probes = 0;
@@ -68,13 +60,9 @@ let reset s =
   s.unify_attempts <- 0;
   s.groundings <- 0;
   s.budget_exhausted <- 0;
-  s.cache_hits <- 0;
-  s.cache_misses <- 0;
-  s.cache_invalidations <- 0;
   s.pokes <- 0;
   s.dirty_retries <- 0;
   s.dirty_skipped <- 0;
-  s.cache_evictions <- 0;
   s.batch_pokes <- 0;
   s.batch_poke_stmts <- 0;
   s.tuple_probes <- 0;
@@ -86,14 +74,12 @@ let pp ppf s =
     "@[<v>submitted: %d@,answered: %d@,groups fulfilled: %d@,rejected: \
      %d@,registered pending: %d@,cancelled: %d@,match attempts: %d@,search \
      steps: %d@,unify attempts: %d@,groundings: %d@,budget exhausted: \
-     %d@,plan cache hits: %d@,plan cache misses: %d@,plan cache \
-     invalidations: %d@,plan cache evictions: %d@,pokes: %d@,dirty \
-     retries: %d@,dirty skipped: %d@,batch pokes: %d@,batch poke stmts: \
-     %d@,tuple probes: %d@,tuple hits: %d@,tuple fallbacks: %d@]"
+     %d@,pokes: %d@,dirty retries: %d@,dirty skipped: %d@,batch pokes: \
+     %d@,batch poke stmts: %d@,tuple probes: %d@,tuple hits: %d@,tuple \
+     fallbacks: %d@]"
     s.submitted s.answered s.groups_fulfilled s.rejected s.registered
     s.cancelled s.match_attempts s.search_steps s.unify_attempts s.groundings
-    s.budget_exhausted s.cache_hits s.cache_misses s.cache_invalidations
-    s.cache_evictions s.pokes s.dirty_retries s.dirty_skipped s.batch_pokes
+    s.budget_exhausted s.pokes s.dirty_retries s.dirty_skipped s.batch_pokes
     s.batch_poke_stmts s.tuple_probes s.tuple_hits s.tuple_fallbacks
 
 let to_string s = Fmt.str "%a" pp s

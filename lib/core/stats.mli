@@ -14,13 +14,9 @@ type t = {
   mutable unify_attempts : int;
   mutable groundings : int;  (** database-atom row bindings explored *)
   mutable budget_exhausted : int;  (** searches cut off by [max_steps] *)
-  mutable cache_hits : int;  (** plan-cache hits during grounding *)
-  mutable cache_misses : int;  (** plan-cache misses (real executions) *)
-  mutable cache_invalidations : int;  (** stale cache entries refreshed *)
   mutable pokes : int;  (** {!Coordinator.poke} calls *)
   mutable dirty_retries : int;  (** pending queries retried by a poke *)
   mutable dirty_skipped : int;  (** pending queries a poke did not retry *)
-  mutable cache_evictions : int;  (** plan-cache entries evicted by CLOCK *)
   mutable batch_pokes : int;  (** {!Coordinator.poke_batch} calls *)
   mutable batch_poke_stmts : int;  (** statements amortised by those pokes *)
   mutable tuple_probes : int;

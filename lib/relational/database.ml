@@ -86,12 +86,6 @@ let drop_table db name =
 
 let find_table db name = Catalog.find db.catalog name
 
-(** [fingerprint db names] — the [(uid, version)] pair of every named table
-    (missing tables yield [(-1, -1)]).  Equal fingerprints imply identical
-    table contents since tables only change through version-bumping
-    mutations; see {!Plan_cache}. *)
-let fingerprint db names = Plan_cache.fingerprint db.catalog names
-
 (** [checkpoint db] atomically snapshots the catalog at the WAL's current
     LSN (see {!Checkpoint}), optionally truncating the WAL prefix the
     snapshot covers, and prunes old snapshots down to [keep].  The caller

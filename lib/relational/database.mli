@@ -61,11 +61,6 @@ val drop_table : t -> string -> unit
 
 val find_table : t -> string -> Table.t
 
-val fingerprint : t -> string list -> (int * int) list
-(** [(uid, version)] per named table; missing tables yield [(-1, -1)].
-    Equal fingerprints imply identical table contents — tables only change
-    through version-bumping mutations. *)
-
 val checkpoint : ?truncate_wal:bool -> ?keep:int -> t -> int * string
 (** Atomically snapshot the catalog at the WAL's current LSN (see
     {!Checkpoint}); returns [(lsn, snapshot_path)].  The caller must

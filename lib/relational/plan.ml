@@ -207,9 +207,9 @@ let limit n input =
 (* Table footprint. *)
 
 (** [tables t] — the base-table names the plan reads (lowercased, sorted,
-    deduplicated).  This is the key set of {!Plan_cache}'s fingerprints and
-    of the coordinator's dirty-table retry index: a plan's result can only
-    change when one of these tables does. *)
+    deduplicated).  This is the key set of the coordinator's dirty-table
+    retry index: a plan's result can only change when one of these tables
+    does. *)
 let tables plan =
   let rec walk acc t =
     match t.op with

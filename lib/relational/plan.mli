@@ -92,7 +92,7 @@ val limit : int -> t -> t
 val tables : t -> string list
 (** The base-table names the plan reads (lowercased, sorted, deduplicated).
     A plan's result can only change when one of these tables does — the key
-    set for {!Plan_cache} fingerprints and dirty-table retry targeting. *)
+    set for dirty-table retry targeting. *)
 
 val constraints : t -> (string * int * (int * Value.t) list) list
 (** One entry per base-table access (Scan or Index_lookup): table name

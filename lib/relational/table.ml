@@ -19,8 +19,8 @@ type t = {
 
 let pk_index_name = "#pk"
 
-(* Monotone uid source: (uid, version) pairs form a fingerprint that can
-   never alias across a drop-and-recreate of the same table name. *)
+(* Monotone uid source: a (uid, version) pair can never alias across a
+   drop-and-recreate of the same table name. *)
 let next_uid = ref 0
 
 let create schema =
@@ -53,7 +53,7 @@ let uid t = t.uid
 (** [restore_version t v] fast-forwards the version counter to at least
     [v] — used when a checkpoint load rebuilds a table whose recorded
     version is ahead of the raw insert count, so post-load mutations keep
-    the monotone fingerprint contract.  Never moves backwards. *)
+    the monotone (uid, version) contract.  Never moves backwards. *)
 let restore_version t v = if v > t.version then t.version <- v
 
 let get t row_id =

@@ -17,12 +17,13 @@ val row_count : t -> int
 
 val version : t -> int
 (** Bumped on every mutation (WAL replay included — recovery inserts go
-    through {!insert}); {!Tablestats} and {!Plan_cache} key on it. *)
+    through {!insert}); {!Tablestats} and the coordinator's poke snapshot
+    key on it. *)
 
 val uid : t -> int
 (** Process-unique table identity, assigned at {!create}.  A [(uid,
     version)] pair never aliases across a drop-and-recreate of the same
-    table name, which makes it a safe cache fingerprint component. *)
+    table name, which makes it a safe change-detection key. *)
 
 val restore_version : t -> int -> unit
 (** Fast-forward the version counter to at least the given value (never

@@ -1,8 +1,9 @@
 (** Table and column statistics for the planner.
 
     Statistics are computed by one scan and cached per table, keyed on the
-    table's mutation {!Table.version}: reads are free until the table
-    changes, and the first plan after a change pays one O(rows) refresh.
+    table's {!Table.uid} and mutation {!Table.version}: reads are free until
+    the table changes, and the first plan after a change pays one O(rows)
+    refresh.
     The planner consumes {!eq_selectivity} (1 / NDV) to order joins and
     estimate filtered cardinalities. *)
 
@@ -49,21 +50,23 @@ let collect (table : Table.t) : t =
     columns = Array.init arity (collect_column table);
   }
 
-(* cache: table name -> (version, stats) *)
-let cache : (string, int * t) Hashtbl.t = Hashtbl.create 16
+(* cache: table name -> (uid, version, stats).  The name bounds the cache;
+   the uid tells apart tables that share a name (a drop and recreate, or
+   two databases in one process), which can reach the same version. *)
+let cache : (string, int * int * t) Hashtbl.t = Hashtbl.create 16
 let cache_mu = Mutex.create ()
 
 (** [get table] — cached statistics, refreshed when the table changed. *)
 let get (table : Table.t) : t =
   let key = String.lowercase_ascii (Table.name table) in
-  let version = Table.version table in
+  let uid = Table.uid table and version = Table.version table in
   Mutex.lock cache_mu;
   let result =
     match Hashtbl.find_opt cache key with
-    | Some (v, stats) when v = version -> stats
+    | Some (u, v, stats) when u = uid && v = version -> stats
     | _ ->
       let stats = collect table in
-      Hashtbl.replace cache key (version, stats);
+      Hashtbl.replace cache key (uid, version, stats);
       stats
   in
   Mutex.unlock cache_mu;

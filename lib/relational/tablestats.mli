@@ -1,8 +1,9 @@
 (** Table and column statistics for the planner.
 
     Statistics are computed by one scan and cached per table, keyed on the
-    table's mutation {!Table.version}: reads are free until the table
-    changes, and the first plan after a change pays one O(rows) refresh.
+    table's {!Table.uid} and mutation {!Table.version}: reads are free until
+    the table changes, and the first plan after a change pays one O(rows)
+    refresh.
     The planner consumes {!eq_selectivity} (1 / NDV) to order joins and
     estimate filtered cardinalities. *)
 

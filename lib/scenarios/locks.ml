@@ -82,9 +82,12 @@ let sweep_res_schema =
 
 let answer_relation_names = [ "LockRes"; "SweepRes" ]
 
+(* [leases_by_active] lets the sweeper's [active = 1] subquery probe the
+   live leases instead of scanning the append-only history. *)
 let create_indexes db =
   let leases = Database.find_table db "Leases" in
-  ignore (Table.create_index leases "leases_by_name" [| 0 |])
+  ignore (Table.create_index leases "leases_by_name" [| 0 |]);
+  ignore (Table.create_index leases "leases_by_active" [| 4 |])
 
 let setup (sys : Youtopia.System.t) =
   let db = Youtopia.System.database sys in

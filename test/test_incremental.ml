@@ -1,6 +1,6 @@
-(* Unit tests for the incremental-matching machinery: table versioning,
-   fingerprints, the versioned plan cache, commit observers, the
-   table-level poke targeting, and the retry-all reference's counters. *)
+(* Unit tests for the incremental-matching machinery: table versioning and
+   identity, commit observers, the table-level poke targeting, and the
+   retry-all reference's counters. *)
 
 open Relational
 open Core
@@ -18,11 +18,6 @@ let make_flights db =
     (fun (f, d) -> ignore (Table.insert flights [| v_int f; v_str d |]))
     [ 1, "Paris"; 2, "Paris"; 3, "Rome" ];
   flights
-
-let compile cat sql =
-  match Sql.Parser.parse_one sql with
-  | Sql.Ast.Select s -> Sql.Compile.compile_select cat s
-  | _ -> Alcotest.fail "expected a SELECT"
 
 (* ------------------------------------------------------------------ *)
 
@@ -46,69 +41,29 @@ let test_version_bumps () =
   ignore (Table.insert flights [| v_int 10; v_str "Oslo" |]);
   Alcotest.(check int) "uid stable across mutations" uid0 (Table.uid flights)
 
-let test_fingerprint () =
+(* The poke's version-snapshot diff keys tables on [(uid, version)]
+   ([Coordinator.refresh_changed]); a drop and recreate under the same name
+   must not alias, even when the new table reaches the old version. *)
+let test_uid_drop_recreate () =
   let db = Database.create () in
-  let flights = make_flights db in
-  let fp () = Database.fingerprint db [ "flights"; "missing" ] in
-  let before = fp () in
-  Alcotest.(check (list (pair int int)))
-    "uid/version plus missing sentinel"
-    [ Table.uid flights, Table.version flights; -1, -1 ]
-    before;
-  ignore (Table.insert flights [| v_int 9; v_str "Oslo" |]);
-  Alcotest.(check bool) "mutation changes fingerprint" true (fp () <> before);
-  (* drop/recreate under the same name must not alias, even at version 0 *)
-  let fp_t () = Database.fingerprint db [ "tiny" ] in
-  ignore (Database.create_table db (Schema.make "Tiny" [ Schema.column "x" Ctype.TInt ]));
-  let fresh = fp_t () in
+  let key name =
+    let t = Database.find_table db name in
+    Table.uid t, Table.version t
+  in
+  let tiny () =
+    ignore
+      (Database.create_table db
+         (Schema.make "Tiny" [ Schema.column "x" Ctype.TInt ]))
+  in
+  tiny ();
+  let fresh = key "tiny" in
+  Alcotest.(check int) "new table at version 0" 0 (snd fresh);
   Database.drop_table db "Tiny";
-  ignore (Database.create_table db (Schema.make "Tiny" [ Schema.column "x" Ctype.TInt ]));
-  Alcotest.(check bool) "recreated table has a new identity" true (fp_t () <> fresh)
-
-let test_plan_cache () =
-  let db = Database.create () in
-  let flights = make_flights db in
-  let cat = db.Database.catalog in
-  let plan = compile cat "SELECT fno FROM Flights WHERE dest = 'Paris'" in
-  let cache = Plan_cache.create () in
-  let k = Plan_cache.counters cache in
-  let digest rows =
-    rows
-    |> List.map (fun row ->
-           String.concat "," (Array.to_list (Array.map Value.to_string row)))
-    |> List.sort compare
-  in
-  let run () = Plan_cache.run cache cat plan in
-  Alcotest.(check (list string))
-    "first run executes" (digest (Executor.run cat plan)) (digest (run ()));
-  Alcotest.(check int) "one miss" 1 k.Plan_cache.misses;
-  ignore (run ());
-  Alcotest.(check int) "second run hits" 1 k.Plan_cache.hits;
-  (* insert invalidates *)
-  ignore (Table.insert flights [| v_int 7; v_str "Paris" |]);
-  let rows = run () in
-  Alcotest.(check int) "stale entry refreshed" 1 k.Plan_cache.invalidations;
-  Alcotest.(check int) "refreshed rows are current" 3 (List.length rows);
-  (* update and delete invalidate too *)
-  let victim =
-    Table.fold
-      (fun acc id row -> if Value.as_int row.(0) = 7 then Some id else acc)
-      None flights
-    |> Option.get
-  in
-  ignore (Table.update flights victim [| v_int 7; v_str "Rome" |]);
-  Alcotest.(check int) "update invalidates" 2
-    (let _ = run () in
-     k.Plan_cache.invalidations);
-  ignore (Table.delete flights victim);
-  Alcotest.(check int) "delete invalidates" 3
-    (let _ = run () in
-     k.Plan_cache.invalidations);
-  (* forget drops the entry: the next run is a plain miss *)
-  let misses = k.Plan_cache.misses in
-  Plan_cache.forget cache plan;
-  ignore (run ());
-  Alcotest.(check int) "forgotten entry misses" (misses + 1) k.Plan_cache.misses
+  tiny ();
+  Alcotest.(check bool) "recreated table has a new identity" true
+    (key "tiny" <> fresh);
+  Alcotest.(check int) "recreated table also at version 0" 0
+    (snd (key "tiny"))
 
 let test_wal_recovery_versions () =
   let path = Filename.temp_file "youtopia_inc" ".wal" in
@@ -239,10 +194,7 @@ let test_poke_fulfils_after_mutation () =
   let notifications = Coordinator.poke coord in
   Alcotest.(check int) "poke fulfils the pair" 2 (List.length notifications);
   Alcotest.(check int) "pending drained" 0
-    (Pending.size (Coordinator.pending coord));
-  let cache_stats = Coordinator.stats coord in
-  Alcotest.(check bool) "plan cache saw traffic" true
-    (cache_stats.Stats.cache_hits + cache_stats.Stats.cache_misses > 0)
+    (Pending.size (Coordinator.pending coord))
 
 let test_pending_readers () =
   let db, coord, _, _ = make_coord () in
@@ -288,9 +240,8 @@ let suite =
   [
     Alcotest.test_case "table versions bump on mutation" `Quick
       test_version_bumps;
-    Alcotest.test_case "database fingerprint" `Quick test_fingerprint;
-    Alcotest.test_case "plan cache hit/invalidate/forget" `Quick
-      test_plan_cache;
+    Alcotest.test_case "table uid is new after recreate" `Quick
+      test_uid_drop_recreate;
     Alcotest.test_case "WAL recovery bumps versions" `Quick
       test_wal_recovery_versions;
     Alcotest.test_case "commit observer" `Quick test_txn_observer;

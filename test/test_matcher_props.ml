@@ -184,12 +184,12 @@ let prop_group_cliques =
         && List.length (List.sort_uniq compare (List.map snd answers)) = 1
       else answers = [] && Pending.size (Coordinator.pending coord) = size)
 
-(* I6 (incremental equivalence): the versioned plan cache and targeted
-   retries are pure optimizations — across randomized interleavings of
-   submissions, direct table mutations (insert AND delete, both bypassing
-   the transaction manager) and pokes, the cached [Tables] and [Tuples]
-   policies produce the same outcomes, notifications, answer tuples and
-   pending sets as the uncached retry-all reference [All]. *)
+(* I6 (incremental equivalence): targeted retries are a pure optimization
+   — across randomized interleavings of submissions, direct table
+   mutations (insert AND delete, both bypassing the transaction manager)
+   and pokes, the [Tables] and [Tuples] retry policies produce the same
+   outcomes, notifications, answer tuples and pending sets as the
+   retry-all reference [All]. *)
 
 type action =
   | Submit of int * bool * int  (* pair id, A/B side, dest index *)
@@ -303,7 +303,7 @@ let run_actions ?(batch_pokes = false) ~retry actions =
 
 let prop_incremental_equivalence =
   QCheck.Test.make
-    ~name:"plan cache + dirty poke preserve outcomes (I6)" ~count:80
+    ~name:"Tables/Tuples equal retry-all (I6)" ~count:80
     (QCheck.make action_gen) (fun actions ->
       let reference = run_actions ~retry:All actions in
       List.for_all

@@ -178,6 +178,88 @@ let test_locks_recovery () =
   check_clean "post-recovery sweep" (lock_audit app2);
   Sys.remove wal
 
+(* A seeded mini-soak with the SCEN bench's op mix (acquire, release,
+   renew, sweep over bursty arrivals).  Returns the grant/wait/reclaim
+   counts, the final [Leases] and [Reclaims] rows, and the audit. *)
+let lock_soak ~retry =
+  let n_locks = 16 in
+  let config = { Core.Coordinator.default_config with Core.Coordinator.retry } in
+  let app = Scenarios.Locks.create ~config ~n_locks () in
+  let gen = Scenarios.Scengen.create ~seed:3 ~label:"test.locks" ~users:64 () in
+  let tick = ref 0 in
+  let granted = ref 0 and waited = ref 0 and reclaimed = ref 0 in
+  let one_op () =
+    incr tick;
+    let name =
+      Scenarios.Locks.lock_name (Scenarios.Scengen.uniform gen n_locks)
+    in
+    let ttl () = 5 + Scenarios.Scengen.uniform gen 40 in
+    match
+      Scenarios.Scengen.pick gen
+        [ 50, `Acquire; 25, `Release; 15, `Renew; 10, `Sweep ]
+    with
+    | `Acquire -> (
+      let owner = Scenarios.Scengen.user_name gen in
+      match Scenarios.Locks.acquire app ~owner ~name ~now:!tick ~ttl:(ttl ()) with
+      | Scenarios.Locks.Granted _ -> incr granted
+      | Scenarios.Locks.Waiting _ -> incr waited
+      | Scenarios.Locks.Refused r -> Alcotest.fail ("acquire refused: " ^ r))
+    | `Release -> (
+      match Scenarios.Locks.holder app ~name with
+      | Some (owner, _, _) -> ignore (Scenarios.Locks.release app ~owner ~name)
+      | None -> ())
+    | `Renew -> (
+      match Scenarios.Locks.holder app ~name with
+      | Some (owner, _, _) ->
+        ignore (Scenarios.Locks.renew app ~owner ~name ~now:!tick ~ttl:(ttl ()))
+      | None -> ())
+    | `Sweep -> reclaimed := !reclaimed + Scenarios.Locks.sweep app ~now:!tick ()
+  in
+  List.iter
+    (fun b -> for _ = 1 to b do one_op () done)
+    (Scenarios.Scengen.bursts gen ~n:500 ());
+  let sys = Scenarios.Locks.system app in
+  let rows name =
+    Table.fold
+      (fun acc _ row -> Array.to_list (Array.map Value.to_string row) :: acc)
+      [] (Database.find_table (Youtopia.System.database sys) name)
+    |> List.sort compare
+  in
+  ( (!granted, !waited, !reclaimed),
+    rows "Leases",
+    rows "Reclaims",
+    Scenarios.Locks.audit sys )
+
+let test_lock_soak_policies () =
+  let counts = Alcotest.(triple int int int) in
+  let rows = Alcotest.(list (list string)) in
+  let tuples, leases, reclaims, audit = lock_soak ~retry:Tuples in
+  check_clean "soak under Tuples" audit;
+  let _, waited, reclaimed = tuples in
+  Alcotest.(check bool) "soak waits and reclaims" true (waited > 0 && reclaimed > 0);
+  let all, leases', reclaims', audit' = lock_soak ~retry:All in
+  check_clean "soak under All" audit';
+  Alcotest.check counts "grants, waits, reclaims" tuples all;
+  Alcotest.check rows "final Leases" leases leases';
+  Alcotest.check rows "final Reclaims" reclaims reclaims'
+
+(* The sweeper's subquery reads only live leases through [leases_by_active];
+   a full scan would re-read the whole append-only lease history. *)
+let test_sweep_uses_active_index () =
+  let app = Scenarios.Locks.create ~n_locks:4 () in
+  let sys = Scenarios.Locks.system app in
+  let q =
+    Core.Translate.of_sql (Youtopia.System.catalog sys) ~owner:"sweeper"
+      (Scenarios.Locks.sweep_sql ~now:10 ~limit:1)
+  in
+  match q.Core.Equery.db_atoms with
+  | [ atom ] ->
+    let plan = Plan.explain atom.Core.Equery.plan in
+    Alcotest.(check bool)
+      ("index lookup in: " ^ plan) true
+      (Astring.String.is_infix ~affix:"index_lookup Leases[4]" plan)
+  | _ -> Alcotest.fail "the sweep query has one database atom"
+
 (* ------------------------------------------------------------------ *)
 (* k-way group formation. *)
 
@@ -291,6 +373,10 @@ let suite =
       test_locks_wire_sql;
     Alcotest.test_case "locks: invariants survive WAL recovery" `Quick
       test_locks_recovery;
+    Alcotest.test_case "locks: soak equal under Tuples and All" `Quick
+      test_lock_soak_policies;
+    Alcotest.test_case "locks: sweep probes the active-lease index" `Quick
+      test_sweep_uses_active_index;
     Alcotest.test_case "groups: 3-way all-or-nothing" `Quick
       (test_kway_all_or_nothing 3);
     Alcotest.test_case "groups: 5-way all-or-nothing" `Quick

@@ -59,7 +59,31 @@ let test_cache_invalidation () =
   check bool "cached object reused" true (s1 == s1');
   ignore (Table.insert t [| Value.Int 101; Value.Str "even"; Value.Null |]);
   let s2 = Tablestats.get t in
-  check int "refreshed after insert" 101 s2.Tablestats.rows
+  check int "refreshed after insert" 101 s2.Tablestats.rows;
+  (* Same name, same version, different table: the cache must not serve
+     the old table's statistics, whether the name was dropped and
+     recreated or lives in another database of the same process. *)
+  let make db values =
+    let t =
+      Database.create_table db
+        (Schema.make "Recreated" [ Schema.column "x" Ctype.TInt ])
+    in
+    List.iter (fun v -> ignore (Table.insert t [| Value.Int v |])) values;
+    t
+  in
+  let ndv t = (Tablestats.get t).Tablestats.columns.(0).Tablestats.distinct in
+  let db = Database.create () in
+  check int "first table ndv" 3 (ndv (make db [ 1; 2; 3 ]));
+  Database.drop_table db "Recreated";
+  let recreated = make db [ 5; 5; 5 ] in
+  check int "recreated table ndv" 1 (ndv recreated);
+  check int "one database's ndv" 3
+    (ndv (make (Database.create ()) [ 1; 2; 3 ]));
+  let s = Tablestats.get (make (Database.create ()) [ 7; 7; 7 ]) in
+  check int "other database's ndv" 1
+    s.Tablestats.columns.(0).Tablestats.distinct;
+  check bool "other database's max" true
+    (s.Tablestats.columns.(0).Tablestats.max_value = Some (Value.Int 7))
 
 let test_planner_uses_selectivity () =
   (* Two same-size tables; the filter on the high-NDV column is far more
