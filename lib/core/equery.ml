@@ -116,8 +116,8 @@ let rename f q =
 
 (** [freshen ~id q] assigns the instance id and renames variables apart. *)
 let freshen ~id q =
-  let f x = Printf.sprintf "q%d:%s" id x in
-  { (rename f q) with id }
+  let prefix = "q" ^ string_of_int id ^ ":" in
+  { (rename (fun x -> prefix ^ x) q) with id }
 
 (** Display name of a variable without its instance prefix. *)
 let display_var x =

@@ -136,7 +136,7 @@ let of_select (cat : Catalog.t) ~owner ?(label = "")
           Equery.binding = [| term |];
           plan;
           source =
-            Fmt.str "VALUES %a" Fmt.(list ~sep:(any ", ") Value.pp) constants;
+            "VALUES " ^ String.concat ", " (List.map Value.to_string constants);
         }
         :: !db_atoms
     | Sql.Ast.E_bin (op, a, b) -> (

@@ -159,7 +159,6 @@ let parse_readonly_redirect msg =
 
 (* ---------------- field helpers ---------------- *)
 
-let esc = Wal.escape
 let unesc = Wal.unescape
 
 let int_field name s =
@@ -173,17 +172,48 @@ let int_field name s =
    the WAL tuple codec, so every Value round-trips exactly as it does
    through recovery. *)
 
-let encode_notification (n : Core.Events.notification) =
-  let answers =
-    String.concat ","
-      (List.map
-         (fun (rel, tup) -> esc rel ^ ";" ^ esc (Wal.encode_tuple tup))
-         n.Core.Events.answers)
-  in
-  Printf.sprintf "%d|%s|%s|%s|%s" n.Core.Events.query_id
-    (esc n.Core.Events.owner) (esc n.Core.Events.label)
-    (String.concat ";" (List.map string_of_int n.Core.Events.group))
-    answers
+(* Encoders write a message straight into one buffer.  [depth] is how
+   many rounds of escaping the text being written sits under: a message's
+   own separators are written at its depth, each of its fields one deeper
+   (see {!Relational.Wal.add_escaped}), so a notification nested in a
+   result body nested in a frame is escaped as it is written. *)
+
+let sep buf ~depth c = Wal.add_escaped_char buf ~depth c
+let add_int buf i = Buffer.add_string buf (string_of_int i)
+
+let add_int_field buf ~depth i =
+  sep buf ~depth '|';
+  add_int buf i
+
+let add_str_field buf ~depth s =
+  sep buf ~depth '|';
+  Wal.add_escaped buf ~depth:(depth + 1) s
+
+let add_notification buf ~depth (n : Core.Events.notification) =
+  add_int buf n.Core.Events.query_id;
+  add_str_field buf ~depth n.Core.Events.owner;
+  add_str_field buf ~depth n.Core.Events.label;
+  sep buf ~depth '|';
+  List.iteri
+    (fun i g ->
+      if i > 0 then sep buf ~depth ';';
+      add_int buf g)
+    n.Core.Events.group;
+  sep buf ~depth '|';
+  List.iteri
+    (fun i (rel, tup) ->
+      if i > 0 then sep buf ~depth ',';
+      Wal.add_escaped buf ~depth:(depth + 1) rel;
+      sep buf ~depth ';';
+      Wal.add_tuple buf ~depth:(depth + 1) tup)
+    n.Core.Events.answers
+
+let to_string_with f x =
+  let buf = Buffer.create 128 in
+  f buf x;
+  Buffer.contents buf
+
+let encode_notification n = to_string_with (add_notification ~depth:0) n
 
 let decode_notification s : Core.Events.notification =
   match String.split_on_char '|' s with
@@ -212,14 +242,32 @@ let decode_notification s : Core.Events.notification =
 
 (* ---------------- result-body codec ---------------- *)
 
-let rec encode_body = function
-  | Sql_result s -> "SQL|" ^ esc s
-  | Registered id -> "REG|" ^ string_of_int id
-  | Answered n -> "ANS|" ^ esc (encode_notification n)
-  | Rejected m -> "REJ|" ^ esc m
-  | Listing s -> "LST|" ^ esc s
+let rec add_body buf ~depth = function
+  | Sql_result s ->
+    Buffer.add_string buf "SQL";
+    add_str_field buf ~depth s
+  | Registered id ->
+    Buffer.add_string buf "REG";
+    add_int_field buf ~depth id
+  | Answered n ->
+    Buffer.add_string buf "ANS";
+    sep buf ~depth '|';
+    add_notification buf ~depth:(depth + 1) n
+  | Rejected m ->
+    Buffer.add_string buf "REJ";
+    add_str_field buf ~depth m
+  | Listing s ->
+    Buffer.add_string buf "LST";
+    add_str_field buf ~depth s
   | Multi bodies ->
-    String.concat "|" ("MUL" :: List.map (fun b -> esc (encode_body b)) bodies)
+    Buffer.add_string buf "MUL";
+    List.iter
+      (fun b ->
+        sep buf ~depth '|';
+        add_body buf ~depth:(depth + 1) b)
+      bodies
+
+let encode_body b = to_string_with (add_body ~depth:0) b
 
 let rec decode_body s =
   match String.split_on_char '|' s with
@@ -233,16 +281,36 @@ let rec decode_body s =
 
 (* ---------------- message codecs ---------------- *)
 
-let encode_request = function
-  | Hello { version; user } -> Printf.sprintf "HELLO|%d|%s" version (esc user)
-  | Submit { id; sql } -> Printf.sprintf "SUBMIT|%d|%s" id (esc sql)
-  | Cancel { id; query_id } -> Printf.sprintf "CANCEL|%d|%d" id query_id
-  | Admin { id; what } -> Printf.sprintf "ADMIN|%d|%s" id (esc what)
-  | Ping { id; payload } -> Printf.sprintf "PING|%d|%s" id (esc payload)
-  | Bye -> "BYE"
+let add_request buf r =
+  let depth = 0 in
+  let tagged tag id =
+    Buffer.add_string buf tag;
+    add_int_field buf ~depth id
+  in
+  match r with
+  | Hello { version; user } ->
+    tagged "HELLO" version;
+    add_str_field buf ~depth user
+  | Submit { id; sql } ->
+    tagged "SUBMIT" id;
+    add_str_field buf ~depth sql
+  | Cancel { id; query_id } ->
+    tagged "CANCEL" id;
+    add_int_field buf ~depth query_id
+  | Admin { id; what } ->
+    tagged "ADMIN" id;
+    add_str_field buf ~depth what
+  | Ping { id; payload } ->
+    tagged "PING" id;
+    add_str_field buf ~depth payload
+  | Bye -> Buffer.add_string buf "BYE"
   | Replica_hello { version; replica_id; last_lsn } ->
-    Printf.sprintf "RHELLO|%d|%s|%d" version (esc replica_id) last_lsn
-  | Repl_ack { lsn } -> Printf.sprintf "RACK|%d" lsn
+    tagged "RHELLO" version;
+    add_str_field buf ~depth replica_id;
+    add_int_field buf ~depth last_lsn
+  | Repl_ack { lsn } -> tagged "RACK" lsn
+
+let encode_request r = to_string_with add_request r
 
 let decode_request s =
   match String.split_on_char '|' s with
@@ -267,19 +335,45 @@ let decode_request s =
   | [ "RACK"; lsn ] -> Repl_ack { lsn = int_field "lsn" lsn }
   | _ -> fail "bad request: %s" s
 
-let encode_response = function
+let add_response buf r =
+  let depth = 0 in
+  let tagged tag id =
+    Buffer.add_string buf tag;
+    add_int_field buf ~depth id
+  in
+  match r with
   | Welcome { version; banner } ->
-    Printf.sprintf "WELCOME|%d|%s" version (esc banner)
-  | Result { id; body } -> Printf.sprintf "RESULT|%d|%s" id (esc (encode_body body))
-  | Error { id; message } -> Printf.sprintf "ERROR|%d|%s" id (esc message)
-  | Pong { id; payload } -> Printf.sprintf "PONG|%d|%s" id (esc payload)
-  | Stats { id; body } -> Printf.sprintf "STATS|%d|%s" id (esc body)
-  | Push n -> "PUSH|" ^ esc (encode_notification n)
+    tagged "WELCOME" version;
+    add_str_field buf ~depth banner
+  | Result { id; body } ->
+    tagged "RESULT" id;
+    sep buf ~depth '|';
+    add_body buf ~depth:(depth + 1) body
+  | Error { id; message } ->
+    tagged "ERROR" id;
+    add_str_field buf ~depth message
+  | Pong { id; payload } ->
+    tagged "PONG" id;
+    add_str_field buf ~depth payload
+  | Stats { id; body } ->
+    tagged "STATS" id;
+    add_str_field buf ~depth body
+  | Push n ->
+    Buffer.add_string buf "PUSH";
+    sep buf ~depth '|';
+    add_notification buf ~depth:(depth + 1) n
   | Snapshot_chunk { lsn; seq; last; data } ->
-    Printf.sprintf "SNAP|%d|%d|%d|%s" lsn seq (Bool.to_int last) (esc data)
+    tagged "SNAP" lsn;
+    add_int_field buf ~depth seq;
+    add_int_field buf ~depth (Bool.to_int last);
+    add_str_field buf ~depth data
   | Wal_recs { lsn; sent_at_us; last; records } ->
-    Printf.sprintf "WREC|%d|%d|%d|%s" lsn sent_at_us (Bool.to_int last)
-      (esc records)
+    tagged "WREC" lsn;
+    add_int_field buf ~depth sent_at_us;
+    add_int_field buf ~depth (Bool.to_int last);
+    add_str_field buf ~depth records
+
+let encode_response r = to_string_with add_response r
 
 let decode_response s =
   match String.split_on_char '|' s with
@@ -324,16 +418,23 @@ let decode_response s =
     connection; smaller results gain nothing from skipping the escape. *)
 let raw_result_threshold = 4096
 
-let encode_response_raw = function
+let encode_response_raw r =
+  let raw tag ints body =
+    let buf = Buffer.create (String.length body + 64) in
+    Buffer.add_string buf tag;
+    List.iter (add_int_field buf ~depth:0) ints;
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf body;
+    Some (Buffer.contents buf)
+  in
+  match r with
   | Wal_recs { lsn; sent_at_us; last; records } ->
-    Some
-      (Printf.sprintf "WREC|%d|%d|%d\n%s" lsn sent_at_us (Bool.to_int last)
-         records)
+    raw "WREC" [ lsn; sent_at_us; Bool.to_int last ] records
   | Snapshot_chunk { lsn; seq; last; data } ->
-    Some (Printf.sprintf "SNAP|%d|%d|%d\n%s" lsn seq (Bool.to_int last) data)
+    raw "SNAP" [ lsn; seq; Bool.to_int last ] data
   | Result { id; body = Sql_result s }
     when String.length s >= raw_result_threshold ->
-    Some (Printf.sprintf "RESULT|%d\n%s" id s)
+    raw "RESULT" [ id ] s
   | _ -> None
 
 let decode_response_raw s =

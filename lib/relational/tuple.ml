@@ -31,10 +31,21 @@ let project positions (t : t) = Array.map (fun i -> t.(i)) positions
 (** [concat a b] is the joined tuple [a ++ b]. *)
 let concat (a : t) (b : t) : t = Array.append a b
 
-let pp ppf (t : t) =
-  Fmt.pf ppf "(@[%a@])" Fmt.(array ~sep:(any ", ") Value.pp) t
+let add_to_buffer buf (t : t) =
+  Buffer.add_char buf '(';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Value.add_to_buffer buf v)
+    t;
+  Buffer.add_char buf ')'
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let buf = Buffer.create 64 in
+  add_to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (** Key module for hashtables keyed by tuples. *)
 module Hashed = struct

@@ -19,8 +19,11 @@ val project : int array -> t -> t
 
 val concat : t -> t -> t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** [(v1, v2, …)], each value as {!Value.to_string} renders it. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+val pp : Format.formatter -> t -> unit
 
 (** Containers keyed by tuples. *)
 

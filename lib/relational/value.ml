@@ -57,20 +57,51 @@ let hash = function
   | Bool b -> Hashtbl.hash (3, b)
   | Str s -> Hashtbl.hash (4, s)
 
-let pp ppf = function
-  | Null -> Fmt.string ppf "NULL"
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%g" f
-  | Bool b -> Fmt.string ppf (if b then "TRUE" else "FALSE")
-  | Str s -> Fmt.pf ppf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
+(* The C primitive behind [Printf]'s float conversions, without the
+   format interpreter around it. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string v = Fmt.str "%a" pp v
+(** Exact float text: the shorter of [%.15g] and [%.17g] that reads back
+    bit-equal, with a [.] added when the digits alone would read as an
+    integer.  Floats of up to 12 significant digits print as
+    [string_of_float] prints them. *)
+let float_to_exact f =
+  let s = format_float "%.15g" f in
+  let s =
+    if Float.equal (float_of_string s) f then s else format_float "%.17g" f
+  in
+  Stdlib.valid_float_lexem s
+
+let add_quoted buf s =
+  Buffer.add_char buf '\'';
+  String.iter
+    (fun c ->
+      if c = '\'' then Buffer.add_string buf "''" else Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '\''
+
+(** SQL rendering; floats as [%g]. *)
+let to_string = function
+  | Null -> "NULL"
+  | Int i -> string_of_int i
+  | Float f -> format_float "%g" f
+  | Bool b -> if b then "TRUE" else "FALSE"
+  | Str s ->
+    let buf = Buffer.create (String.length s + 2) in
+    add_quoted buf s;
+    Buffer.contents buf
+
+let add_to_buffer buf = function
+  | Str s -> add_quoted buf s
+  | v -> Buffer.add_string buf (to_string v)
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 (** Raw rendering without SQL quoting, used by CSV export and display. *)
 let to_display = function
   | Null -> ""
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
+  | Float f -> format_float "%g" f
   | Bool b -> if b then "true" else "false"
   | Str s -> s
 

@@ -31,10 +31,20 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** Consistent with {!equal}, including the Int/Float numeric overlap. *)
 
-val pp : Format.formatter -> t -> unit
-(** SQL rendering (strings quoted with [''] escaping). *)
-
 val to_string : t -> string
+(** SQL rendering: strings quoted with [''] escaping, floats as [%g]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** {!to_string} appended to a buffer. *)
+
+val pp : Format.formatter -> t -> unit
+(** {!to_string} on a formatter. *)
+
+val float_to_exact : float -> string
+(** Float text that reads back bit-equal through [float_of_string]: the
+    shorter of [%.15g] and [%.17g] that round-trips, always carrying a [.]
+    or an exponent (or reading [inf]/[nan]).  Floats of up to 12
+    significant digits print as [string_of_float] prints them. *)
 
 val to_display : t -> string
 (** Raw rendering without SQL quoting, used by CSV export and display;

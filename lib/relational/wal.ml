@@ -35,20 +35,53 @@ type record =
 
 (* ---------------- escaping ---------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' -> Buffer.add_string buf "%25"
-      | '|' -> Buffer.add_string buf "%7C"
-      | '\n' -> Buffer.add_string buf "%0A"
-      | '\r' -> Buffer.add_string buf "%0D"
-      | ';' -> Buffer.add_string buf "%3B"
-      | ',' -> Buffer.add_string buf "%2C"
-      | c -> Buffer.add_char buf c)
-    s;
+let is_special = function
+  | '%' | '|' | '\n' | '\r' | ';' | ',' -> true
+  | _ -> false
+
+(* the two hex digits a special byte escapes to *)
+let escape_code = function
+  | '%' -> "25"
+  | '|' -> "7C"
+  | '\n' -> "0A"
+  | '\r' -> "0D"
+  | ';' -> "3B"
+  | _ -> "2C"
+
+(* Escaping a special byte [depth] times over gives ['%'], then ["25"]
+   for every round after the first (each round escapes the previous
+   round's ['%']), then the byte's own code; other bytes stay literal at
+   every depth.  So a field nested in a field nested in a message is
+   written once, straight into the message's buffer. *)
+let add_escaped_char buf ~depth c =
+  if depth = 0 || not (is_special c) then Buffer.add_char buf c
+  else begin
+    Buffer.add_char buf '%';
+    for _ = 2 to depth do
+      Buffer.add_string buf "25"
+    done;
+    Buffer.add_string buf (escape_code c)
+  end
+
+let add_escaped buf ~depth s =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else if not (is_special s.[i]) then go start (i + 1)
+    else begin
+      Buffer.add_substring buf s start (i - start);
+      add_escaped_char buf ~depth s.[i];
+      go (i + 1) (i + 1)
+    end
+  in
+  if depth = 0 then Buffer.add_string buf s else go 0 0
+
+let to_string_with f x =
+  let buf = Buffer.create 64 in
+  f buf x;
   Buffer.contents buf
+
+let escape s = to_string_with (add_escaped ~depth:1) s
 
 let hex_digit = function
   | '0' .. '9' as c -> Char.code c - Char.code '0'
@@ -87,12 +120,27 @@ let codec_guard what f s =
   | Failure _ | Invalid_argument _ ->
     Errors.fail (Errors.Wal_error (Printf.sprintf "unparsable %s: %s" what s))
 
-let encode_value = function
-  | Value.Null -> "n"
-  | Value.Int i -> "i" ^ string_of_int i
-  | Value.Float f -> "f" ^ string_of_float f
-  | Value.Bool b -> "b" ^ string_of_bool b
-  | Value.Str s -> "s" ^ escape s
+let add_value buf ~depth = function
+  | Value.Null -> Buffer.add_char buf 'n'
+  | Value.Int i ->
+    Buffer.add_char buf 'i';
+    Buffer.add_string buf (string_of_int i)
+  | Value.Float f ->
+    Buffer.add_char buf 'f';
+    Buffer.add_string buf (Value.float_to_exact f)
+  | Value.Bool b -> Buffer.add_string buf (if b then "btrue" else "bfalse")
+  | Value.Str s ->
+    Buffer.add_char buf 's';
+    add_escaped buf ~depth:(depth + 1) s
+
+let add_tuple buf ~depth (t : Tuple.t) =
+  Array.iteri
+    (fun i v ->
+      if i > 0 then add_escaped_char buf ~depth ',';
+      add_value buf ~depth v)
+    t
+
+let encode_value v = to_string_with (add_value ~depth:0) v
 
 let decode_value_exn s =
   if s = "" then Errors.fail (Errors.Wal_error "empty value field");
@@ -107,22 +155,31 @@ let decode_value_exn s =
 
 let decode_value s = codec_guard "value" decode_value_exn s
 
-let encode_tuple (t : Tuple.t) =
-  String.concat "," (List.map encode_value (Tuple.to_list t))
+let encode_tuple t = to_string_with (add_tuple ~depth:0) t
 
 let decode_tuple s : Tuple.t =
   if s = "" then [||]
   else Tuple.of_list (List.map decode_value (String.split_on_char ',' s))
 
-let encode_schema (s : Schema.t) =
-  let col (c : Schema.column) =
-    Printf.sprintf "%s:%s:%b" (escape c.Schema.col_name)
-      (Ctype.to_string c.Schema.col_type)
-      c.Schema.nullable
-  in
-  Printf.sprintf "%s;%s;%s" (escape s.Schema.name)
-    (String.concat "," (List.map string_of_int s.Schema.primary_key))
-    (String.concat ";" (List.map col (Array.to_list s.Schema.columns)))
+let add_schema buf (s : Schema.t) =
+  add_escaped buf ~depth:1 s.Schema.name;
+  Buffer.add_char buf ';';
+  List.iteri
+    (fun i k ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int k))
+    s.Schema.primary_key;
+  Buffer.add_char buf ';';
+  Array.iteri
+    (fun i (c : Schema.column) ->
+      if i > 0 then Buffer.add_char buf ';';
+      add_escaped buf ~depth:1 c.Schema.col_name;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Ctype.to_string c.Schema.col_type);
+      Buffer.add_string buf (if c.Schema.nullable then ":true" else ":false"))
+    s.Schema.columns
+
+let encode_schema s = to_string_with add_schema s
 
 let decode_schema_exn s =
   match String.split_on_char ';' s with
@@ -149,15 +206,34 @@ let decode_schema s = codec_guard "schema" decode_schema_exn s
 
 (* ---------------- record codec ---------------- *)
 
-let encode_record = function
-  | Create_table s -> "S|" ^ encode_schema s
-  | Drop_table n -> "X|" ^ escape n
-  | Insert (t, row) -> Printf.sprintf "I|%s|%s" (escape t) (encode_tuple row)
-  | Delete (t, row) -> Printf.sprintf "D|%s|%s" (escape t) (encode_tuple row)
+let add_record buf r =
+  let row tag t tup =
+    Buffer.add_string buf tag;
+    add_escaped buf ~depth:1 t;
+    Buffer.add_char buf '|';
+    add_tuple buf ~depth:0 tup
+  in
+  match r with
+  | Create_table s ->
+    Buffer.add_string buf "S|";
+    add_schema buf s
+  | Drop_table n ->
+    Buffer.add_string buf "X|";
+    add_escaped buf ~depth:1 n
+  | Insert (t, tup) -> row "I|" t tup
+  | Delete (t, tup) -> row "D|" t tup
   | Update (t, o, n) ->
-    Printf.sprintf "U|%s|%s|%s" (escape t) (encode_tuple o) (encode_tuple n)
-  | Commit id -> "C|" ^ string_of_int id
-  | Lsn_base lsn -> "L|" ^ string_of_int lsn
+    row "U|" t o;
+    Buffer.add_char buf '|';
+    add_tuple buf ~depth:0 n
+  | Commit id ->
+    Buffer.add_string buf "C|";
+    Buffer.add_string buf (string_of_int id)
+  | Lsn_base lsn ->
+    Buffer.add_string buf "L|";
+    Buffer.add_string buf (string_of_int lsn)
+
+let encode_record r = to_string_with add_record r
 
 let decode_record_exn line =
   match String.split_on_char '|' line with
@@ -354,7 +430,7 @@ let write_records t records =
   let buf = Buffer.create 256 in
   List.iter
     (fun r ->
-      Buffer.add_string buf (encode_record r);
+      add_record buf r;
       Buffer.add_char buf '\n')
     records;
   let payload = Buffer.contents buf in

@@ -37,7 +37,9 @@
     checkpoint at or past that LSN (see {!Checkpoint}).
 
     The format is line-oriented text; field values are percent-escaped so
-    separators and newlines never appear raw. *)
+    separators and newlines never appear raw.  Floats are written in
+    {!Value.float_to_exact}'s text, so they read back bit-equal; the
+    decoder takes any [float_of_string] text, which older logs hold. *)
 
 type record =
   | Create_table of Schema.t
@@ -75,6 +77,13 @@ type io_stats = {
 
 val escape : string -> string
 
+val add_escaped : Buffer.t -> depth:int -> string -> unit
+(** [add_escaped buf ~depth s] appends [s] escaped [depth] times over (as
+    many rounds of {!escape}; [depth = 0] appends it verbatim), in one
+    pass. *)
+
+val add_escaped_char : Buffer.t -> depth:int -> char -> unit
+
 (** [unescape s] is total on arbitrary input: a malformed percent-escape
     (truncated or non-hex) is kept literally instead of raising, so torn
     WAL tails and hostile wire payloads decode deterministically. *)
@@ -82,6 +91,11 @@ val unescape : string -> string
 val encode_value : Value.t -> string
 val decode_value : string -> Value.t
 val encode_tuple : Tuple.t -> string
+
+val add_tuple : Buffer.t -> depth:int -> Tuple.t -> unit
+(** [add_tuple buf ~depth t] appends {!encode_tuple}[ t] escaped [depth]
+    times over. *)
+
 val decode_tuple : string -> Tuple.t
 val encode_schema : Schema.t -> string
 val decode_schema : string -> Schema.t

@@ -18,8 +18,17 @@ let is_digit c = c >= '0' && c <= '9'
 
 let tokenize (src : string) : lexed =
   let n = String.length src in
-  let tokens = ref [] in
-  let emit pos tok = tokens := (tok, pos) :: !tokens in
+  (* about one token per five bytes of SQL; the array doubles past that *)
+  let tokens = ref (Array.make ((n / 5) + 4) (Token.EOF, 0)) and count = ref 0 in
+  let emit pos tok =
+    if !count = Array.length !tokens then begin
+      let grown = Array.make (2 * !count) (Token.EOF, 0) in
+      Array.blit !tokens 0 grown 0 !count;
+      tokens := grown
+    end;
+    !tokens.(!count) <- (tok, pos);
+    incr count
+  in
   let rec skip_line_comment i = if i >= n || src.[i] = '\n' then i else skip_line_comment (i + 1) in
   let rec loop i =
     if i >= n then emit i Token.EOF
@@ -136,9 +145,13 @@ let tokenize (src : string) : lexed =
       incr j
     done;
     let text = String.sub src start (!j - start) in
-    (if Token.is_keyword text then emit start (Token.KW (String.uppercase_ascii text))
-     else emit start (Token.IDENT text));
+    let upper =
+      if String.exists (fun c -> c >= 'a' && c <= 'z') text then
+        String.uppercase_ascii text
+      else text
+    in
+    emit start (if Token.is_reserved upper then Token.KW upper else Token.IDENT text);
     loop !j
   in
   loop 0;
-  { tokens = Array.of_list (List.rev !tokens) }
+  { tokens = Array.sub !tokens 0 !count }

@@ -31,19 +31,31 @@ let fail st msg =
 
 let advance st = st.pos <- st.pos + 1
 
+(* Token tests compare monomorphically; a keyword test reads the KW
+   payload in place instead of building a token to compare against. *)
+let at st tok = Token.equal (peek st) tok
+let at_kw st kw = match peek st with Token.KW k -> String.equal k kw | _ -> false
+let at2_kw st kw = match peek2 st with Token.KW k -> String.equal k kw | _ -> false
+
 let eat st tok =
-  if peek st = tok then advance st
-  else fail st (Printf.sprintf "expected %s" (Token.to_string tok))
+  if at st tok then advance st
+  else fail st ("expected " ^ Token.to_string tok)
 
 let accept st tok =
-  if peek st = tok then begin
+  if at st tok then begin
     advance st;
     true
   end
   else false
 
-let accept_kw st kw = accept st (Token.KW kw)
-let eat_kw st kw = eat st (Token.KW kw)
+let accept_kw st kw =
+  if at_kw st kw then begin
+    advance st;
+    true
+  end
+  else false
+
+let eat_kw st kw = if at_kw st kw then advance st else fail st ("expected " ^ kw)
 
 let ident st =
   match peek st with
@@ -108,14 +120,14 @@ and parse_cmp st =
   | Token.KW "BETWEEN" ->
     advance st;
     parse_between st lhs ~negated:false
-  | Token.KW "NOT" when peek2 st = Token.KW "IN" ->
+  | Token.KW "NOT" when at2_kw st "IN" ->
     advance st;
     parse_in st lhs ~negated:true
-  | Token.KW "NOT" when peek2 st = Token.KW "LIKE" ->
+  | Token.KW "NOT" when at2_kw st "LIKE" ->
     advance st;
     advance st;
     Ast.E_like (lhs, parse_add st, true)
-  | Token.KW "NOT" when peek2 st = Token.KW "BETWEEN" ->
+  | Token.KW "NOT" when at2_kw st "BETWEEN" ->
     advance st;
     advance st;
     parse_between st lhs ~negated:true
@@ -252,11 +264,11 @@ and parse_primary st =
     | Token.LPAREN ->
       advance st;
       let args =
-        if peek st = Token.STAR then begin
+        if at st Token.STAR then begin
           advance st;
           [ Ast.E_star ]
         end
-        else if peek st = Token.RPAREN then []
+        else if at st Token.RPAREN then []
         else begin
           let first = parse_expr st in
           let args = ref [ first ] in
@@ -285,7 +297,7 @@ and parse_select_body st : Ast.select =
      form and must be followed by INTO. *)
   let items = ref [] in
   let parse_item () =
-    if peek st = Token.STAR then begin
+    if at st Token.STAR then begin
       advance st;
       Ast.S_star
     end
@@ -321,7 +333,7 @@ and parse_select_body st : Ast.select =
   (* If the first item is a tuple, commas separate heads, not items; in that
      case we parse `INTO ANSWER R` right away and loop on heads. *)
   (match !items with
-  | [ Ast.S_expr (Ast.E_tuple first_tuple, _) ] when peek st = Token.KW "INTO" ->
+  | [ Ast.S_expr (Ast.E_tuple first_tuple, _) ] when at_kw st "INTO" ->
     eat_kw st "INTO";
     eat_kw st "ANSWER";
     let rel = ident st in
@@ -354,7 +366,7 @@ and parse_select_body st : Ast.select =
       let tuple = List.concat_map head_exprs_of_item (List.rev !items) in
       let rel = ident st in
       into_answer := [ tuple, rel ];
-      while peek st = Token.COMMA && peek2 st = Token.KW "ANSWER" do
+      while at st Token.COMMA && at2_kw st "ANSWER" do
         advance st;
         (* COMMA *)
         eat_kw st "ANSWER";
@@ -373,9 +385,9 @@ and parse_select_body st : Ast.select =
   if accept_kw st "FROM" then begin
     let parse_from_ref () =
       let source =
-        if peek st = Token.LPAREN then begin
+        if at st Token.LPAREN then begin
           advance st;
-          if peek st <> Token.KW "SELECT" then
+          if not (at_kw st "SELECT") then
             fail st "expected SELECT in derived table";
           let sub = parse_select_body st in
           eat st Token.RPAREN;
@@ -401,7 +413,7 @@ and parse_select_body st : Ast.select =
         parse_from_item ();
         joins ()
       end
-      else if peek st = Token.KW "LEFT" then begin
+      else if at_kw st "LEFT" then begin
         advance st;
         ignore (accept_kw st "OUTER");
         eat_kw st "JOIN";
@@ -410,9 +422,9 @@ and parse_select_body st : Ast.select =
         left_joins := (item, parse_expr st) :: !left_joins;
         joins ()
       end
-      else if peek st = Token.KW "JOIN"
-              || peek st = Token.KW "INNER"
-              || peek st = Token.KW "CROSS"
+      else if at_kw st "JOIN"
+              || at_kw st "INNER"
+              || at_kw st "CROSS"
       then begin
         let cross = accept_kw st "CROSS" in
         ignore (accept_kw st "INNER");
@@ -433,7 +445,7 @@ and parse_select_body st : Ast.select =
      effect, so the commas inside SET lists and VALUES tuples are
      unambiguous. *)
   let fulfilment = ref [] in
-  while peek st = Token.KW "THEN" do
+  while at_kw st "THEN" do
     advance st;
     fulfilment := parse_fulfilment_effect st :: !fulfilment
   done;
@@ -579,7 +591,7 @@ let parse_column_defs st =
   let cols = ref [] in
   let table_pk = ref [] in
   let parse_one () =
-    if peek st = Token.KW "PRIMARY" then begin
+    if at_kw st "PRIMARY" then begin
       advance st;
       eat_kw st "KEY";
       eat st Token.LPAREN;
@@ -640,7 +652,7 @@ let rec parse_statement st : Ast.statement =
   | Token.KW "EXPLAIN" ->
     advance st;
     if accept_kw st "ANALYZE" then begin
-      if peek st <> Token.KW "SELECT" then
+      if not (at_kw st "SELECT") then
         fail st "EXPLAIN ANALYZE takes a SELECT";
       Ast.Explain_analyze (parse_select_body st)
     end
@@ -669,7 +681,7 @@ let rec parse_statement st : Ast.statement =
       if unique then fail st "UNIQUE TABLE is not a thing";
       let name = ident st in
       if accept_kw st "AS" then begin
-        if peek st <> Token.KW "SELECT" then fail st "expected SELECT after AS";
+        if not (at_kw st "SELECT") then fail st "expected SELECT after AS";
         Ast.Create_table_as { cta_name = name; cta_query = parse_select_body st }
       end
       else begin
@@ -695,7 +707,7 @@ let rec parse_statement st : Ast.statement =
       if unique then fail st "UNIQUE VIEW is not a thing";
       let name = ident st in
       eat_kw st "AS";
-      if peek st <> Token.KW "SELECT" then fail st "expected SELECT after AS";
+      if not (at_kw st "SELECT") then fail st "expected SELECT after AS";
       Ast.Create_view { v_name = name; v_query = parse_select_body st }
     end
     else if accept_kw st "INDEX" then begin
@@ -724,7 +736,7 @@ let rec parse_statement st : Ast.statement =
     eat_kw st "INTO";
     let table = ident st in
     let columns =
-      if peek st = Token.LPAREN then begin
+      if at st Token.LPAREN then begin
         advance st;
         let acc = ref [ ident st ] in
         while accept st Token.COMMA do
@@ -735,7 +747,7 @@ let rec parse_statement st : Ast.statement =
       end
       else None
     in
-    if peek st = Token.KW "SELECT" then
+    if at_kw st "SELECT" then
       Ast.Insert
         {
           in_table = table;
@@ -794,7 +806,7 @@ let parse_one sql =
   let st = { lexed = Lexer.tokenize sql; pos = 0; n_params = 0 } in
   let stmt = parse_statement st in
   ignore (accept st Token.SEMI);
-  if peek st <> Token.EOF then fail st "trailing input after statement";
+  if not (at st Token.EOF) then fail st "trailing input after statement";
   stmt
 
 (** [parse_prepared sql] — like {!parse_one} but also returns the number of
@@ -803,16 +815,16 @@ let parse_prepared sql =
   let st = { lexed = Lexer.tokenize sql; pos = 0; n_params = 0 } in
   let stmt = parse_statement st in
   ignore (accept st Token.SEMI);
-  if peek st <> Token.EOF then fail st "trailing input after statement";
+  if not (at st Token.EOF) then fail st "trailing input after statement";
   stmt, st.n_params
 
 (** [parse_script sql] parses a [;]-separated script. *)
 let parse_script sql =
   let st = { lexed = Lexer.tokenize sql; pos = 0; n_params = 0 } in
   let acc = ref [] in
-  while peek st <> Token.EOF do
+  while not (at st Token.EOF) do
     acc := parse_statement st :: !acc;
-    if peek st <> Token.EOF then eat st Token.SEMI
+    if not (at st Token.EOF) then eat st Token.SEMI
   done;
   List.rev !acc
 
@@ -820,5 +832,5 @@ let parse_script sql =
 let parse_expression s =
   let st = { lexed = Lexer.tokenize s; pos = 0; n_params = 0 } in
   let e = parse_expr st in
-  if peek st <> Token.EOF then fail st "trailing input after expression";
+  if not (at st Token.EOF) then fail st "trailing input after expression";
   e

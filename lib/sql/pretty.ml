@@ -1,177 +1,332 @@
-(** Render AST back to SQL text (round-trip tested against the parser). *)
+(** Render AST back to SQL text (round-trip tested against the parser).
+    One renderer writes every statement into a single buffer; the
+    [Format] entry points wrap it. *)
 
 open Relational
 
-let rec expr ppf (e : Ast.expr) =
+let add = Buffer.add_string
+let add_int buf i = add buf (string_of_int i)
+
+let add_sep_list buf sep f = function
+  | [] -> ()
+  | x :: rest ->
+    f buf x;
+    List.iter
+      (fun x ->
+        add buf sep;
+        f buf x)
+      rest
+
+let add_list buf f xs = add_sep_list buf ", " f xs
+
+(* A literal re-lexes as the same token: floats print exactly and always
+   carry a [.] or an exponent, infinities as an overflowing literal. *)
+let add_literal buf = function
+  | Value.Float f when Float.abs f = Float.infinity ->
+    add buf (if f > 0. then "1e999" else "-1e999")
+  | Value.Float f -> add buf (Value.float_to_exact f)
+  | v -> Value.add_to_buffer buf v
+
+let rec add_expr buf (e : Ast.expr) =
   match e with
-  | Ast.E_lit v -> Value.pp ppf v
-  | Ast.E_param i -> Fmt.pf ppf "?%d" i
-  | Ast.E_col (None, n) -> Fmt.string ppf n
-  | Ast.E_col (Some q, n) -> Fmt.pf ppf "%s.%s" q n
-  | Ast.E_neg e -> Fmt.pf ppf "(-%a)" expr e
-  | Ast.E_not e -> Fmt.pf ppf "(NOT %a)" expr e
-  | Ast.E_is_null (e, true) -> Fmt.pf ppf "(%a IS NULL)" expr e
-  | Ast.E_is_null (e, false) -> Fmt.pf ppf "(%a IS NOT NULL)" expr e
+  | Ast.E_lit v -> add_literal buf v
+  | Ast.E_param i ->
+    Buffer.add_char buf '?';
+    add_int buf i
+  | Ast.E_col (None, n) -> add buf n
+  | Ast.E_col (Some q, n) ->
+    add buf q;
+    Buffer.add_char buf '.';
+    add buf n
+  | Ast.E_neg e ->
+    add buf "(-";
+    add_expr buf e;
+    Buffer.add_char buf ')'
+  | Ast.E_not e ->
+    add buf "(NOT ";
+    add_expr buf e;
+    Buffer.add_char buf ')'
+  | Ast.E_is_null (e, is_null) ->
+    Buffer.add_char buf '(';
+    add_expr buf e;
+    add buf (if is_null then " IS NULL)" else " IS NOT NULL)")
   | Ast.E_bin (op, a, b) ->
-    Fmt.pf ppf "(%a %s %a)" expr a (Expr.binop_to_string op) expr b
+    Buffer.add_char buf '(';
+    add_expr buf a;
+    Buffer.add_char buf ' ';
+    add buf (Expr.binop_to_string op);
+    Buffer.add_char buf ' ';
+    add_expr buf b;
+    Buffer.add_char buf ')'
   | Ast.E_in_values (e, vs) ->
-    Fmt.pf ppf "(%a IN (%a))" expr e Fmt.(list ~sep:(any ", ") expr) vs
+    Buffer.add_char buf '(';
+    add_expr buf e;
+    add buf " IN (";
+    add_list buf add_expr vs;
+    add buf "))"
   | Ast.E_in_select (es, negated, sub) ->
-    Fmt.pf ppf "(%a %sIN (%a))" tuple es
-      (if negated then "NOT " else "")
-      select sub
-  | Ast.E_in_answer (es, rel) -> Fmt.pf ppf "(%a IN ANSWER %s)" tuple es rel
+    Buffer.add_char buf '(';
+    add_tuple buf es;
+    add buf (if negated then " NOT IN (" else " IN (");
+    add_select buf sub;
+    add buf "))"
+  | Ast.E_in_answer (es, rel) ->
+    Buffer.add_char buf '(';
+    add_tuple buf es;
+    add buf " IN ANSWER ";
+    add buf rel;
+    Buffer.add_char buf ')'
   | Ast.E_like (a, b, negated) ->
-    Fmt.pf ppf "(%a %sLIKE %a)" expr a (if negated then "NOT " else "") expr b
+    Buffer.add_char buf '(';
+    add_expr buf a;
+    add buf (if negated then " NOT LIKE " else " LIKE ");
+    add_expr buf b;
+    Buffer.add_char buf ')'
   | Ast.E_func (f, args) ->
-    Fmt.pf ppf "%s(%a)" f Fmt.(list ~sep:(any ", ") expr) args
-  | Ast.E_star -> Fmt.string ppf "*"
-  | Ast.E_tuple es -> tuple ppf es
+    add buf f;
+    Buffer.add_char buf '(';
+    add_list buf add_expr args;
+    Buffer.add_char buf ')'
+  | Ast.E_star -> Buffer.add_char buf '*'
+  | Ast.E_tuple es -> add_tuple buf es
 
-and tuple ppf = function
-  | [ e ] -> expr ppf e
-  | es -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any ", ") expr) es
+and add_tuple buf = function
+  | [ e ] -> add_expr buf e
+  | es ->
+    Buffer.add_char buf '(';
+    add_list buf add_expr es;
+    Buffer.add_char buf ')'
 
-and fulfilment_effect ppf (fx : Ast.fulfilment_effect) =
-  let pins ppf ps =
-    Fmt.(list ~sep:(any " AND ") (fun ppf (c, e) -> pf ppf "%s = %a" c expr e))
-      ppf ps
-  in
+and add_assign buf (c, e) =
+  add buf c;
+  add buf " = ";
+  add_expr buf e
+
+and add_fulfilment_effect buf (fx : Ast.fulfilment_effect) =
   match fx with
   | Ast.Fx_insert (table, es) ->
-    Fmt.pf ppf "INSERT INTO %s VALUES (%a)" table
-      Fmt.(list ~sep:(any ", ") expr)
-      es
+    add buf "INSERT INTO ";
+    add buf table;
+    add buf " VALUES (";
+    add_list buf add_expr es;
+    Buffer.add_char buf ')'
   | Ast.Fx_update { fx_table; fx_set; fx_where } ->
-    Fmt.pf ppf "UPDATE %s SET %a WHERE %a" fx_table
-      Fmt.(list ~sep:(any ", ") (fun ppf (c, e) -> pf ppf "%s = %a" c expr e))
-      fx_set pins fx_where
+    add buf "UPDATE ";
+    add buf fx_table;
+    add buf " SET ";
+    add_list buf add_assign fx_set;
+    add buf " WHERE ";
+    add_sep_list buf " AND " add_assign fx_where
   | Ast.Fx_decrement { fx_table; fx_column; fx_where } ->
-    Fmt.pf ppf "DECREMENT %s.%s WHERE %a" fx_table fx_column pins fx_where
+    add buf "DECREMENT ";
+    add buf fx_table;
+    Buffer.add_char buf '.';
+    add buf fx_column;
+    add buf " WHERE ";
+    add_sep_list buf " AND " add_assign fx_where
 
-and select ppf (s : Ast.select) =
-  Fmt.pf ppf "SELECT ";
-  if s.Ast.distinct then Fmt.pf ppf "DISTINCT ";
+and add_from_item buf (f : Ast.from_item) =
+  (match f.Ast.f_source with
+  | Ast.F_table name -> add buf name
+  | Ast.F_subquery sub ->
+    Buffer.add_char buf '(';
+    add_select buf sub;
+    Buffer.add_char buf ')');
+  match f.Ast.f_alias with
+  | None -> ()
+  | Some a ->
+    Buffer.add_char buf ' ';
+    add buf a
+
+and add_select buf (s : Ast.select) =
+  add buf "SELECT ";
+  if s.Ast.distinct then add buf "DISTINCT ";
   (match s.Ast.items, s.Ast.into_answer with
   | items, [] ->
-    Fmt.(list ~sep:(any ", "))
-      (fun ppf -> function
-        | Ast.S_star -> Fmt.string ppf "*"
-        | Ast.S_expr (e, None) -> expr ppf e
-        | Ast.S_expr (e, Some a) -> Fmt.pf ppf "%a AS %s" expr e a)
-      ppf items
+    add_list buf
+      (fun buf -> function
+        | Ast.S_star -> Buffer.add_char buf '*'
+        | Ast.S_expr (e, None) -> add_expr buf e
+        | Ast.S_expr (e, Some a) ->
+          add_expr buf e;
+          add buf " AS ";
+          add buf a)
+      items
   | _, heads ->
-    Fmt.(list ~sep:(any ", "))
-      (fun ppf (es, rel) -> Fmt.pf ppf "%a INTO ANSWER %s" tuple es rel)
-      ppf heads);
-  let from_item ppf (f : Ast.from_item) =
-    (match f.Ast.f_source with
-    | Ast.F_table name -> Fmt.string ppf name
-    | Ast.F_subquery sub -> Fmt.pf ppf "(%a)" select sub);
-    match f.Ast.f_alias with None -> () | Some a -> Fmt.pf ppf " %s" a
-  in
+    add_list buf
+      (fun buf (es, rel) ->
+        add_tuple buf es;
+        add buf " INTO ANSWER ";
+        add buf rel)
+      heads);
   (match s.Ast.from with
   | [] -> ()
   | from ->
-    Fmt.pf ppf " FROM %a" Fmt.(list ~sep:(any ", ") from_item) from);
+    add buf " FROM ";
+    add_list buf add_from_item from);
   List.iter
     (fun (f, on_pred) ->
-      Fmt.pf ppf " LEFT JOIN %a ON %a" from_item f expr on_pred)
+      add buf " LEFT JOIN ";
+      add_from_item buf f;
+      add buf " ON ";
+      add_expr buf on_pred)
     s.Ast.left_joins;
   (match s.Ast.where with
   | None -> ()
-  | Some w -> Fmt.pf ppf " WHERE %a" expr w);
-  List.iter (fun fx -> Fmt.pf ppf " THEN %a" fulfilment_effect fx) s.Ast.fulfilment;
+  | Some w ->
+    add buf " WHERE ";
+    add_expr buf w);
+  List.iter
+    (fun fx ->
+      add buf " THEN ";
+      add_fulfilment_effect buf fx)
+    s.Ast.fulfilment;
   (match s.Ast.group_by with
   | [] -> ()
-  | gs -> Fmt.pf ppf " GROUP BY %a" Fmt.(list ~sep:(any ", ") expr) gs);
+  | gs ->
+    add buf " GROUP BY ";
+    add_list buf add_expr gs);
   (match s.Ast.having with
   | None -> ()
-  | Some h -> Fmt.pf ppf " HAVING %a" expr h);
+  | Some h ->
+    add buf " HAVING ";
+    add_expr buf h);
   (match s.Ast.order_by with
   | [] -> ()
   | os ->
-    Fmt.pf ppf " ORDER BY %a"
-      Fmt.(
-        list ~sep:(any ", ") (fun ppf (e, d) ->
-            Fmt.pf ppf "%a %s" expr e
-              (match d with Plan.Asc -> "ASC" | Plan.Desc -> "DESC")))
+    add buf " ORDER BY ";
+    add_list buf
+      (fun buf (e, d) ->
+        add_expr buf e;
+        add buf (match d with Plan.Asc -> " ASC" | Plan.Desc -> " DESC"))
       os);
-  (match s.Ast.limit with None -> () | Some n -> Fmt.pf ppf " LIMIT %d" n);
-  (match s.Ast.choose with None -> () | Some k -> Fmt.pf ppf " CHOOSE %d" k);
+  (match s.Ast.limit with
+  | None -> ()
+  | Some n ->
+    add buf " LIMIT ";
+    add_int buf n);
+  (match s.Ast.choose with
+  | None -> ()
+  | Some k ->
+    add buf " CHOOSE ";
+    add_int buf k);
   match s.Ast.setop with
   | None -> ()
   | Some (kind, all, rhs) ->
-    Fmt.pf ppf " %s%s %a"
+    add buf
       (match kind with
-      | Relational.Plan.Union -> "UNION"
-      | Relational.Plan.Intersect -> "INTERSECT"
-      | Relational.Plan.Except -> "EXCEPT")
-      (if all then " ALL" else "")
-      select rhs
+      | Plan.Union -> " UNION"
+      | Plan.Intersect -> " INTERSECT"
+      | Plan.Except -> " EXCEPT");
+    add buf (if all then " ALL " else " ");
+    add_select buf rhs
 
-let rec statement ppf (st : Ast.statement) =
+let add_names buf names = add_list buf Buffer.add_string names
+
+let rec add_statement buf (st : Ast.statement) =
   match st with
-  | Ast.Select s -> select ppf s
+  | Ast.Select s -> add_select buf s
   | Ast.Create_table { t_name; t_columns; t_primary_key } ->
-    let col ppf (c : Ast.column_def) =
-      Fmt.pf ppf "%s %s%s" c.Ast.c_name
-        (Ctype.to_string c.Ast.c_type)
-        (if c.Ast.c_nullable then "" else " NOT NULL")
-    in
-    Fmt.pf ppf "CREATE TABLE %s (%a%a)" t_name
-      Fmt.(list ~sep:(any ", ") col)
-      t_columns
-      (fun ppf -> function
-        | [] -> ()
-        | pk ->
-          Fmt.pf ppf ", PRIMARY KEY (%a)" Fmt.(list ~sep:(any ", ") string) pk)
-      t_primary_key
-  | Ast.Drop_table n -> Fmt.pf ppf "DROP TABLE %s" n
+    add buf "CREATE TABLE ";
+    add buf t_name;
+    add buf " (";
+    add_list buf
+      (fun buf (c : Ast.column_def) ->
+        add buf c.Ast.c_name;
+        Buffer.add_char buf ' ';
+        add buf (Ctype.to_string c.Ast.c_type);
+        if not c.Ast.c_nullable then add buf " NOT NULL")
+      t_columns;
+    (match t_primary_key with
+    | [] -> ()
+    | pk ->
+      add buf ", PRIMARY KEY (";
+      add_names buf pk;
+      Buffer.add_char buf ')');
+    Buffer.add_char buf ')'
+  | Ast.Drop_table n ->
+    add buf "DROP TABLE ";
+    add buf n
   | Ast.Create_view { v_name; v_query } ->
-    Fmt.pf ppf "CREATE VIEW %s AS %a" v_name select v_query
-  | Ast.Drop_view n -> Fmt.pf ppf "DROP VIEW %s" n
+    add buf "CREATE VIEW ";
+    add buf v_name;
+    add buf " AS ";
+    add_select buf v_query
+  | Ast.Drop_view n ->
+    add buf "DROP VIEW ";
+    add buf n
   | Ast.Create_index { i_name; i_table; i_columns; i_unique } ->
-    Fmt.pf ppf "CREATE %sINDEX %s ON %s (%a)"
-      (if i_unique then "UNIQUE " else "")
-      i_name i_table
-      Fmt.(list ~sep:(any ", ") string)
-      i_columns
+    add buf (if i_unique then "CREATE UNIQUE INDEX " else "CREATE INDEX ");
+    add buf i_name;
+    add buf " ON ";
+    add buf i_table;
+    add buf " (";
+    add_names buf i_columns;
+    Buffer.add_char buf ')'
   | Ast.Insert { in_table; in_columns; in_rows; in_select } -> (
-    Fmt.pf ppf "INSERT INTO %s%a " in_table
-      (fun ppf -> function
-        | None -> ()
-        | Some cols ->
-          Fmt.pf ppf " (%a)" Fmt.(list ~sep:(any ", ") string) cols)
-      in_columns;
+    add buf "INSERT INTO ";
+    add buf in_table;
+    (match in_columns with
+    | None -> ()
+    | Some cols ->
+      add buf " (";
+      add_names buf cols;
+      Buffer.add_char buf ')');
+    Buffer.add_char buf ' ';
     match in_select with
-    | Some sub -> select ppf sub
+    | Some sub -> add_select buf sub
     | None ->
-      Fmt.pf ppf "VALUES %a"
-        Fmt.(
-          list ~sep:(any ", ") (fun ppf row ->
-              Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any ", ") expr) row))
+      add buf "VALUES ";
+      add_list buf
+        (fun buf row ->
+          Buffer.add_char buf '(';
+          add_list buf add_expr row;
+          Buffer.add_char buf ')')
         in_rows)
   | Ast.Create_table_as { cta_name; cta_query } ->
-    Fmt.pf ppf "CREATE TABLE %s AS %a" cta_name select cta_query
+    add buf "CREATE TABLE ";
+    add buf cta_name;
+    add buf " AS ";
+    add_select buf cta_query
   | Ast.Update { u_table; u_sets; u_where } ->
-    Fmt.pf ppf "UPDATE %s SET %a" u_table
-      Fmt.(
-        list ~sep:(any ", ") (fun ppf (c, e) -> Fmt.pf ppf "%s = %a" c expr e))
-      u_sets;
-    (match u_where with None -> () | Some w -> Fmt.pf ppf " WHERE %a" expr w)
+    add buf "UPDATE ";
+    add buf u_table;
+    add buf " SET ";
+    add_list buf add_assign u_sets;
+    add_where buf u_where
   | Ast.Delete { d_table; d_where } ->
-    Fmt.pf ppf "DELETE FROM %s" d_table;
-    (match d_where with None -> () | Some w -> Fmt.pf ppf " WHERE %a" expr w)
-  | Ast.Explain s -> Fmt.pf ppf "EXPLAIN %a" statement s
-  | Ast.Explain_analyze s -> Fmt.pf ppf "EXPLAIN ANALYZE %a" select s
-  | Ast.Analyze t -> Fmt.pf ppf "ANALYZE %s" t
-  | Ast.Show_tables -> Fmt.string ppf "SHOW TABLES"
-  | Ast.Show_pending -> Fmt.string ppf "SHOW PENDING"
-  | Ast.Begin_txn -> Fmt.string ppf "BEGIN"
-  | Ast.Commit_txn -> Fmt.string ppf "COMMIT"
-  | Ast.Rollback_txn -> Fmt.string ppf "ROLLBACK"
+    add buf "DELETE FROM ";
+    add buf d_table;
+    add_where buf d_where
+  | Ast.Explain s ->
+    add buf "EXPLAIN ";
+    add_statement buf s
+  | Ast.Explain_analyze s ->
+    add buf "EXPLAIN ANALYZE ";
+    add_select buf s
+  | Ast.Analyze t ->
+    add buf "ANALYZE ";
+    add buf t
+  | Ast.Show_tables -> add buf "SHOW TABLES"
+  | Ast.Show_pending -> add buf "SHOW PENDING"
+  | Ast.Begin_txn -> add buf "BEGIN"
+  | Ast.Commit_txn -> add buf "COMMIT"
+  | Ast.Rollback_txn -> add buf "ROLLBACK"
 
-let expr_to_string e = Fmt.str "%a" expr e
-let select_to_string s = Fmt.str "%a" select s
-let statement_to_string st = Fmt.str "%a" statement st
+and add_where buf = function
+  | None -> ()
+  | Some w ->
+    add buf " WHERE ";
+    add_expr buf w
+
+let render f x =
+  let buf = Buffer.create 128 in
+  f buf x;
+  Buffer.contents buf
+
+let expr_to_string e = render add_expr e
+let select_to_string s = render add_select s
+let statement_to_string st = render add_statement st
+let expr ppf e = Format.pp_print_string ppf (expr_to_string e)
+let select ppf s = Format.pp_print_string ppf (select_to_string s)
+let statement ppf st = Format.pp_print_string ppf (statement_to_string st)

@@ -2,7 +2,12 @@
 
     Expressions print fully parenthesised, so printing followed by parsing
     is the identity on ASTs — a property enforced by the random round-trip
-    fuzzer in the test suite (`test/test_ast_fuzz.ml`). *)
+    fuzzer in the test suite (`test/test_ast_fuzz.ml`).  Float literals
+    print exactly ({!Relational.Value.float_to_exact}), so a stored view
+    or label keeps the constant it was given.
+
+    There is one renderer, which builds the text in one buffer; the
+    formatter entry points print its string. *)
 
 val expr : Format.formatter -> Ast.expr -> unit
 val select : Format.formatter -> Ast.select -> unit

@@ -21,14 +21,30 @@ type result =
   | Ok_msg of string
   | Explained of string
 
+(* The header line, one line per row (an empty result leaves a blank
+   line), then the row count. *)
 let result_to_string = function
   | Rows (schema, rows) ->
-    Fmt.str "@[<v>%a@,%a@,(%d row(s))@]"
-      Fmt.(list ~sep:(any " | ") string)
-      (Schema.column_names schema)
-      Fmt.(list ~sep:cut Tuple.pp)
-      rows (List.length rows)
-  | Affected n -> Printf.sprintf "%d row(s) affected" n
+    let buf = Buffer.create 256 in
+    Array.iteri
+      (fun i (c : Schema.column) ->
+        if i > 0 then Buffer.add_string buf " | ";
+        Buffer.add_string buf c.Schema.col_name)
+      schema.Schema.columns;
+    Buffer.add_char buf '\n';
+    let n =
+      List.fold_left
+        (fun n row ->
+          if n > 0 then Buffer.add_char buf '\n';
+          Tuple.add_to_buffer buf row;
+          n + 1)
+        0 rows
+    in
+    Buffer.add_string buf "\n(";
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_string buf " row(s))";
+    Buffer.contents buf
+  | Affected n -> string_of_int n ^ " row(s) affected"
   | Ok_msg m -> m
   | Explained p -> p
 

@@ -15,15 +15,32 @@ let table_gen =
   QCheck.Gen.(map (fun i -> Printf.sprintf "tab%d" i) (int_bound 2))
 
 (* Values whose printed form re-parses as the same single literal token:
-   non-negative ints (a leading minus re-parses as negation), non-integral
-   positive floats (an integral float prints without the point and
-   re-parses as an int), short strings, booleans, NULL. *)
+   non-negative ints and floats (a leading minus re-parses as negation),
+   short strings, booleans, NULL.  Floats range over every finite
+   non-negative value: integral ones (which must keep their point to
+   re-lex as FLOAT), ones that need all 17 digits, huge and subnormal
+   ones. *)
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> float_of_int i) (int_bound 1000);
+        map (fun i -> float_of_int i +. 0.5) (int_bound 10);
+        map (fun (a, b) -> float_of_int a /. float_of_int (b + 1)) (pair small_nat small_nat);
+        map
+          (fun bits ->
+            let f = Float.abs (Int64.float_of_bits bits) in
+            if Float.is_finite f then f else 0.1 +. 0.2)
+          int64;
+        oneofl [ 0.1 +. 0.2; 99.12342; 1e15; 1e16; 1e20; 5e-324; Float.max_float ];
+      ])
+
 let value_gen =
   QCheck.Gen.(
     oneof
       [
         map (fun i -> Value.Int i) (int_bound 20);
-        map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_bound 10);
+        map (fun f -> Value.Float f) float_gen;
         map (fun s -> Value.Str s)
           (oneofl [ ""; "a"; "it's"; "x y"; "100%"; "quo\"te" ]);
         map (fun b -> Value.Bool b) bool;

@@ -86,6 +86,60 @@ let prop_unify_idempotent =
       | None -> true
       | Some s -> Term.equal (Subst.walk s a) (Subst.walk s b))
 
+(* Unification laws over chains of distinct variables [v0 … vk]. *)
+let chain_gen =
+  QCheck.Gen.(
+    map3
+      (fun k c flips ->
+        let vars = List.init (k + 2) (fun i -> Term.Var (Printf.sprintf "c%d" i)) in
+        vars, Term.Const (Value.Int c), flips)
+      (int_bound 5) (int_bound 3) (list_repeat 8 bool))
+
+(* [v0 = v1, …, v(k-1) = vk] in random orientations *)
+let unify_chain vars flips =
+  let rec links s vars flips =
+    match vars, flips with
+    | a :: (b :: _ as rest), flip :: flips ->
+      let s = Option.get (if flip then Subst.unify s a b else Subst.unify s b a) in
+      links s rest flips
+    | _ -> s
+  in
+  links Subst.empty vars flips
+
+let prop_unify_transitive =
+  QCheck.Test.make ~name:"unify transitive through variable chains" ~count:300
+    (QCheck.make chain_gen)
+    (fun (vars, c, flips) ->
+      let s = unify_chain vars flips in
+      let last = List.nth vars (List.length vars - 1) in
+      match Subst.unify s last c with
+      | None -> false
+      | Some s -> List.for_all (fun v -> Term.equal (Subst.walk s v) c) vars)
+
+let prop_unify_contradiction =
+  QCheck.Test.make ~name:"unify detects contradictions" ~count:300
+    (QCheck.make chain_gen)
+    (fun (vars, c, flips) ->
+      let s = unify_chain vars flips in
+      let first = List.hd vars and last = List.nth vars (List.length vars - 1) in
+      let other = Term.Const (Value.Str "other") in
+      match Subst.unify s last c with
+      | None -> false
+      | Some s -> Subst.unify s first other = None && Subst.unify s other first = None)
+
+let prop_unify_self =
+  QCheck.Test.make ~name:"unify x = x leaves the substitution unchanged" ~count:300
+    (QCheck.make QCheck.Gen.(pair chain_gen (int_bound 7)))
+    (fun ((vars, c, flips), i) ->
+      let s = unify_chain vars flips in
+      let s = if i mod 2 = 0 then s else Option.get (Subst.unify s (List.hd vars) c) in
+      let x = Term.Var (Printf.sprintf "c%d" i) in
+      match Subst.unify s x x with
+      | None -> false
+      | Some s' ->
+        Subst.cardinal s' = Subst.cardinal s
+        && String.equal (Subst.to_string s') (Subst.to_string s))
+
 (* ---------------- shared fixture ---------------- *)
 
 (* Figure 1(a) database plus the Reservation answer relation. *)
@@ -755,6 +809,9 @@ let suite =
     Alcotest.test_case "check_pred" `Quick test_check_pred;
     QCheck_alcotest.to_alcotest prop_unify_symmetric;
     QCheck_alcotest.to_alcotest prop_unify_idempotent;
+    QCheck_alcotest.to_alcotest prop_unify_transitive;
+    QCheck_alcotest.to_alcotest prop_unify_contradiction;
+    QCheck_alcotest.to_alcotest prop_unify_self;
     Alcotest.test_case "safety accepts paper query" `Quick test_safety_accepts_paper_query;
     Alcotest.test_case "safety rejects undeclared rel" `Quick
       test_safety_rejects_undeclared_relation;

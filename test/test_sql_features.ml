@@ -363,6 +363,27 @@ let test_views () =
   | exception Errors.Db_error (Errors.Duplicate_table _) -> ()
   | _ -> Alcotest.fail "table shadowing view accepted"
 
+(* A view keeps its float constants exactly: the stored definition is
+   rendered SQL text, which once printed floats with 6 significant
+   digits, turning [p > 99.12344] into [p > 99.1234]. *)
+let test_view_float_literals () =
+  let db = Database.create () in
+  let session = Sql.Run.make_session db in
+  let exec sql = Sql.Run.exec_sql session sql in
+  let ids sql =
+    List.map (fun row -> Value.as_int row.(0)) (rows_of (exec sql))
+    |> List.sort compare
+  in
+  ignore (exec "CREATE TABLE T (id INT PRIMARY KEY, p FLOAT)");
+  ignore (exec "INSERT INTO T VALUES (1, 99.12342), (2, 99.5), (3, 0.1 + 0.2)");
+  ignore (exec "CREATE VIEW V AS SELECT id FROM T WHERE p > 99.12344");
+  check Alcotest.(list int) "direct" [ 2 ] (ids "SELECT id FROM T WHERE p > 99.12344");
+  check Alcotest.(list int) "through the view" [ 2 ] (ids "SELECT * FROM V");
+  ignore (exec "CREATE VIEW W AS SELECT id FROM T WHERE p = 99.12342");
+  check Alcotest.(list int) "equality through the view" [ 1 ] (ids "SELECT * FROM W");
+  ignore (exec "CREATE VIEW X AS SELECT id FROM T WHERE p = 0.30000000000000004 OR p > 1e300");
+  check Alcotest.(list int) "17 digits through the view" [ 3 ] (ids "SELECT * FROM X")
+
 let test_view_in_entangled_query () =
   let db = Database.create () in
   let session = Sql.Run.make_session db in
@@ -521,6 +542,7 @@ let suite =
     Alcotest.test_case "CREATE TABLE AS" `Quick test_create_table_as;
     Alcotest.test_case "UPDATE/DELETE with subquery" `Quick
       test_update_delete_with_subquery;
+    Alcotest.test_case "view keeps float literals exact" `Quick test_view_float_literals;
     Alcotest.test_case "prepared basic" `Quick test_prepared_basic;
     Alcotest.test_case "prepared exec/reuse" `Quick test_prepared_exec_reuse;
     Alcotest.test_case "prepared entangled" `Quick test_prepared_entangled;

@@ -277,6 +277,66 @@ let prop_wal_value_roundtrip =
     (QCheck.make ~print:Value.to_string value_gen) (fun v ->
       Value.equal (Wal.decode_value (Wal.encode_value v)) v)
 
+(* Floats survive the value codec bit for bit (the log once held
+   [string_of_float]'s 12 digits); NaN stays a NaN. *)
+let prop_wal_float_exact =
+  let float_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map Int64.float_of_bits int64;
+          oneofl
+            [ 0.1 +. 0.2; -0.0; 0.0; Float.infinity; Float.neg_infinity; 5e-324;
+              Float.max_float; Float.min_float; 99.0; 1e15; 1e16; 123456789012345678. ];
+        ])
+  in
+  QCheck.Test.make ~name:"wal float codec is exact" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen) (fun f ->
+      match Wal.decode_value (Wal.encode_value (Value.Float f)) with
+      | Value.Float g when Float.is_nan f -> Float.is_nan g
+      | Value.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> false)
+
+(* The repro: a float that needs 17 digits changes a query's answer
+   after recovery unless the log holds it exactly. *)
+let test_wal_float_recovery () =
+  with_tmp (fun path ->
+      let query sys =
+        let s = Youtopia.System.session sys "admin" in
+        match Youtopia.System.exec_sql sys s "SELECT id FROM T WHERE p > 0.3" with
+        | Youtopia.System.Sql (Sql.Run.Rows (_, rows)) -> List.length rows
+        | _ -> Alcotest.fail "expected rows"
+      in
+      let sys = Youtopia.System.create ~wal_path:path () in
+      let s = Youtopia.System.session sys "admin" in
+      ignore (Youtopia.System.exec_sql sys s "CREATE TABLE T (id INT PRIMARY KEY, p FLOAT)");
+      ignore (Youtopia.System.exec_sql sys s "INSERT INTO T VALUES (1, 0.1 + 0.2)");
+      check int "before recovery" 1 (query sys);
+      Option.iter Wal.close (Youtopia.System.database sys).Database.wal;
+      let recovered = Youtopia.System.recover ~wal_path:path ~answer_relations:[] () in
+      check int "after recovery" 1 (query recovered))
+
+(* Logs written before the exact codec hold [string_of_float] text; they
+   still recover. *)
+let test_wal_old_float_text () =
+  with_tmp (fun path ->
+      let schema =
+        Schema.make ~primary_key:[ 0 ] "T"
+          [ Schema.column ~nullable:false "id" Ctype.TInt; Schema.column "p" Ctype.TFloat ]
+      in
+      let oc = open_out path in
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [ "S|" ^ Wal.encode_schema schema; "C|1"; "I|T|i1,f0.3"; "I|T|i2,f99."; "C|2" ];
+      close_out oc;
+      let cat = Wal.replay path in
+      let ps =
+        Table.fold (fun acc _ row -> row.(1) :: acc) [] (Catalog.find cat "T")
+        |> List.map Value.as_float |> List.sort compare
+      in
+      check Alcotest.(list (float 0.)) "old float text" [ 0.3; 99.0 ] ps)
+
 let prop_csv_field_roundtrip =
   QCheck.Test.make ~name:"csv field quoting roundtrip" ~count:300
     (QCheck.string_gen_of_size (QCheck.Gen.int_bound 20) QCheck.Gen.printable)
@@ -306,5 +366,8 @@ let suite =
     Alcotest.test_case "csv load/dump roundtrip" `Quick test_csv_load_dump_roundtrip;
     Alcotest.test_case "csv type errors" `Quick test_csv_type_errors;
     QCheck_alcotest.to_alcotest prop_wal_value_roundtrip;
+    QCheck_alcotest.to_alcotest prop_wal_float_exact;
+    Alcotest.test_case "wal float survives recovery" `Quick test_wal_float_recovery;
+    Alcotest.test_case "wal old float text recovers" `Quick test_wal_old_float_text;
     QCheck_alcotest.to_alcotest prop_csv_field_roundtrip;
   ]

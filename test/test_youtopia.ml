@@ -28,4 +28,5 @@ let () =
       "edge-cases", Test_edge_cases.suite;
       "random-sql", Test_random_sql.suite;
       "ast-fuzz", Test_ast_fuzz.suite;
+      "render", Test_render.suite;
     ]
