@@ -1460,15 +1460,15 @@ let e_repl { fast; seed } =
   record ~experiment:"REPL" ~metric:"recovery_speedup" (t_full /. t_ckpt)
 
 (* ------------------------------------------------------------------ *)
-(* CONN — connection scalability of the event loops.  Phase 1 parks a
+(* CONN — connection scalability of the event loop.  Phase 1 parks a
    wall of idle connections (each held open after a completed HELLO);
    phase 2 runs active submitters through the wall and measures exact p99
    submit latency.  Three walls: none (the latency floor), the matched
    wall (the most a thread-per-connection server held here, two OS
    threads per connection — EXPERIMENTS.md CONN), and the capacity wall
    derived from RLIMIT_NOFILE — each loopback connection costs this
-   process two fds (client + server end) — minus a reserve for the WAL,
-   listeners and wakeup pipes. *)
+   process two fds (client + server end) — minus a reserve for the WAL
+   and listeners. *)
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -1524,7 +1524,7 @@ let nofile_limit () =
     !limit
 
 let e_conn { fast; seed } =
-  header "CONN — idle-connection capacity + active p99 of the event loops";
+  header "CONN — idle-connection capacity + active p99 of the event loop";
   let nofile = nofile_limit () in
   let submitters = if fast then 128 else 1000 in
   let per_submitter = 10 in
@@ -1550,9 +1550,7 @@ let e_conn { fast; seed } =
   in
   let run_wall ~label ~idle_target =
     let sys = fresh_travel ~seed ~n_flights:32 () in
-    let config =
-      { Net.Server.default_config with Net.Server.port = 0; event_loops = 2 }
-    in
+    let config = { Net.Server.default_config with Net.Server.port = 0 } in
     let rss0, th0 = proc_status () in
     let server = Net.Server.start ~config sys in
     let port = Net.Server.port server in
@@ -1619,7 +1617,7 @@ let e_conn { fast; seed } =
   in
   let matched_target = max 64 (thread_ceiling - submitters - 4) in
   say
-    "fd limit %d; %d active submitters x %d INSERTs on 2 loops; idle walls: \
+    "fd limit %d; %d active submitters x %d INSERTs; idle walls: \
      none, matched %d, capacity %d"
     nofile submitters per_submitter matched_target event_target;
   say "%14s %12s %10s %10s %12s %12s" "wall" "idle conns" "p50(us)"
@@ -1671,7 +1669,7 @@ let experiments =
     "BATCH", ("write batching x durability over loopback TCP", e_batch);
     "REPL", ("read replicas + checkpointed recovery", e_repl);
     "NET", ("travel workload over loopback TCP", e_net);
-    "CONN", ("connection scalability of the event loops", e_conn);
+    "CONN", ("connection scalability of the event loop", e_conn);
     "MICRO", ("engine primitive microbenchmarks", fun (_ : opts) -> e_micro ());
   ]
 

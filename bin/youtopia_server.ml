@@ -41,8 +41,7 @@ let say fmt =
     fmt
 
 let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-    ~durability ~max_batch ~replica_of ~replica_id ~event_loops ~max_conns
-    ~verbose =
+    ~durability ~max_batch ~replica_of ~replica_id ~max_conns ~verbose =
   ensure_stdout ();
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
@@ -147,10 +146,6 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
          ^ "' (expected never|flush|fsync)");
         exit 2)
   in
-  if event_loops < 1 then begin
-    prerr_endline "--event-loops must be at least 1";
-    exit 2
-  end;
   if max_batch < 1 then begin
     prerr_endline "--max-batch must be at least 1";
     exit 2
@@ -166,7 +161,6 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
       max_batch;
       replica_of;
       replica_id;
-      event_loops;
       max_conns;
     }
   in
@@ -264,7 +258,7 @@ let max_batch_opt =
     & opt int Net.Server.default_config.Net.Server.max_batch
     & info [ "max-batch" ] ~docv:"N"
         ~doc:
-          "Most write requests one batch executes: the writes an event loop \
+          "Most write requests one batch executes: the writes the event loop \
            decodes in one poll iteration run together, under one engine \
            lock, one WAL flush and one coordinator poke.  1 runs every \
            write alone (the per-request baseline).")
@@ -286,13 +280,6 @@ let replica_id_opt =
     & info [ "replica-id" ] ~docv:"NAME"
         ~doc:"Name announced to the primary in the replica handshake.")
 
-let event_loops_opt =
-  Arg.(
-    value
-    & opt int Net.Server.default_config.Net.Server.event_loops
-    & info [ "event-loops" ] ~docv:"N"
-        ~doc:"Event-loop worker threads; each owns its share of connections.")
-
 let max_conns_opt =
   Arg.(
     value
@@ -310,14 +297,11 @@ let cmd =
     Term.(
       const
         (fun host port travel scenario seed wal read_timeout max_frame
-             durability max_batch replica_of replica_id event_loops max_conns
-             verbose ->
+             durability max_batch replica_of replica_id max_conns verbose ->
           run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-            ~durability ~max_batch ~replica_of ~replica_id ~event_loops
-            ~max_conns ~verbose)
+            ~durability ~max_batch ~replica_of ~replica_id ~max_conns ~verbose)
       $ host_opt $ port_opt $ travel_flag $ scenario_opt $ seed_opt $ wal_opt
       $ read_timeout_opt $ max_frame_opt $ durability_opt $ max_batch_opt
-      $ replica_of_opt $ replica_id_opt $ event_loops_opt $ max_conns_opt
-      $ verbose_flag)
+      $ replica_of_opt $ replica_id_opt $ max_conns_opt $ verbose_flag)
 
 let () = exit (Cmd.eval' cmd)

@@ -219,6 +219,7 @@ let bucket_count t =
   + Hashtbl.length t.t_by_const + Hashtbl.length t.t_by_var
 
 let iter f t = Int_map.iter (fun _ q -> f q) t.queries
+let exists f t = Int_map.exists (fun _ q -> f q) t.queries
 let to_list t = Int_map.fold (fun _ q acc -> q :: acc) t.queries [] |> List.rev
 
 let lookup_indexed t ~rel_tbl ~const_tbl ~var_tbl (subst : Subst.t)

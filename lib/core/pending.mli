@@ -29,6 +29,10 @@ val add : t -> Equery.t -> unit
 
 val remove : t -> int -> unit
 val iter : (Equery.t -> unit) -> t -> unit
+
+val exists : (Equery.t -> bool) -> t -> bool
+(** Stops at the first query satisfying the predicate; allocates no list. *)
+
 val to_list : t -> Equery.t list
 
 val candidates : t -> Subst.t -> Atom.t -> Equery.t list

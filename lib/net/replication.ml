@@ -336,9 +336,9 @@ module Replica = struct
               | Some (records, sent_at_us) ->
                 let lsn = t.applied_lsn + 1 in
                 Hashtbl.remove completed lsn;
-                (* raising here aborts the session before [applied_lsn]
-                   advances; the reconnect re-requests from this batch *)
-                Fault.point "repl.replica.apply";
+                (* a raising [apply_batch] aborts the session before
+                   [applied_lsn] advances; the reconnect re-requests from
+                   this batch *)
                 t.cb.apply_batch ~lsn records;
                 t.applied_lsn <- lsn;
                 let lag_lsn = max 0 (t.seen_lsn - lsn) in

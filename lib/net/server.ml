@@ -1,25 +1,26 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    One accept thread hands each connection to one of [config.event_loops]
-    event-loop workers, which owns it until it closes.  A loop multiplexes
-    its {e non-blocking} sockets with one [poll(2)] call per iteration
-    ({!Netpoll}).  Reads go through the incremental {!Wire.Decoder} so a
-    partial frame never blocks a loop; complete frames dispatch inline on
-    the loop thread.  The write SUBMITs decoded during one poll iteration
-    collect into the loop's open batch, which the loop itself executes at
-    the end of the iteration: no hand-off thread, no wakeup.  Outbound
+    One event loop on one thread owns the listening socket and every
+    connection.  It multiplexes them, all {e non-blocking}, with one
+    [poll(2)] call per iteration ({!Netpoll}); the listening socket is in
+    the same poll set, so accepting is just another readiness event.
+    Reads go through the incremental {!Wire.Decoder} so a partial frame
+    never blocks the loop; complete frames dispatch inline.  The write
+    SUBMITs decoded during one poll iteration collect into the open batch,
+    which the loop itself executes at the end of the iteration.  Outbound
     frames queue per connection (bounded by [max_outq] — a slow consumer
-    is dropped, never buffered without limit) and are flushed by the
-    owning loop; a self-pipe wakeup lets {e other} threads (another loop's
-    batch pushing to this loop's connection) hand frames to the owning
-    loop without blocking.  Backpressure: a connection with
-    [max_in_flight] responses queued unflushed loses [POLLIN] interest
-    until they drain.  Idle enforcement is loop-side ([read_timeout]
-    deadlines swept by the loop) and {e exempts} connections whose user
-    owns a parked pending query — a long coordination wait must not race
-    the idle timer — as well as replica links.
+    is dropped, never buffered without limit) and are flushed by the loop.
+    Nothing but the loop touches a connection, so connection state takes
+    no lock and needs no cross-thread wakeup.  Backpressure: a connection
+    with [max_in_flight] responses queued unflushed loses [POLLIN]
+    interest until they drain.  Idle enforcement is loop-side
+    ([read_timeout] deadlines swept by the loop) and {e exempts}
+    connections whose user owns a parked pending query — a long
+    coordination wait must not race the idle timer — as well as replica
+    links.
 
-    Engine work runs under one mutex, the engine lock.  Writes go through
+    Engine work runs under one mutex, the engine lock, which the loop
+    shares only with a replica's upstream thread.  Writes go through
     the {b batch executor} (one lock acquisition, one WAL group flush, one
     coordinator poke per batch; responses fan out after release).  SQL is
     parsed {i outside} the lock.  Program order holds per connection: any
@@ -57,7 +58,6 @@ type config = {
           a redirect naming it, and an upstream loop bootstraps from a
           streamed snapshot then tails the primary's WAL *)
   replica_id : string;  (** name announced in the replica handshake *)
-  event_loops : int;  (** event-loop workers *)
   max_in_flight : int;
       (** responses one connection may have queued unflushed before the
           loop drops its read interest (backpressure) *)
@@ -77,7 +77,6 @@ let default_config =
     durability = None;
     replica_of = None;
     replica_id = "replica";
-    event_loops = 1;
     max_in_flight = 64;
     max_conns = 0;
   }
@@ -92,19 +91,14 @@ type conn = {
   conn_id : int;
   fd : Unix.file_descr;
   outq : (bool * string) Queue.t;  (** (raw, payload) awaiting the wire *)
-  out_mu : Mutex.t;
   mutable closing : bool;
   mutable raw : bool;  (** negotiated protocol ≥ 2: bulky frames go raw *)
-  mutable batched : int;
-      (** this connection's writes in the open batch; touched only by its
-          loop *)
-  home : int;  (** index of the event loop that owns the connection *)
+  mutable batched : int;  (** this connection's writes in the open batch *)
   dec : Wire.Decoder.t;
   mutable peer : peer option;
   mutable last_activity : float;
-  mutable close_after_flush : bool;
-      (** loop-owned: drain [outq], then tear down *)
-  (* loop-private partial-write state: the staged frame being written *)
+  mutable close_after_flush : bool;  (** drain [outq], then tear down *)
+  (* partial-write state: the staged frame being written *)
   mutable wbuf : Bytes.t;
   mutable woff : int;
   mutable wlen : int;
@@ -120,36 +114,12 @@ type write_req = {
   wr_t0 : float;  (** arrival time, for end-to-end submit latency *)
 }
 
-(** The write requests one event loop has decoded but not yet executed,
-    newest first. *)
+(** The write requests the loop has decoded but not yet executed, newest
+    first. *)
 type batch = { mutable reqs : write_req list; mutable size : int }
 
-(** One event-loop worker.  [lp_conns] and [lp_batch] are touched only by
-    the loop thread; [lp_mu] guards the [lp_incoming] hand-off queue.  The
-    self-pipe plus [lp_waked] coalesces wakeups from other threads:
-    whoever flips the flag writes the byte, everyone else piggybacks. *)
-type loop = {
-  lp_index : int;
-  lp_wake_r : Unix.file_descr;
-  lp_wake_w : Unix.file_descr;
-  lp_waked : bool Atomic.t;
-  lp_mu : Mutex.t;
-  lp_incoming : conn Queue.t;
-  lp_conns : (int, conn) Hashtbl.t;
-  lp_batch : batch;
-  mutable lp_tid : int;  (** the loop thread's {!Thread.id}; -1 until it runs *)
-  mutable lp_late_out : bool;
-      (** the loop thread queued output since this iteration's interest
-          build began: the next poll must not block *)
-  (* reusable poll arrays, resized as the fd population grows *)
-  mutable lp_fds : Unix.file_descr array;
-  mutable lp_events : int array;
-  mutable lp_revents : int array;
-  mutable lp_slots : conn option array;
-  mutable lp_thread : Thread.t option;
-  mutable lp_drained : int;  (** connections the loop closed on its way out *)
-}
-
+(** The connections, the open batch, the poll arrays and the flags belong
+    to the loop thread alone; {!stop} writes only [running]. *)
 type t = {
   sys : Youtopia.System.t;
   config : config;
@@ -158,12 +128,22 @@ type t = {
   bound_port : int;
   engine_lock : Mutex.t;
   conns : (int, conn) Hashtbl.t;
-  conns_mu : Mutex.t;
+  batch : batch;
   mutable next_conn_id : int;
   mutable running : bool;
-  mutable accept_thread : Thread.t option;
-  loops : loop array;
-  mutable next_loop : int;  (** round-robin adoption cursor *)
+  mutable late_out : bool;
+      (** output was queued since this iteration's interest build began:
+          the next poll must not block *)
+  mutable accept_paused_until : float;
+      (** the listen fd stays out of the interest set until then, after an
+          accept error such as [EMFILE] *)
+  (* reusable poll arrays, resized as the fd population grows; slot 0 is
+     the listen fd *)
+  mutable fds : Unix.file_descr array;
+  mutable events : int array;
+  mutable revents : int array;
+  mutable slots : conn option array;
+  mutable thread : Thread.t option;
   (* replication *)
   hub : Replication.Hub.t option;
       (** primary side: committed batches fan out to replica sinks;
@@ -215,56 +195,28 @@ let read_only_stmt : Sql.Ast.statement -> bool = Sql.Ast.read_only
 
 (* ---------------- outbound queue ---------------- *)
 
-let wake_byte = Bytes.make 1 '!'
-
-(** Wake a loop out of its poll wait.  The atomic flag coalesces storms of
-    wakeups into one pipe byte; the loop drains the pipe {e before}
-    clearing the flag, so a waker racing the drain skips its byte but is
-    still observed — its work was published before the clear, and the loop
-    rebuilds interest right after.  Never blocks: the write end is
-    non-blocking and a full pipe already guarantees a pending wakeup. *)
-let wake lp =
-  if not (Atomic.exchange lp.lp_waked true) then
-    try ignore (Unix.write lp.lp_wake_w wake_byte 0 1)
-    with Unix.Unix_error _ -> ()
-
-(** Tell the owning loop about new output.  The loop thread itself never
-    needs the pipe — it flushes every connection before its next poll — so
-    it only marks the poll non-blocking, in case this connection's
-    interest was already built without the output. *)
-let wake_home t conn =
-  let lp = t.loops.(conn.home) in
-  if Thread.id (Thread.self ()) = lp.lp_tid then lp.lp_late_out <- true
-  else wake lp
-
-(** Enqueue one (raw, payload) frame for the owning loop to flush,
-    bounded by [config.max_outq]: a peer that stops reading while frames
-    keep arriving is dropped rather than buffered without limit.  The fd
+(** Enqueue one (raw, payload) frame for the loop to flush, bounded by
+    [config.max_outq]: a peer that stops reading while frames keep
+    arriving is dropped rather than buffered without limit.  The fd
     shutdown surfaces as an error readiness bit to the loop, so normal
-    teardown runs. *)
+    teardown runs.  The loop flushes every connection before its next
+    poll; [late_out] keeps that poll from blocking in case this
+    connection's interest was already built without the output. *)
 let enqueue t conn item =
-  Mutex.lock conn.out_mu;
-  let overflow =
-    if conn.closing then false
-    else if Queue.length conn.outq >= t.config.max_outq then begin
-      conn.closing <- true;
-      Queue.clear conn.outq;
-      true
-    end
-    else begin
-      Queue.push item conn.outq;
-      false
-    end
-  in
-  Mutex.unlock conn.out_mu;
-  if overflow then begin
+  if conn.closing then ()
+  else if Queue.length conn.outq >= t.config.max_outq then begin
+    conn.closing <- true;
+    Queue.clear conn.outq;
     Server_stats.on_error t.stats;
     Log.warn (fun f ->
         f "conn %d: slow consumer, %d frames queued; dropping" conn.conn_id
           t.config.max_outq);
     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-  end;
-  wake_home t conn
+  end
+  else begin
+    Queue.push item conn.outq;
+    t.late_out <- true
+  end
 
 (** Encode and enqueue: bulky responses go raw when the connection
     negotiated protocol ≥ 2, the escaped text codec otherwise. *)
@@ -285,8 +237,7 @@ let loop_point name =
   with Fault.Injected _ -> false
 
 (** Flush the connection's staged frame + queue as far as the socket
-    allows.  Loop-thread only (the staged wbuf/woff/wlen state is
-    loop-owned).  Staging applies the same [wire.send] / [wire.send.drop]
+    allows.  Staging applies the same [wire.send] / [wire.send.drop]
     failpoint semantics as {!Wire.write_frame}. *)
 let event_flush t conn =
   if not (loop_point "server.loop.writable") then `Dead
@@ -310,12 +261,7 @@ let event_flush t conn =
           step ()
       end
       else begin
-        Mutex.lock conn.out_mu;
-        let item =
-          if Queue.is_empty conn.outq then None else Some (Queue.pop conn.outq)
-        in
-        Mutex.unlock conn.out_mu;
-        match item with
+        match Queue.take_opt conn.outq with
         | None -> `Flushed
         | Some (raw, payload) ->
           if String.length payload > t.config.max_frame then begin
@@ -499,8 +445,9 @@ let execute_batch t batch =
   (* replicas ride the same fan-out discipline as client responses *)
   hub_flush t
 
-(** Execute and empty a loop's open batch (no-op when empty). *)
-let run_batch t b =
+(** Execute and empty the open batch (no-op when empty). *)
+let run_batch t =
+  let b = t.batch in
   if b.size > 0 then begin
     let reqs = List.rev b.reqs in
     b.reqs <- [];
@@ -511,18 +458,18 @@ let run_batch t b =
 
 (** Program order: before anything else from [conn] is answered, its
     writes in the open batch run. *)
-let settle t b conn = if conn.batched > 0 then run_batch t b
+let settle t conn = if conn.batched > 0 then run_batch t
 
 (** Submit dispatch.  Parsing happens on the loop thread, outside any
     lock.  Read-only scripts run inline under the engine lock, after the
-    connection's own batched writes.  Writes join the loop's open batch
-    [b]; a full batch runs at once, otherwise the loop runs it at the end
-    of its iteration. *)
-let handle_submit t b conn session ~id ~sql =
+    connection's own batched writes.  Writes join the open batch; a full
+    batch runs at once, otherwise the loop runs it at the end of its
+    iteration. *)
+let handle_submit t conn session ~id ~sql =
   let t0 = Unix.gettimeofday () in
   match Relational.Errors.guard (fun () -> Sql.Parser.parse_script sql) with
   | Error kind ->
-    settle t b conn;
+    settle t conn;
     Server_stats.on_error t.stats;
     Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. t0);
     send t conn
@@ -537,7 +484,7 @@ let handle_submit t b conn session ~id ~sql =
         (Wire.Error { id; message = Wire.readonly_redirect ~host ~port })
     end
     else if List.for_all read_only_stmt stmts then begin
-      settle t b conn;
+      settle t conn;
       let response =
         match
           with_engine_read t (fun () ->
@@ -555,13 +502,14 @@ let handle_submit t b conn session ~id ~sql =
       send t conn response
     end
     else begin
+      let b = t.batch in
       b.reqs <-
         { wr_conn = conn; wr_session = session; wr_id = id; wr_stmts = stmts;
           wr_t0 = t0 }
         :: b.reqs;
       b.size <- b.size + 1;
       conn.batched <- conn.batched + 1;
-      if b.size >= t.config.max_batch then run_batch t b
+      if b.size >= t.config.max_batch then run_batch t
     end
 
 let handle_cancel t ~id ~query_id =
@@ -628,8 +576,10 @@ let handle_admin t ~id ~what =
     when other = "failpoint"
          || (String.length other > 10 && String.sub other 0 10 = "failpoint ")
     -> (
-    (* fault-injection control — deliberately lock-free: it must work
-       even when a delay failpoint has the engine wedged *)
+    (* fault-injection control takes no engine lock: the failpoint table
+       is not engine state, and on a replica the upstream thread may sit
+       wedged in a delay failpoint inside the engine section — this probe
+       must still reach it to disarm it *)
     let ok body = Wire.Stats { id; body } in
     let err message =
       Server_stats.on_error t.stats;
@@ -683,28 +633,20 @@ exception Goodbye
     would reconnect with the same LSN and re-trip it forever, so a
     snapshot or catch-up larger than [max_outq] frames could never sync.
     The burst is the server's own doing, not evidence of a slow consumer:
-    we {e are} the owning loop thread (the handshake dispatches inline),
-    so flush directly, waiting for writability when the socket blocks.  A
-    replica that genuinely stops reading still gets dropped: no queue
-    progress for [stall_limit] seconds is the slow-consumer verdict. *)
+    the handshake dispatches inline on the loop thread, so flush directly,
+    waiting for writability when the socket blocks.  A replica that
+    genuinely stops reading still gets dropped: no queue progress for
+    [stall_limit] seconds is the slow-consumer verdict. *)
 let bootstrap_send t conn response =
   let high_water = max 1 (t.config.max_outq / 2) in
   let stall_limit = 30. in
-  let qlen () =
-    Mutex.lock conn.out_mu;
-    let n = Queue.length conn.outq in
-    Mutex.unlock conn.out_mu;
-    n
-  in
   let drop_stalled () =
     Server_stats.on_error t.stats;
     Log.warn (fun f ->
         f "conn %d: replica not draining its bootstrap for %.0fs; dropping"
           conn.conn_id stall_limit);
-    Mutex.lock conn.out_mu;
     conn.closing <- true;
     Queue.clear conn.outq;
-    Mutex.unlock conn.out_mu;
     (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     raise Wire.Closed
   in
@@ -713,12 +655,10 @@ let bootstrap_send t conn response =
     else if last >= high_water then begin
       match event_flush t conn with
       | `Dead ->
-        Mutex.lock conn.out_mu;
         conn.closing <- true;
-        Mutex.unlock conn.out_mu;
         raise Wire.Closed
       | `Ok ->
-        let n = qlen () in
+        let n = Queue.length conn.outq in
         if n >= high_water then
           if n < last then drain ~stalled:0. n
           else if stalled >= stall_limit then drop_stalled ()
@@ -732,7 +672,7 @@ let bootstrap_send t conn response =
           end
     end
   in
-  drain ~stalled:0. (qlen ());
+  drain ~stalled:0. (Queue.length conn.outq);
   send t conn response
 
 (** Send a replica its bootstrap stream.  The sink is already registered,
@@ -841,10 +781,10 @@ let handshake_of_request t conn req =
   | _ -> raise (Wire.Protocol_error "expected HELLO as the first frame")
 
 (** Dispatch one decoded (text) frame on a connection, handshaking it
-    first if no peer is established yet; write SUBMITs join the open batch
-    [b].  Raises {!Goodbye} on BYE, {!Wire.Protocol_error} on anything
+    first if no peer is established yet; write SUBMITs join the open
+    batch.  Raises {!Goodbye} on BYE, {!Wire.Protocol_error} on anything
     malformed. *)
-let dispatch_frame t b conn payload =
+let dispatch_frame t conn payload =
   let req = Wire.decode_request payload in
   match conn.peer with
   | None -> conn.peer <- Some (handshake_of_request t conn req)
@@ -854,15 +794,15 @@ let dispatch_frame t b conn payload =
       raise (Wire.Protocol_error "duplicate HELLO")
     | Wire.Repl_ack _ ->
       raise (Wire.Protocol_error "RACK on a client connection")
-    | Wire.Submit { id; sql } -> handle_submit t b conn s ~id ~sql
+    | Wire.Submit { id; sql } -> handle_submit t conn s ~id ~sql
     | Wire.Cancel { id; query_id } ->
-      settle t b conn;
+      settle t conn;
       send t conn (handle_cancel t ~id ~query_id)
     | Wire.Admin { id; what } ->
-      settle t b conn;
+      settle t conn;
       send t conn (handle_admin t ~id ~what)
     | Wire.Ping { id; payload } ->
-      settle t b conn;
+      settle t conn;
       send t conn (Wire.Pong { id; payload })
     | Wire.Bye -> raise Goodbye)
   | Some (Replica_peer sink) -> (
@@ -883,10 +823,9 @@ let idle_exempt t conn =
     let user = Youtopia.Session.user s in
     try
       with_engine_read t (fun () ->
-          List.exists
+          Core.Pending.exists
             (fun q -> q.Core.Equery.owner = user)
-            (Core.Pending.to_list
-               (Core.Coordinator.pending (Youtopia.System.coordinator t.sys))))
+            (Core.Coordinator.pending (Youtopia.System.coordinator t.sys)))
     with _ -> false)
   | None -> false
 
@@ -906,8 +845,7 @@ let detach_peer t conn =
     Server_stats.on_replica_disconnect t.stats
   | None -> ()
 
-let make_conn t ~fd ~home =
-  Mutex.lock t.conns_mu;
+let make_conn t fd =
   let conn_id = t.next_conn_id in
   t.next_conn_id <- conn_id + 1;
   let conn =
@@ -915,11 +853,9 @@ let make_conn t ~fd ~home =
       conn_id;
       fd;
       outq = Queue.create ();
-      out_mu = Mutex.create ();
       closing = false;
       raw = false;
       batched = 0;
-      home;
       dec = Wire.Decoder.create ~max_frame:t.config.max_frame ();
       peer = None;
       last_activity = Unix.gettimeofday ();
@@ -930,35 +866,29 @@ let make_conn t ~fd ~home =
     }
   in
   Hashtbl.replace t.conns conn_id conn;
-  Mutex.unlock t.conns_mu;
   Server_stats.on_connect t.stats;
   conn
 
-(* ---------------- event loops ---------------- *)
+(* ---------------- event loop ---------------- *)
 
-(** Connection teardown, loop thread only.  Writes the connection already
-    sent still run first. *)
-let teardown_conn t lp conn =
-  settle t lp.lp_batch conn;
-  Hashtbl.remove lp.lp_conns conn.conn_id;
+(** Connection teardown.  Writes the connection already sent still run
+    first. *)
+let teardown_conn t conn =
+  settle t conn;
+  Hashtbl.remove t.conns conn.conn_id;
   detach_peer t conn;
-  Mutex.lock conn.out_mu;
   conn.closing <- true;
   Queue.clear conn.outq;
-  Mutex.unlock conn.out_mu;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conns_mu;
-  Hashtbl.remove t.conns conn.conn_id;
-  Mutex.unlock t.conns_mu;
   Server_stats.on_disconnect t.stats;
   Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
 
 (** Drain every complete frame the decoder holds, dispatching inline; write
-    SUBMITs join the open batch [b].  Errors condemn the connection but let
+    SUBMITs join the open batch.  Errors condemn the connection but let
     queued output (the error response included) flush first. *)
-let drain_decoder t b conn =
+let drain_decoder t conn =
   let proto_error m =
-    settle t b conn;
+    settle t conn;
     Server_stats.on_error t.stats;
     Log.debug (fun f -> f "conn %d: protocol error: %s" conn.conn_id m);
     send t conn (Wire.Error { id = 0; message = m });
@@ -993,7 +923,7 @@ let drain_decoder t b conn =
               proto_error
                 "unexpected raw frame (connection did not negotiate them)"
             else begin
-              match dispatch_frame t b conn payload with
+              match dispatch_frame t conn payload with
               | () -> go ()
               | exception Goodbye ->
                 conn.close_after_flush <- true;
@@ -1002,7 +932,7 @@ let drain_decoder t b conn =
               | exception Wire.Closed -> `Dead
               | exception Unix.Unix_error _ -> `Dead
               | exception exn ->
-                settle t b conn;
+                settle t conn;
                 Server_stats.on_error t.stats;
                 Log.debug (fun f ->
                     f "conn %d: dispatch failed: %s" conn.conn_id
@@ -1020,7 +950,7 @@ let drain_decoder t b conn =
 (** One readable event: pull whatever the socket has into the decoder and
     dispatch the complete frames.  EOF switches the connection to
     drain-then-close so queued responses still reach a half-closed peer. *)
-let event_read t b conn scratch =
+let event_read t conn scratch =
   if not (loop_point "server.loop.readable") then `Dead
   else begin
     match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
@@ -1034,71 +964,110 @@ let event_read t b conn scratch =
     | n ->
       conn.last_activity <- Unix.gettimeofday ();
       Wire.Decoder.feed conn.dec scratch 0 n;
-      drain_decoder t b conn
+      drain_decoder t conn
   end
 
-let ensure_loop_capacity lp n =
-  if Array.length lp.lp_fds < n then begin
-    let cap = ref (max 64 (Array.length lp.lp_fds)) in
+let ensure_capacity t n =
+  if Array.length t.fds < n then begin
+    let cap = ref (Array.length t.fds) in
     while !cap < n do
       cap := !cap * 2
     done;
-    lp.lp_fds <- Array.make !cap lp.lp_wake_r;
-    lp.lp_events <- Array.make !cap 0;
-    lp.lp_revents <- Array.make !cap 0;
-    lp.lp_slots <- Array.make !cap None
+    t.fds <- Array.make !cap t.listen_fd;
+    t.events <- Array.make !cap 0;
+    t.revents <- Array.make !cap 0;
+    t.slots <- Array.make !cap None
   end
 
-(** The loop thread: adopt handed-off connections, compute per-connection
-    interest (read unless backpressured or draining-to-close, write when
-    output is pending), wait, then service readiness — wake pipe first,
-    then each ready connection — and finally execute the writes the
-    iteration decoded as one batch.  On exit (server stop) remaining output is
+(** Take one accepted socket in, unless the [server.accept] failpoint or
+    [max_conns] refuses it.  It enters the poll set at the next interest
+    build. *)
+let admit t fd =
+  let refuse () = try Unix.close fd with Unix.Unix_error _ -> () in
+  if not (loop_point "server.accept") then begin
+    Server_stats.on_error t.stats;
+    refuse ()
+  end
+  else if t.config.max_conns > 0 && Hashtbl.length t.conns >= t.config.max_conns
+  then begin
+    Server_stats.on_conn_refused t.stats;
+    Log.warn (fun f ->
+        f "refusing connection: %d live (max_conns=%d)" (Hashtbl.length t.conns)
+          t.config.max_conns);
+    refuse ()
+  end
+  else
+    match
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Unix.set_nonblock fd
+    with
+    | () ->
+      let conn = make_conn t fd in
+      Log.debug (fun f -> f "conn %d: accepted" conn.conn_id)
+    | exception Unix.Unix_error _ ->
+      Server_stats.on_error t.stats;
+      refuse ()
+
+(** Most connections one readable listen fd yields per iteration, so a
+    connection storm cannot starve the connections already open. *)
+let accept_burst = 64
+
+(** The listen fd is readable: accept until [EAGAIN].  Under fd
+    exhaustion ([EMFILE]/[ENFILE]) the listen fd stays readable, so an
+    accept error takes it out of the interest set for a 50 ms back-off
+    rather than spinning on it. *)
+let accept_ready t =
+  let rec go k =
+    if k > 0 then
+      match Unix.accept t.listen_fd with
+      | fd, _addr ->
+        admit t fd;
+        go (k - 1)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
+        go (k - 1)
+      | exception Unix.Unix_error (err, _, _) ->
+        Server_stats.on_error t.stats;
+        Log.err (fun f -> f "accept: %s; retrying" (Unix.error_message err));
+        t.accept_paused_until <- Unix.gettimeofday () +. 0.05
+  in
+  go accept_burst
+
+(** The loop thread: compute per-connection interest (read unless
+    backpressured or draining-to-close, write when output is pending) next
+    to the listen fd's, wait, service each ready connection, accept what
+    the listen fd holds, and finally execute the writes the iteration
+    decoded as one batch.  On exit (server stop) remaining output is
     flushed best-effort over briefly-blocking sockets so in-flight
     responses reach their clients. *)
-let loop_run t lp =
+let loop_run t =
   let scratch = Bytes.create 65536 in
-  let wake_buf = Bytes.create 256 in
   let sweep_period =
     if t.config.read_timeout > 0. then
       Float.min 0.25 (Float.max 0.01 (t.config.read_timeout /. 4.))
     else 0.
   in
-  (* never block unboundedly: a bounded tick is cheap insurance against
-     any wakeup path the flag/pipe protocol fails to cover *)
+  (* the tick paces the idle sweep; without one the wait still ends
+     every 250 ms *)
   let timeout_ms =
     if sweep_period > 0. then max 10 (int_of_float (sweep_period *. 1000.))
     else 250
   in
   let last_sweep = ref (Unix.gettimeofday ()) in
-  lp.lp_tid <- Thread.id (Thread.self ());
-  let adopt () =
-    Mutex.lock lp.lp_mu;
-    while not (Queue.is_empty lp.lp_incoming) do
-      let c = Queue.pop lp.lp_incoming in
-      Hashtbl.replace lp.lp_conns c.conn_id c
-    done;
-    Mutex.unlock lp.lp_mu
-  in
   while t.running do
     match
-      adopt ();
       (* interest build; connections already condemned tear down here *)
-      ensure_loop_capacity lp (Hashtbl.length lp.lp_conns + 1);
-      lp.lp_fds.(0) <- lp.lp_wake_r;
-      lp.lp_events.(0) <- Netpoll.readable;
-      lp.lp_slots.(0) <- None;
+      ensure_capacity t (Hashtbl.length t.conns + 1);
+      let accepting = Unix.gettimeofday () >= t.accept_paused_until in
+      (* the listen fd stays in the set even while paused: a hang-up from
+         {!stop} must still wake the wait *)
+      t.fds.(0) <- t.listen_fd;
+      t.events.(0) <- (if accepting then Netpoll.readable else 0);
       let n = ref 1 in
       let doomed = ref [] in
-      lp.lp_late_out <- false;
+      t.late_out <- false;
       Hashtbl.iter
         (fun _ c ->
-          (* racy reads by design: wbuf offsets are loop-owned, and the
-             queue length / closing flag are word-size fields whose stale
-             values cost at most one iteration — another thread's
-             wake-pipe byte forces that iteration.  Locking out_mu here
-             would mean ~2 lock pairs per connection per iteration: the
-             dominant cost at a 10k-connection wall. *)
           let pending_out = c.wlen > c.woff || Queue.length c.outq > 0 in
           let closing = c.closing in
           (* opportunistic flush: a socket is writable almost always, so
@@ -1125,52 +1094,38 @@ let loop_run t lp =
               && Queue.length c.outq < t.config.max_in_flight
             then ev := Netpoll.readable;
             if pending_out then ev := !ev lor Netpoll.writable;
-            lp.lp_fds.(!n) <- c.fd;
-            lp.lp_events.(!n) <- !ev;
-            lp.lp_slots.(!n) <- Some c;
+            t.fds.(!n) <- c.fd;
+            t.events.(!n) <- !ev;
+            t.slots.(!n) <- Some c;
             incr n
           end)
-        lp.lp_conns;
-      List.iter (teardown_conn t lp) !doomed;
+        t.conns;
+      List.iter (teardown_conn t) !doomed;
       Server_stats.on_loop_iteration t.stats ~fds:!n;
       (match
-         Netpoll.wait ~fds:lp.lp_fds ~events:lp.lp_events
-           ~revents:lp.lp_revents ~nfds:!n
-           ~timeout_ms:(if lp.lp_late_out then 0 else timeout_ms)
+         Netpoll.wait ~fds:t.fds ~events:t.events ~revents:t.revents ~nfds:!n
+           ~timeout_ms:
+             (if t.late_out then 0
+              else if accepting then timeout_ms
+              else min timeout_ms 50)
        with
       | _ -> ()
       | exception Failure m ->
-        Array.fill lp.lp_revents 0 !n 0;
-        Log.err (fun f -> f "loop %d: %s" lp.lp_index m);
+        Array.fill t.revents 0 !n 0;
+        Log.err (fun f -> f "loop: %s" m);
         Thread.delay 0.01);
-      (* wake pipe first: drain, THEN clear the flag.  A waker racing the
-         drain sees the flag still set and skips its byte — but its
-         enqueue happened before our clear, so the next interest rebuild
-         observes it.  Clearing before draining would eat that racer's
-         byte while leaving the flag set, silencing every later wake. *)
-      if lp.lp_revents.(0) land Netpoll.readable <> 0 then begin
-        (try
-           while Unix.read lp.lp_wake_r wake_buf 0 (Bytes.length wake_buf) > 0 do
-             ()
-           done
-         with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-        Atomic.set lp.lp_waked false;
-        Server_stats.on_loop_wakeup t.stats;
-        if not (loop_point "server.loop.wakeup") then
-          Server_stats.on_error t.stats
-      end;
       for i = 1 to !n - 1 do
-        (match lp.lp_slots.(i) with
+        (match t.slots.(i) with
         | None -> ()
         | Some c ->
-          let re = lp.lp_revents.(i) in
+          let re = t.revents.(i) in
           if re <> 0 && not c.closing then begin
             let dead = ref false in
             if re land Netpoll.error <> 0 then dead := true
             else begin
               if
                 re land Netpoll.writable <> 0
-                && lp.lp_events.(i) land Netpoll.writable <> 0
+                && t.events.(i) land Netpoll.writable <> 0
               then begin
                 match event_flush t c with
                 | `Dead -> dead := true
@@ -1179,21 +1134,22 @@ let loop_run t lp =
               if
                 (not !dead)
                 && re land Netpoll.readable <> 0
-                && lp.lp_events.(i) land Netpoll.readable <> 0
+                && t.events.(i) land Netpoll.readable <> 0
               then begin
-                match event_read t lp.lp_batch c scratch with
+                match event_read t c scratch with
                 | `Dead -> dead := true
                 | `Ok -> ()
               end
             end;
-            if !dead then teardown_conn t lp c
+            if !dead then teardown_conn t c
           end);
-        lp.lp_slots.(i) <- None
+        t.slots.(i) <- None
       done;
+      if accepting && t.running && t.revents.(0) <> 0 then accept_ready t;
       (* run to completion: the writes this iteration decoded execute now,
          on this thread, and their responses flush at the next interest
          build *)
-      run_batch t lp.lp_batch;
+      run_batch t;
       (* loop-side idle sweep, replacing per-fd SO_RCVTIMEO *)
       if sweep_period > 0. then begin
         let now = Unix.gettimeofday () in
@@ -1208,7 +1164,7 @@ let loop_run t lp =
                   && now -. c.last_activity > t.config.read_timeout
                 then c :: acc
                 else acc)
-              lp.lp_conns []
+              t.conns []
           in
           List.iter
             (fun c ->
@@ -1227,17 +1183,14 @@ let loop_run t lp =
     with
     | () -> ()
     | exception exn ->
-      (* a loop must never die: it owns every one of its connections *)
+      (* the loop must never die: it owns every connection *)
       Server_stats.on_error t.stats;
       Log.err (fun f ->
-          f "loop %d: iteration failed: %s" lp.lp_index
-            (Printexc.to_string exn));
+          f "loop: iteration failed: %s" (Printexc.to_string exn));
       Thread.delay 0.01
   done;
-  (* exit: adopt stragglers, flush remaining output over briefly-blocking
-     sockets (responses and pushes still queued), then tear every
-     connection down *)
-  adopt ();
+  (* exit: flush remaining output over briefly-blocking sockets (responses
+     and pushes still queued), then tear every connection down *)
   Hashtbl.iter
     (fun _ c ->
       try
@@ -1245,84 +1198,15 @@ let loop_run t lp =
         Unix.setsockopt_float c.fd Unix.SO_SNDTIMEO 0.5;
         if c.woff < c.wlen then
           ignore (Unix.write c.fd c.wbuf c.woff (c.wlen - c.woff));
-        let rec drain () =
-          Mutex.lock c.out_mu;
-          let item =
-            if Queue.is_empty c.outq then None else Some (Queue.pop c.outq)
-          in
-          Mutex.unlock c.out_mu;
-          match item with
-          | Some (raw, payload) ->
-            Wire.write_frame ~max_frame:t.config.max_frame ~raw c.fd payload;
-            drain ()
-          | None -> ()
-        in
-        drain ()
+        Queue.iter
+          (fun (raw, payload) ->
+            Wire.write_frame ~max_frame:t.config.max_frame ~raw c.fd payload)
+          c.outq
       with _ -> ())
-    lp.lp_conns;
-  let cs = Hashtbl.fold (fun _ c acc -> c :: acc) lp.lp_conns [] in
-  List.iter (teardown_conn t lp) cs;
-  lp.lp_drained <- List.length cs
-
-(** Hand a fresh socket to the next loop, round-robin. *)
-let adopt_conn t fd =
-  Unix.setsockopt fd Unix.TCP_NODELAY true;
-  Unix.set_nonblock fd;
-  let lp = t.loops.(t.next_loop mod Array.length t.loops) in
-  t.next_loop <- t.next_loop + 1;
-  let conn = make_conn t ~fd ~home:lp.lp_index in
-  Mutex.lock lp.lp_mu;
-  Queue.push conn lp.lp_incoming;
-  let backlog = Queue.length lp.lp_incoming in
-  Mutex.unlock lp.lp_mu;
-  Server_stats.on_loop_adopt t.stats ~backlog;
-  wake lp;
-  Log.debug (fun f -> f "conn %d: accepted (loop %d)" conn.conn_id lp.lp_index)
-
-(* ---------------- accept ---------------- *)
-
-let active_conns t =
-  Mutex.lock t.conns_mu;
-  let n = Hashtbl.length t.conns in
-  Mutex.unlock t.conns_mu;
-  n
-
-let accept_loop t =
-  while t.running do
-    match Unix.accept t.listen_fd with
-    | fd, _addr ->
-      if
-        not
-          (try
-             Fault.point "server.accept";
-             true
-           with Fault.Injected _ -> false)
-      then begin
-        Server_stats.on_error t.stats;
-        try Unix.close fd with Unix.Unix_error _ -> ()
-      end
-      else if t.config.max_conns > 0 && active_conns t >= t.config.max_conns
-      then begin
-        Server_stats.on_conn_refused t.stats;
-        Log.warn (fun f ->
-            f "refusing connection: %d live (max_conns=%d)" (active_conns t)
-              t.config.max_conns);
-        try Unix.close fd with Unix.Unix_error _ -> ()
-      end
-      else adopt_conn t fd
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-      ->
-      () (* listen socket closed during shutdown, or a racy abort *)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (err, _, _) ->
-      (* e.g. EMFILE/ENFILE under fd exhaustion: keep accepting once fds
-         free up; back off briefly so a persistent error does not spin *)
-      if t.running then begin
-        Server_stats.on_error t.stats;
-        Log.err (fun f -> f "accept: %s; retrying" (Unix.error_message err));
-        Thread.delay 0.05
-      end
-  done
+    t.conns;
+  let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+  List.iter (teardown_conn t) cs;
+  Log.info (fun f -> f "stopped; %d connection(s) drained" (List.length cs))
 
 (* ---------------- lifecycle ---------------- *)
 
@@ -1341,6 +1225,7 @@ let start ?(config = default_config) sys =
     Unix.close listen_fd;
     raise e);
   Unix.listen listen_fd config.backlog;
+  Unix.set_nonblock listen_fd;
   let bound_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -1356,30 +1241,6 @@ let start ?(config = default_config) sys =
       Some hub
     | _ -> None
   in
-  let loops =
-    Array.init (max 1 config.event_loops) (fun i ->
-        let r, w = Unix.pipe () in
-        Unix.set_nonblock r;
-        Unix.set_nonblock w;
-        {
-          lp_index = i;
-          lp_wake_r = r;
-          lp_wake_w = w;
-          lp_waked = Atomic.make false;
-          lp_mu = Mutex.create ();
-          lp_incoming = Queue.create ();
-          lp_conns = Hashtbl.create 256;
-          lp_batch = { reqs = []; size = 0 };
-          lp_tid = -1;
-          lp_late_out = false;
-          lp_fds = Array.make 64 r;
-          lp_events = Array.make 64 0;
-          lp_revents = Array.make 64 0;
-          lp_slots = Array.make 64 None;
-          lp_thread = None;
-          lp_drained = 0;
-        })
-  in
   let t =
     {
       sys;
@@ -1388,18 +1249,21 @@ let start ?(config = default_config) sys =
       listen_fd;
       bound_port;
       engine_lock = Mutex.create ();
-      conns = Hashtbl.create 64;
-      conns_mu = Mutex.create ();
+      conns = Hashtbl.create 256;
+      batch = { reqs = []; size = 0 };
       next_conn_id = 1;
       running = true;
-      accept_thread = None;
-      loops;
-      next_loop = 0;
+      late_out = false;
+      accept_paused_until = 0.;
+      fds = Array.make 64 listen_fd;
+      events = Array.make 64 0;
+      revents = Array.make 64 0;
+      slots = Array.make 64 None;
+      thread = None;
       hub;
       replica = None;
     }
   in
-  Server_stats.set_loops t.stats (Array.length loops);
   (match config.durability with
   | Some d ->
     Relational.Database.set_durability (Youtopia.System.database sys) d
@@ -1418,6 +1282,9 @@ let start ?(config = default_config) sys =
         apply_batch =
           (fun ~lsn:_ records ->
             with_engine t (fun () ->
+                (* raising here aborts the session before the applied
+                   LSN advances; the reconnect re-requests this batch *)
+                Fault.point "repl.replica.apply";
                 ignore (Relational.Wal.apply_batches catalog records)));
         notify =
           (fun ev ->
@@ -1438,21 +1305,18 @@ let start ?(config = default_config) sys =
         (Replication.Replica.start ~host ~port:rport
            ~replica_id:config.replica_id cb)
   | None -> ());
-  Array.iter
-    (fun lp -> lp.lp_thread <- Some (Thread.create (fun () -> loop_run t lp) ()))
-    t.loops;
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  t.thread <- Some (Thread.create loop_run t);
   Log.info (fun f ->
-      f "listening on %s:%d (%d event loop(s))%s" config.host bound_port
-        (Array.length t.loops)
+      f "listening on %s:%d%s" config.host bound_port
         (match config.replica_of with
         | Some (h, p) -> Printf.sprintf " (read replica of %s:%d)" h p
         | None -> ""));
   t
 
-(** Graceful shutdown: stop accepting, then retire the event loops — each
-    finishes its iteration (its batch included) and flushes remaining
-    output before closing its sockets.  Idempotent. *)
+(** Graceful shutdown: the loop finishes its iteration (its batch
+    included) and flushes remaining output before closing its sockets.
+    Shutting the listen fd down is the wakeup: the fd sits in the loop's
+    poll set, so the hang-up ends its wait.  Idempotent. *)
 let stop t =
   if t.running then begin
     t.running <- false;
@@ -1463,15 +1327,6 @@ let stop t =
       t.replica <- None
     | None -> ());
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    Array.iter wake t.loops;
-    Array.iter
-      (fun lp ->
-        (match lp.lp_thread with Some th -> Thread.join th | None -> ());
-        (try Unix.close lp.lp_wake_r with Unix.Unix_error _ -> ());
-        (try Unix.close lp.lp_wake_w with Unix.Unix_error _ -> ()))
-      t.loops;
-    let drained = Array.fold_left (fun n lp -> n + lp.lp_drained) 0 t.loops in
-    Log.info (fun f -> f "stopped; %d connection(s) drained" drained)
+    Option.iter Thread.join t.thread;
+    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end

@@ -1,21 +1,20 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    One accept thread hands each connection to one of [event_loops]
-    event-loop workers, which owns it until it closes.  Each loop
-    multiplexes its share of non-blocking sockets with [poll(2)]
-    ({!Netpoll}): reads feed the incremental {!Wire.Decoder}, complete
-    frames dispatch inline on the loop, outbound frames queue per
-    connection (bounded by [max_outq]) and are flushed by the owning loop,
-    and a self-pipe wakeup hands frames queued by other threads to the
-    owning loop.  A connection with [max_in_flight] responses queued
+    One event loop on one thread owns the listening socket and every
+    connection, multiplexing them as non-blocking sockets with [poll(2)]
+    ({!Netpoll}): the listen fd's readiness accepts, reads feed the
+    incremental {!Wire.Decoder}, complete frames dispatch inline, and
+    outbound frames queue per connection (bounded by [max_outq]) until the
+    loop flushes them.  A connection with [max_in_flight] responses queued
     unflushed loses read interest until they drain (backpressure).  Idle
     deadlines are swept loop-side and exempt connections whose user owns
     a parked pending query, plus replica links.
 
-    Engine work runs under one mutex, the engine lock; read-only scripts
-    and admin probes take it too, counted apart from writes.  Writes run
-    to completion on the loop that decoded them: the write SUBMITs a loop
-    decodes in one poll iteration form one batch of at most [max_batch]
+    Engine work runs under one mutex, the engine lock, shared with a
+    replica's upstream thread; read-only scripts and admin probes take it
+    too, counted apart from writes.  Writes run to completion on the loop:
+    the write SUBMITs it decodes in one poll iteration form one batch of
+    at most [max_batch]
     requests, which the loop executes under one lock acquisition, with
     per-request error isolation, one WAL group flush
     ({!Relational.Wal.with_batch}) and one coordinator poke, then queues
@@ -61,10 +60,9 @@ type config = {
           ({!Wire.readonly_redirect}), and a background loop bootstraps
           from a streamed snapshot then tails the primary's WAL *)
   replica_id : string;  (** name announced in the replica handshake *)
-  event_loops : int;  (** event-loop workers (default 1) *)
   max_in_flight : int;
       (** responses one connection may have queued unflushed before the
-          owning loop drops its read interest (backpressure) *)
+          loop drops its read interest (backpressure) *)
   max_conns : int;
       (** refuse accepts beyond this many live connections; 0 = unlimited *)
 }
@@ -72,13 +70,13 @@ type config = {
 val default_config : config
 (** 127.0.0.1:7077, 1 MiB frames, no read timeout, 1024-frame outbound
     queues; batches of at most 32 writes, durability untouched; not a
-    replica.  1 event loop, 64 unflushed responses per connection,
+    replica.  64 unflushed responses per connection,
     unlimited connections. *)
 
 type t
 
 val start : ?config:config -> Youtopia.System.t -> t
-(** Bind, listen, and spawn the accept thread and the event loops.  Raises
+(** Bind, listen, and spawn the event-loop thread.  Raises
     [Invalid_argument] if [port] lies outside 0–65535 or the [replica_of]
     port outside 1–65535, and [Unix.Unix_error] if the address is
     unavailable. *)
@@ -93,4 +91,5 @@ val is_replica : t -> bool
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, close every connection after its
-    outbound queue drains, join all threads.  Idempotent. *)
+    outbound queue drains, join the loop thread (and a replica's upstream
+    thread).  Idempotent. *)

@@ -1,8 +1,8 @@
 (** Server-side counters: connections, frames, bytes, submissions, pushes,
     server-side submit handling latency, and the write-batching pipeline
     (batch sizes, WAL flush/fsync amortisation, latency histogram).  All
-    counters are guarded by one mutex — they are touched by every loop
-    and by the replica upstream thread. *)
+    counters are guarded by one mutex — they are touched by the event loop
+    and by the replica upstream thread, and read from any thread. *)
 
 (* Submit-latency histogram: log-spaced upper bounds in µs; one extra
    overflow bucket at the end.  p50/p99 are estimated as the upper bound of
@@ -76,12 +76,8 @@ type t = {
   mutable readonly_rejections : int;
       (** writes a read-only replica redirected to the primary *)
   (* event-loop core *)
-  mutable loops : int;  (** event loops running *)
-  mutable loop_iterations : int;  (** poll wait cycles across loops *)
-  mutable loop_wakeups : int;  (** self-pipe wakeups drained *)
-  mutable loop_fds_max : int;  (** most fds one loop has multiplexed *)
-  mutable loop_adopt_backlog_max : int;
-      (** deepest incoming-connection queue observed at adoption *)
+  mutable loop_iterations : int;  (** poll wait cycles *)
+  mutable loop_fds_max : int;  (** most fds the loop has multiplexed *)
   mutable raw_frames_out : int;  (** frames sent on the raw-bytes path *)
   mutable idle_timeouts : int;  (** connections torn down by idle sweep *)
   mutable conns_refused : int;  (** accepts refused at [max_conns] *)
@@ -128,11 +124,8 @@ type snapshot = {
   repl_snapshots_loaded : int;
   repl_reconnects : int;
   readonly_rejections : int;
-  loops : int;
   loop_iterations : int;
-  loop_wakeups : int;
   loop_fds_max : int;
-  loop_adopt_backlog_max : int;
   raw_frames_out : int;
   idle_timeouts : int;
   conns_refused : int;
@@ -177,11 +170,8 @@ let create () =
     repl_snapshots_loaded = 0;
     repl_reconnects = 0;
     readonly_rejections = 0;
-    loops = 0;
     loop_iterations = 0;
-    loop_wakeups = 0;
     loop_fds_max = 0;
-    loop_adopt_backlog_max = 0;
     raw_frames_out = 0;
     idle_timeouts = 0;
     conns_refused = 0;
@@ -287,20 +277,12 @@ let on_readonly_rejected t =
 
 (* -- event-loop core -- *)
 
-let set_loops t n = locked t (fun () -> t.loops <- n)
-
-(** One wait cycle of loop [_loop] currently multiplexing [fds] fds
-    (including its wakeup pipe). *)
+(** One wait cycle of the loop multiplexing [fds] fds (including the
+    listen fd). *)
 let on_loop_iteration t ~fds =
   locked t (fun () ->
       t.loop_iterations <- t.loop_iterations + 1;
       t.loop_fds_max <- max t.loop_fds_max fds)
-
-let on_loop_wakeup t = locked t (fun () -> t.loop_wakeups <- t.loop_wakeups + 1)
-
-let on_loop_adopt t ~backlog =
-  locked t (fun () ->
-      t.loop_adopt_backlog_max <- max t.loop_adopt_backlog_max backlog)
 
 let on_raw_frame_out t =
   locked t (fun () -> t.raw_frames_out <- t.raw_frames_out + 1)
@@ -380,11 +362,8 @@ let snapshot t : snapshot =
         repl_snapshots_loaded = t.repl_snapshots_loaded;
         repl_reconnects = t.repl_reconnects;
         readonly_rejections = t.readonly_rejections;
-        loops = t.loops;
         loop_iterations = t.loop_iterations;
-        loop_wakeups = t.loop_wakeups;
         loop_fds_max = t.loop_fds_max;
-        loop_adopt_backlog_max = t.loop_adopt_backlog_max;
         raw_frames_out = t.raw_frames_out;
         idle_timeouts = t.idle_timeouts;
         conns_refused = t.conns_refused;
@@ -456,11 +435,8 @@ let render t =
       Printf.sprintf "repl_snapshots_loaded=%d" s.repl_snapshots_loaded;
       Printf.sprintf "repl_reconnects=%d" s.repl_reconnects;
       Printf.sprintf "readonly_rejections=%d" s.readonly_rejections;
-      Printf.sprintf "loops=%d" s.loops;
       Printf.sprintf "loop_iterations=%d" s.loop_iterations;
-      Printf.sprintf "loop_wakeups=%d" s.loop_wakeups;
       Printf.sprintf "loop_fds_max=%d" s.loop_fds_max;
-      Printf.sprintf "loop_adopt_backlog_max=%d" s.loop_adopt_backlog_max;
       Printf.sprintf "raw_frames_out=%d" s.raw_frames_out;
       Printf.sprintf "idle_timeouts=%d" s.idle_timeouts;
       Printf.sprintf "conns_refused=%d" s.conns_refused;

@@ -49,12 +49,8 @@ type snapshot = {
   repl_reconnects : int;
   readonly_rejections : int;
       (** writes this read-only replica redirected to the primary *)
-  loops : int;  (** event loops running *)
-  loop_iterations : int;  (** poll wait cycles across loops *)
-  loop_wakeups : int;  (** self-pipe wakeups drained *)
-  loop_fds_max : int;  (** most fds one loop has multiplexed *)
-  loop_adopt_backlog_max : int;
-      (** deepest incoming-connection queue observed at adoption *)
+  loop_iterations : int;  (** poll wait cycles of the event loop *)
+  loop_fds_max : int;  (** most fds the loop has multiplexed *)
   raw_frames_out : int;  (** frames sent on the raw-bytes path *)
   idle_timeouts : int;  (** connections torn down by the idle sweep *)
   conns_refused : int;  (** accepts refused at [max_conns] *)
@@ -101,15 +97,10 @@ val on_repl_snapshot : t -> lsn:int -> unit
 val on_repl_reconnect : t -> unit
 val on_readonly_rejected : t -> unit
 
-val set_loops : t -> int -> unit
-(** Number of event loops this server runs. *)
-
 val on_loop_iteration : t -> fds:int -> unit
-(** One wait cycle of a loop currently multiplexing [fds] fds (including
-    its wakeup pipe). *)
+(** One wait cycle of the loop multiplexing [fds] fds (including the
+    listen fd). *)
 
-val on_loop_wakeup : t -> unit
-val on_loop_adopt : t -> backlog:int -> unit
 val on_raw_frame_out : t -> unit
 val on_idle_timeout : t -> unit
 val on_conn_refused : t -> unit

@@ -148,7 +148,7 @@ val read_frame_kind : ?max_frame:int -> Unix.file_descr -> kind * string
 
     A [Decoder.t] accumulates bytes as they arrive off a non-blocking (or
     read-ahead) socket and yields complete frames; partial frames never
-    block the caller.  Used by the server's event loops and the client's
+    block the caller.  Used by the server's event loop and the client's
     notification read-ahead. *)
 
 module Decoder : sig

@@ -114,6 +114,59 @@ let test_decode_garbage_rejected () =
       | exception Net.Wire.Protocol_error _ -> ())
     [ ""; "YES|1"; "RESULT|1|WAT|x"; "PUSH|notanotification" ]
 
+(* Inbound noise for the decoder: raw bytes, well-framed random
+   payloads, and valid requests mutated or cut short, so the request
+   decoder sees more than oversize headers. *)
+let gen_inbound =
+  let open QCheck.Gen in
+  let valid =
+    oneofl (List.map (fun (_, r) -> Net.Wire.encode_request r) requests)
+  in
+  let mutated =
+    map3
+      (fun s i c ->
+        let b = Bytes.of_string s in
+        if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c;
+        Bytes.to_string b)
+      valid nat char
+  in
+  let cut = map (fun s -> String.sub s 0 (String.length s / 2)) valid in
+  let payload = oneof [ string_size (0 -- 48); valid; mutated; cut ] in
+  let framed =
+    map2 (fun raw p -> Bytes.to_string (Net.Wire.frame_bytes ~raw p)) bool payload
+  in
+  map (String.concat "") (list_size (1 -- 6) (oneof [ string_size (1 -- 12); framed ]))
+
+(* What the server does with inbound bytes — decoder, then request
+   decoding — ends in a frame, [None] or [Protocol_error], whatever the
+   bytes and however they split: nothing else escapes to the event loop
+   that serves every connection. *)
+let prop_inbound_total =
+  QCheck.Test.make ~count:2000 ~name:"inbound bytes: frame, None or Protocol_error"
+    (QCheck.make
+       ~print:(fun (s, k) -> Printf.sprintf "%S split at %d" s k)
+       QCheck.Gen.(pair gen_inbound nat))
+    (fun (input, split) ->
+      let dec = Net.Wire.Decoder.create ~max_frame:256 () in
+      let bytes = Bytes.of_string input in
+      let half = if input = "" then 0 else split mod String.length input in
+      let rec drain () =
+        match Net.Wire.Decoder.next dec with
+        | None -> ()
+        | Some (_, payload) ->
+          (try ignore (Net.Wire.decode_request payload)
+           with Net.Wire.Protocol_error _ -> ());
+          drain ()
+      in
+      match
+        Net.Wire.Decoder.feed dec bytes 0 half;
+        drain ();
+        Net.Wire.Decoder.feed dec bytes half (Bytes.length bytes - half);
+        drain ()
+      with
+      | () -> true
+      | exception Net.Wire.Protocol_error _ -> true)
+
 (* ---------------- framing ---------------- *)
 
 let with_socketpair f =
@@ -453,6 +506,8 @@ let test_batched_writes_e2e () =
             s.Net.Server_stats.batched_requests;
           check bool "mean batch size sane" true
             (s.Net.Server_stats.batch_size_mean >= 1.);
+          check bool "the loop iterated" true
+            (s.Net.Server_stats.loop_iterations > 0);
           let admin = Net.Client.admin c0 "server" in
           List.iter
             (fun key ->
@@ -935,39 +990,6 @@ let test_slow_loris_survives () =
             check string_t "dribbled ping answered" "drip" payload
           | _ -> Alcotest.fail "expected PONG"))
 
-let test_multi_loop_clients () =
-  let config =
-    { Net.Server.default_config with Net.Server.port = 0; event_loops = 2 }
-  in
-  with_server ~config (fun server port ->
-      let c0 = Net.Client.connect ~port ~user:"ddl" () in
-      ignore (Net.Client.submit c0 "CREATE TABLE Hits (id INT)");
-      let worker w =
-        let c = Net.Client.connect ~port ~user:(Printf.sprintf "m%d" w) () in
-        Fun.protect
-          ~finally:(fun () -> Net.Client.close c)
-          (fun () ->
-            for i = 0 to 4 do
-              ignore
-                (Net.Client.submit c
-                   (Printf.sprintf "INSERT INTO Hits VALUES (%d)" ((w * 10) + i)))
-            done;
-            check string_t "pinged" "ok" (Net.Client.ping ~payload:"ok" c))
-      in
-      let ts = List.init 8 (fun w -> Thread.create worker w) in
-      List.iter Thread.join ts;
-      Fun.protect
-        ~finally:(fun () -> Net.Client.close c0)
-        (fun () ->
-          (match Net.Client.submit c0 "SELECT COUNT(*) FROM Hits" with
-          | Net.Wire.Sql_result s ->
-            check bool "all inserts landed" true
-              (Astring.String.is_infix ~affix:"40" s)
-          | _ -> Alcotest.fail "count should be a SQL result");
-          let s = Net.Server_stats.snapshot (Net.Server.stats server) in
-          check int "two loops" 2 s.Net.Server_stats.loops;
-          check bool "loops iterated" true (s.Net.Server_stats.loop_iterations > 0)))
-
 (* The one readiness engine on a socketpair: one byte is waiting on [a]
    and nothing on [b], and both have send buffer room.  [Unix.select]
    over the same fds is the reference view. *)
@@ -995,43 +1017,61 @@ let test_netpoll_engines_agree () =
       check bool "b not readable" false
         (revents.(1) land Net.Netpoll.readable <> 0))
 
-(* One engine lock, two loops: while connection A's batch holds the lock
-   (a 0.3 s delay failpoint inside the section), connection B's read on
-   the other loop waits for it, sees A's INSERT, and counts the wait. *)
+(* One engine lock, two threads: while a replica's upstream thread holds
+   the lock applying a batch (a 0.3 s delay failpoint inside the engine
+   section), a read on the replica's loop waits for it, sees the applied
+   INSERT, and counts the wait. *)
 let test_engine_section_excludes () =
-  let config =
-    { Net.Server.default_config with Net.Server.port = 0; event_loops = 2 }
+  let wal_path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "youtopia_net_%d_%d.wal" (Unix.getpid ())
+         (Random.bits ()))
   in
-  with_server ~config (fun server port ->
-      (* round-robin adoption: a on loop 0, b on loop 1 *)
-      let a = Net.Client.connect ~port ~user:"a" () in
-      let b = Net.Client.connect ~port ~user:"b" () in
-      Fun.protect
-        ~finally:(fun () ->
-          Fault.disarm_all ();
-          Net.Client.close a;
-          Net.Client.close b)
-        (fun () ->
-          ignore (Net.Client.submit a "CREATE TABLE Held (id INT)");
-          Fault.arm ~one_shot:true "server.batch" (Fault.Delay 0.3);
-          let writer =
-            Thread.create
-              (fun () -> ignore (Net.Client.submit a "INSERT INTO Held VALUES (1)"))
-              ()
-          in
-          (* the failpoint fires inside the section: A holds the lock *)
-          Test_util.wait_until "A's batch in the engine section" (fun () ->
-              Fault.fired "server.batch" = 1);
-          let count = Net.Client.submit b "SELECT COUNT(*) FROM Held" in
-          Thread.join writer;
-          (match count with
-          | Net.Wire.Sql_result s ->
-            if not (Astring.String.is_infix ~affix:"(1)" s) then
-              Alcotest.failf "the read did not wait for the write: %s" s
-          | _ -> Alcotest.fail "count should be a SQL result");
-          let s = Net.Server_stats.snapshot (Net.Server.stats server) in
-          check bool "the read's wait counted" true
-            (s.Net.Server_stats.engine_read_waits >= 1)))
+  let primary =
+    Net.Server.start
+      ~config:{ Net.Server.default_config with Net.Server.port = 0 }
+      (Youtopia.System.create ~wal_path ())
+  in
+  let rsys = Youtopia.System.create () in
+  let replica =
+    Net.Server.start
+      ~config:
+        {
+          Net.Server.default_config with
+          Net.Server.port = 0;
+          replica_of = Some ("127.0.0.1", Net.Server.port primary);
+        }
+      rsys
+  in
+  let w = Net.Client.connect ~port:(Net.Server.port primary) ~user:"w" () in
+  let r = Net.Client.connect ~port:(Net.Server.port replica) ~user:"r" () in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm_all ();
+      Net.Client.close r;
+      Net.Client.close w;
+      Net.Server.stop replica;
+      Net.Server.stop primary;
+      try Sys.remove wal_path with Sys_error _ -> ())
+    (fun () ->
+      ignore (Net.Client.submit w "CREATE TABLE Held (id INT)");
+      Test_util.wait_until "the table reaches the replica" (fun () ->
+          Catalog.find_opt (Youtopia.System.catalog rsys) "Held" <> None);
+      Fault.arm ~one_shot:true "repl.replica.apply" (Fault.Delay 0.3);
+      ignore (Net.Client.submit w "INSERT INTO Held VALUES (1)");
+      (* the failpoint fires inside the section: the upstream thread holds
+         the lock *)
+      Test_util.wait_until "the apply in the engine section" (fun () ->
+          Fault.fired "repl.replica.apply" = 1);
+      (match Net.Client.submit r "SELECT COUNT(*) FROM Held" with
+      | Net.Wire.Sql_result s ->
+        if not (Astring.String.is_infix ~affix:"(1)" s) then
+          Alcotest.failf "the read did not wait for the apply: %s" s
+      | _ -> Alcotest.fail "count should be a SQL result");
+      let s = Net.Server_stats.snapshot (Net.Server.stats replica) in
+      check bool "the read's wait counted" true
+        (s.Net.Server_stats.engine_read_waits >= 1))
 
 (* ---------------- idle deadlines ---------------- *)
 
@@ -1097,6 +1137,98 @@ let test_accept_failpoint () =
             (fun () ->
               check string_t "post-disarm accept works" "ok"
                 (Net.Client.ping ~payload:"ok" c))))
+
+(* [max_conns] refuses at the door: with two connections held, a third
+   is closed unanswered and counted; once one of the two closes, a new
+   connection is admitted and served. *)
+let test_max_conns_refusal () =
+  let config =
+    { Net.Server.default_config with Net.Server.port = 0; max_conns = 2 }
+  in
+  with_server ~config (fun server port ->
+      let snap () = Net.Server_stats.snapshot (Net.Server.stats server) in
+      let a = Net.Client.connect ~port ~user:"a" () in
+      let b = Net.Client.connect ~port ~user:"b" () in
+      Fun.protect
+        ~finally:(fun () ->
+          Net.Client.close a;
+          Net.Client.close b)
+        (fun () ->
+          let fd = raw_connect port in
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          (match
+             Net.Wire.write_frame fd
+               (Net.Wire.encode_request
+                  (Net.Wire.Hello
+                     { version = Net.Wire.protocol_version; user = "c" }));
+             Net.Wire.read_frame_kind fd
+           with
+          | _ -> Alcotest.fail "a third connection must be refused"
+          | exception (Net.Wire.Closed | Unix.Unix_error _) -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          check int "refusal counted" 1 (snap ()).Net.Server_stats.conns_refused;
+          Net.Client.close a;
+          Test_util.wait_until "a's slot freed" (fun () ->
+              (snap ()).Net.Server_stats.connections_active = 1);
+          let c = Net.Client.connect ~port ~user:"c" () in
+          Fun.protect
+            ~finally:(fun () -> Net.Client.close c)
+            (fun () ->
+              check string_t "admitted once a slot frees" "ok"
+                (Net.Client.ping ~payload:"ok" c))))
+
+(* Seeded noise, each blob on a fresh raw connection: after every blob a
+   control client still gets its PONG and the live-connection count
+   returns to its baseline. *)
+let test_garbage_blobs_survive () =
+  with_server (fun server port ->
+      let active () =
+        (Net.Server_stats.snapshot (Net.Server.stats server))
+          .Net.Server_stats.connections_active
+      in
+      let control = Net.Client.connect ~port ~user:"control" () in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close control)
+        (fun () ->
+          let baseline = active () in
+          let rand = Random.State.make [| 27 |] in
+          for i = 1 to 40 do
+            let blob = QCheck.Gen.generate1 ~rand gen_inbound in
+            let fd = raw_connect port in
+            (try ignore (Unix.write_substring fd blob 0 (String.length blob))
+             with Unix.Unix_error _ -> ());
+            Unix.close fd;
+            check string_t
+              (Printf.sprintf "control answered after blob %d" i)
+              "ok"
+              (Net.Client.ping ~payload:"ok" control);
+            Test_util.wait_until "live connections back to baseline" (fun () ->
+                active () = baseline)
+          done))
+
+(* Stop wakes the loop at once: with idle connections open (one
+   handshaken, one silent) it returns within 100 ms. *)
+let test_stop_is_prompt () =
+  let sys = Travel.Datagen.make_system ~seed:1 ~n_flights:8 ~n_hotels:2 () in
+  let server =
+    Net.Server.start
+      ~config:{ Net.Server.default_config with Net.Server.port = 0 }
+      sys
+  in
+  let port = Net.Server.port server in
+  let c = Net.Client.connect ~port ~user:"idle" () in
+  let fd = raw_connect port in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Server.stop server;
+      Net.Client.close c;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      check string_t "served" "ok" (Net.Client.ping ~payload:"ok" c);
+      let t0 = Unix.gettimeofday () in
+      Net.Server.stop server;
+      let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      if ms > 100. then Alcotest.failf "stop took %.0f ms" ms)
 
 (* A fulfilled entangled statement's THEN effects mutate base tables, and
    the answer cascade does not follow those — the server must poke after
@@ -1300,6 +1432,7 @@ let suite =
     Alcotest.test_case "request round-trips" `Quick test_request_roundtrip;
     Alcotest.test_case "response round-trips" `Quick test_response_roundtrip;
     Alcotest.test_case "garbage rejected" `Quick test_decode_garbage_rejected;
+    QCheck_alcotest.to_alcotest prop_inbound_total;
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "oversized frame rejected (read)" `Quick
       test_oversized_frame_rejected_on_read;
@@ -1345,8 +1478,6 @@ let suite =
     Alcotest.test_case "client decodes raw results" `Quick
       test_client_raw_result;
     Alcotest.test_case "slow loris reassembled" `Quick test_slow_loris_survives;
-    Alcotest.test_case "two event loops share clients" `Quick
-      test_multi_loop_clients;
     Alcotest.test_case "netpoll engines agree" `Quick test_netpoll_engines_agree;
     Alcotest.test_case "engine section excludes and counts the wait" `Quick
       test_engine_section_excludes;
@@ -1359,4 +1490,10 @@ let suite =
       test_server_exits_without_stdout;
     Alcotest.test_case "binaries exit 2 on out-of-range ports" `Quick
       test_port_range_binaries;
+    Alcotest.test_case "max_conns refuses, then admits" `Quick
+      test_max_conns_refusal;
+    Alcotest.test_case "garbage blobs never take the loop down" `Quick
+      test_garbage_blobs_survive;
+    Alcotest.test_case "stop with idle connections is prompt" `Quick
+      test_stop_is_prompt;
   ]
