@@ -1500,6 +1500,18 @@ let proc_status () =
     close_in ic;
     !rss, !threads
 
+(* [proc_status] once [Threads:] stops falling — two equal reads 50 ms
+   apart, waiting at most 2 s — so threads a previous phase joined but
+   the kernel has not yet reaped do not count against the next one *)
+let settled_status () =
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec go (_, th) =
+    Thread.delay 0.05;
+    let ((_, th') as cur) = proc_status () in
+    if th' >= th || Unix.gettimeofday () >= deadline then cur else go cur
+  in
+  go (proc_status ())
+
 let nofile_limit () =
   (* soft RLIMIT_NOFILE via /proc/self/limits; 1024 when unreadable *)
   match open_in "/proc/self/limits" with
@@ -1551,7 +1563,7 @@ let e_conn { fast; seed } =
   let run_wall ~label ~idle_target =
     let sys = fresh_travel ~seed ~n_flights:32 () in
     let config = { Net.Server.default_config with Net.Server.port = 0 } in
-    let rss0, th0 = proc_status () in
+    let rss0, th0 = settled_status () in
     let server = Net.Server.start ~config sys in
     let port = Net.Server.port server in
     (* phase 1: the idle wall *)

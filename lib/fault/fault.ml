@@ -287,6 +287,9 @@ let skip name =
         false
       | Kill -> die name)
 
+let passes name =
+  match point name with () -> true | exception Injected _ -> false
+
 (* ---------------- environment ---------------- *)
 
 let init_from_env () =

@@ -67,6 +67,10 @@ val skip : string -> bool
     [true] means silently skip it ([Drop] or [Partial]); [Error] raises,
     [Delay] sleeps then [false], [Kill] kills. *)
 
+val passes : string -> bool
+(** {!point} for a seam whose caller survives an injected error: [Error]
+    yields [false] instead of raising. *)
+
 (* ---------------- arming ---------------- *)
 
 val arm :

@@ -1,0 +1,125 @@
+(** The server's protocol core: handshake, dispatch, the open write batch
+    and its executor, admin probes, the push listener, backpressure and
+    close decisions, the idle and stall verdicts, and the replica
+    bootstrap — everything above bytes.
+
+    The core performs no socket IO, reads no clock but the [clock] it is
+    given and starts no thread, so tests drive it byte by byte with a fake
+    clock.  {!Server} drives it in production: one [poll(2)] loop
+    that feeds it what sockets read ({!input}, {!input_eof}), writes what
+    it yields ({!pop_output}), asks it what to poll for ({!wants_read},
+    {!has_output}, {!status}), and calls {!end_of_iteration} then {!tick}
+    once per iteration.  The API is pull-style: no list of actions and no
+    closure is allocated per frame.
+
+    Per connection, outbound frames wait in two queues.  A replica's
+    WELCOME and bootstrap stream (WAL catch-up batches or checkpoint
+    snapshot chunks, in order) leave first; they are the server's own
+    doing, so they do not count toward [max_outq].  Every other frame —
+    responses, pushes, live replication batches queued behind a bootstrap
+    — counts: a peer that lets [max_outq] of them pile up is dropped as a
+    slow consumer.
+
+    Engine work runs under one mutex, the engine lock.  The thread driving
+    the core takes it for reads, writes, probes and the idle check; a
+    replica's upstream thread takes it through {!replica_callbacks}.  Every
+    other piece of core state belongs to the driving thread alone. *)
+
+val log_src : Logs.src
+
+module Config : sig
+  type config = {
+    host : string;
+    port : int;
+    backlog : int;
+    max_frame : int;
+    read_timeout : float;
+    max_outq : int;
+    banner : string;
+    max_batch : int;
+    durability : Relational.Wal.durability option;
+    replica_of : (string * int) option;
+    replica_id : string;
+    max_in_flight : int;
+    max_conns : int;
+  }
+  (** Documented where it is re-exported, as {!Server.config}. *)
+
+  val default_config : config
+end
+
+type t
+type conn
+
+type status =
+  | Open
+  | Flush_then_close  (** write what is queued, then close *)
+  | Dead  (** close now; nothing queued will be sent *)
+
+val create :
+  ?config:Config.config -> clock:(unit -> float) -> Youtopia.System.t -> t
+(** A core serving [sys].  Without a [replica_of] and with a WAL attached,
+    it creates the replication hub that ships committed batches to
+    replicas; it applies [config.durability] to the database.  [clock]
+    returns seconds; only differences between its readings matter. *)
+
+val stats : t -> Server_stats.t
+val system : t -> Youtopia.System.t
+
+val connect : t -> conn
+(** A new connection awaiting its HELLO. *)
+
+val conn_id : conn -> int
+
+val input : t -> conn -> Bytes.t -> int -> int -> unit
+(** [input t c buf off len]: bytes the peer sent.  Every complete frame
+    dispatches at once; write SUBMITs join the open batch.  Never raises
+    for any bytes: a malformed frame queues an ERROR and turns the
+    connection [Flush_then_close].  Failpoints [server.decoder],
+    [wire.recv] and [wire.recv.drop] fire per complete frame. *)
+
+val input_eof : t -> conn -> unit
+(** The peer half-closed: flush what is queued, then close. *)
+
+val end_of_iteration : t -> unit
+(** Execute the open batch, if any: one engine-lock acquisition, one WAL
+    group flush and one coordinator poke for all of it (failpoints
+    [server.batch] and [server.batch.fanout]), then queue the responses
+    and ship committed batches to replicas. *)
+
+val pop_output : t -> conn -> (bool * string) option
+(** The next [(raw, payload)] frame for the wire, bootstrap frames first.
+    A frame over [max_frame] turns the connection [Dead] instead. *)
+
+val has_output : conn -> bool
+(** Frames are queued for {!pop_output}. *)
+
+val wants_read : t -> conn -> bool
+(** The connection is [Open] and has fewer than [max_in_flight] frames
+    queued beyond its bootstrap (backpressure). *)
+
+val status : conn -> status
+
+val take_fresh_output : t -> bool
+(** Whether a frame was queued since the last call. *)
+
+val close : t -> conn -> unit
+(** The event loop is done with the connection: its writes in the open batch
+    run first, then its session or replica sink is detached.  Idempotent. *)
+
+val tick_ms : t -> int
+(** The longest the event loop should go between {!tick}s, in
+    milliseconds. *)
+
+val tick : t -> unit
+(** Timers.  The bootstrap stall verdict drops, as a slow consumer, a
+    replica whose bootstrap has yielded no frame to {!pop_output} for
+    30 s.  The idle verdict, swept every quarter of [read_timeout]
+    (clamped to 10–250 ms), sends an ERROR to connections idle past
+    [read_timeout] and closes them, sparing replica links and clients
+    whose user owns a parked pending query. *)
+
+val replica_callbacks : t -> Replication.Replica.callbacks
+(** For {!Replication.Replica.start} in replica mode: snapshot loads and
+    batch applies run under the engine lock ([repl.replica.apply] fires
+    inside it), and upstream events update the replication gauges. *)

@@ -1,39 +1,36 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    One event loop on one thread owns the listening socket and every
-    connection, multiplexing them as non-blocking sockets with [poll(2)]
-    ({!Netpoll}): the listen fd's readiness accepts, reads feed the
-    incremental {!Wire.Decoder}, complete frames dispatch inline, and
-    outbound frames queue per connection (bounded by [max_outq]) until the
-    loop flushes them.  A connection with [max_in_flight] responses queued
-    unflushed loses read interest until they drain (backpressure).  Idle
-    deadlines are swept loop-side and exempt connections whose user owns
-    a parked pending query, plus replica links.
+    The server is a thin event loop around the IO-free {!Protocol} core.  One
+    event loop on one thread owns the listening socket and every
+    connection, multiplexing them as non-blocking sockets with one
+    [poll(2)] wait per iteration ({!Netpoll}) — the server's only wait
+    site.  The loop keeps the listen fd, accept, the poll arrays,
+    [read]/[write] with partial-write staging, the exit drain and
+    {!start}/{!stop}; every protocol decision is the core's.
+
+    What the core decides: the handshake (HELLO/RHELLO version
+    negotiation); dispatch, with program order per connection; the open
+    write batch — the write SUBMITs decoded in one poll iteration, at most
+    [max_batch], executed under one engine-lock acquisition with
+    per-request error isolation, one WAL group flush
+    ({!Relational.Wal.with_batch}) and one coordinator poke; admin probes;
+    pushes, handed from the coordinator's fulfilment path onto the owning
+    connection's outbound queue via {!Youtopia.Session.set_listener};
+    backpressure (a connection with [max_in_flight] responses queued loses
+    read interest); the slow-consumer drop at [max_outq]; the idle
+    verdict, which spares replica links and clients whose user owns a
+    parked pending query; and the replica bootstrap, whose frames drain
+    through the same loop — a replica that stops reading is dropped after
+    30 s without progress, and never holds up other clients.
 
     Engine work runs under one mutex, the engine lock, shared with a
-    replica's upstream thread; read-only scripts and admin probes take it
-    too, counted apart from writes.  Writes run to completion on the loop:
-    the write SUBMITs it decodes in one poll iteration form one batch of
-    at most [max_batch]
-    requests, which the loop executes under one lock acquisition, with
-    per-request error isolation, one WAL group flush
-    ({!Relational.Wal.with_batch}) and one coordinator poke, then queues
-    the responses — amortising lock acquisition, log flush/fsync and
-    coordination re-evaluation across concurrent writers.
-    [max_batch = 1] is the per-request baseline.  Program order holds per
-    connection: any other request from a connection with a write in the
-    open batch runs the batch first, so its responses come back in request
-    order and a read sees the writes sent before it.  Pushes are handed
-    off from the coordinator's fulfilment path straight onto the owning
-    connection's outbound queue via {!Youtopia.Session.set_listener}, so
-    clients receive coordination answers without polling.
-
-    Connections negotiated at protocol ≥ 2 receive bulky payloads
-    (replication chunks, large result sets) as raw-bytes frames. *)
+    replica's upstream thread.  Connections negotiated at protocol ≥ 2
+    receive bulky payloads (replication chunks, large result sets) as
+    raw-bytes frames. *)
 
 val log_src : Logs.src
 
-type config = {
+type config = Protocol.Config.config = {
   host : string;
   port : int;
       (** 0 picks an ephemeral port; read it back with {!port}.  Must lie
@@ -76,7 +73,9 @@ val default_config : config
 type t
 
 val start : ?config:config -> Youtopia.System.t -> t
-(** Bind, listen, and spawn the event-loop thread.  Raises
+(** Bind, listen, create the protocol core (clocked by
+    [Unix.gettimeofday]), start the upstream thread in replica mode, and
+    spawn the event-loop thread.  Raises
     [Invalid_argument] if [port] lies outside 0–65535 or the [replica_of]
     port outside 1–65535, and [Unix.Unix_error] if the address is
     unavailable. *)

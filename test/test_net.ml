@@ -1077,7 +1077,7 @@ let test_engine_section_excludes () =
 
 let test_idle_exemption () =
   let config =
-    { Net.Server.default_config with Net.Server.port = 0; read_timeout = 0.4 }
+    { Net.Server.default_config with Net.Server.port = 0; read_timeout = 0.2 }
   in
   with_server ~config (fun server port ->
       let alice = Net.Client.connect ~port ~user:"alice" () in
@@ -1096,7 +1096,8 @@ let test_idle_exemption () =
            with
           | Net.Wire.Registered _ -> ()
           | _ -> Alcotest.fail "alice should park");
-          Thread.delay 1.0;
+          (* 2.5 read timeouts: several sweeps past alice's deadline *)
+          Thread.delay 0.5;
           (* alice owns a parked pending query: exempt from the sweep *)
           check string_t "parked owner survives idling" "still"
             (Net.Client.ping ~payload:"still" alice);

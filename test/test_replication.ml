@@ -375,6 +375,83 @@ let test_bootstrap_exceeds_outq () =
           check int "no drop/reconnect loop" 0
             (snap rserver).Net.Server_stats.repl_reconnects))
 
+(* A replica that stops reading mid-bootstrap must not hold up anyone
+   else.  The snapshot (~16 MB, several times the kernel's largest socket
+   send buffer) cannot all leave while the replica's receive buffer is
+   4 KiB and never drained, so most of it stays queued in the server; a
+   client that connects meanwhile still gets its PING answered at once.
+   Dropping the stalled replica after 30 s without progress is the
+   protocol core's verdict, checked on a fake clock in the [protocol]
+   suite. *)
+let test_stalled_bootstrap_blocks_nobody () =
+  with_tmp_dir (fun wal_path ->
+      let psys = Youtopia.System.create ~wal_path () in
+      let big =
+        Catalog.create_table
+          (Youtopia.System.catalog psys)
+          (Schema.make ~primary_key:[ 0 ] "Big"
+             [ Schema.column "id" Ctype.TInt; Schema.column "pad" Ctype.TText ])
+      in
+      let pad = String.make 10_000 'p' in
+      for i = 1 to 1_600 do
+        ignore (Table.insert big [| Value.Int i; Value.Str pad |])
+      done;
+      let config =
+        { Net.Server.default_config with Net.Server.port = 0; max_outq = 8 }
+      in
+      let pserver = Net.Server.start ~config psys in
+      let port = Net.Server.port pserver in
+      let dial () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.;
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+        fd
+      in
+      let stuck = dial () in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close stuck with Unix.Unix_error _ -> ());
+          Net.Server.stop pserver)
+        (fun () ->
+          (* a LSN past anything the primary has forces the snapshot path *)
+          Net.Wire.write_frame stuck
+            (Net.Wire.encode_request
+               (Net.Wire.Replica_hello
+                  {
+                    version = Net.Wire.protocol_version;
+                    replica_id = "stuck";
+                    last_lsn = 1_000_000_000;
+                  }));
+          await "the stuck replica is registered" (fun () ->
+              (snap pserver).Net.Server_stats.replicas_active = 1);
+          let t0 = Unix.gettimeofday () in
+          let fd = dial () in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let rpc req =
+                Net.Wire.write_frame fd (Net.Wire.encode_request req);
+                match Net.Wire.decode_response (Net.Wire.read_frame fd) with
+                | r -> r
+                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                  ->
+                  Alcotest.fail "no answer within 1 s: the loop is blocked"
+              in
+              (match rpc (Net.Wire.Hello { version = 1; user = "bystander" }) with
+              | Net.Wire.Welcome _ -> ()
+              | _ -> Alcotest.fail "expected WELCOME");
+              match rpc (Net.Wire.Ping { id = 1; payload = "alive" }) with
+              | Net.Wire.Pong { payload = "alive"; _ } -> ()
+              | _ -> Alcotest.fail "expected PONG");
+          check bool "connect + PING within 1 s" true
+            (Unix.gettimeofday () -. t0 < 1.);
+          let s = snap pserver in
+          check int "the stalled replica is still served, not dropped yet" 1
+            s.Net.Server_stats.replicas_active;
+          check int "no error counted" 0 s.Net.Server_stats.errors))
+
 let suite =
   [
     Alcotest.test_case "replication frames round-trip" `Quick test_frames_roundtrip;
@@ -394,4 +471,6 @@ let suite =
       test_bootstrap_exceeds_outq;
     Alcotest.test_case "client routes reads to replicas" `Quick
       test_client_routes_reads_to_replicas;
+    Alcotest.test_case "stalled bootstrap blocks no other client" `Quick
+      test_stalled_bootstrap_blocks_nobody;
   ]

@@ -29,4 +29,6 @@ let () =
       "random-sql", Test_random_sql.suite;
       "ast-fuzz", Test_ast_fuzz.suite;
       "render", Test_render.suite;
+      "protocol", Test_protocol.suite;
+      "decoders", Test_decoders.suite;
     ]
