@@ -1,8 +1,10 @@
 (** Bounded retry with exponential backoff and jitter.
 
-    Shared by the client's connect/replica paths and the replica's upstream
-    link: anything that dials a socket that may not be up yet retries
-    through one policy instead of hand-rolled sleep loops.  Delays grow as
+    Shared by the client's connect/replica paths ({!retry}, which sleeps)
+    and the replica's upstream link (which reads {!jittered} and lets its
+    event loop time the redial): anything that dials a socket that may
+    not be up yet retries through one policy instead of hand-rolled sleep
+    loops.  Delays grow as
     [base_delay * 2^(attempt-1)] capped at [max_delay], then get a
     multiplicative jitter of up to ±[jitter] so a fleet of reconnecting
     peers doesn't stampede in lockstep. *)

@@ -1,7 +1,8 @@
 (** Bounded retry with exponential backoff and jitter.
 
-    Shared by the client's connect/replica paths and the replica's upstream
-    link.  Delays grow as [base_delay * 2^(attempt-1)] capped at
+    Shared by the client's connect/replica paths ({!retry}) and the
+    replica's upstream link, whose event loop times each redial from
+    {!jittered} instead of sleeping.  Delays grow as [base_delay * 2^(attempt-1)] capped at
     [max_delay], with ±[jitter] multiplicative noise so reconnecting peers
     don't stampede in lockstep. *)
 

@@ -353,7 +353,7 @@ let poll_notifications t =
 
 (** [wait_notification ?timeout t] — block until a pushed answer arrives
     ([None] on timeout).  The no-polling path: the thread sleeps in
-    [select] until the server's writer thread puts a PUSH on the wire. *)
+    [select] until the server's event loop puts a PUSH on the wire. *)
 let wait_notification ?(timeout = -1.) t =
   if not (Queue.is_empty t.pushes) then Some (Queue.pop t.pushes)
   else begin

@@ -6,9 +6,10 @@
     handshake state, and two outbound queues: [boot], the replica
     bootstrap stream the server itself decided to send, and [outq],
     everything else, bounded by [max_outq].  The write SUBMITs decoded
-    since the last {!end_of_iteration} form the open batch.  Engine work
-    runs under one mutex, the engine lock, which the core shares only with
-    a replica's upstream thread (through {!replica_callbacks}). *)
+    since the last {!end_of_iteration} form the open batch.  On a replica,
+    one more connection carries the upstream link to the primary.  The
+    thread driving the core is the only one that touches the engine, so
+    engine work takes no lock. *)
 
 let log_src = Logs.Src.create "youtopia.net" ~doc:"Youtopia network server"
 
@@ -63,11 +64,13 @@ include Config
 
 type status = Open | Flush_then_close | Dead
 
-(** What the handshake made of a connection: an ordinary client session,
-    or a replica's upstream link. *)
+(** Who is at the other end: an ordinary client session or a replica
+    being fed (both fixed by the handshake), or, on a replica, the primary
+    it tails (fixed when the core dials). *)
 type peer =
   | Client_peer of Youtopia.Session.t
   | Replica_peer of Replication.Hub.sink
+  | Upstream_peer of Replication.Replica.t
 
 type conn = {
   conn_id : int;
@@ -91,7 +94,7 @@ type write_req = {
   wr_conn : conn;
   wr_session : Youtopia.Session.t;
   wr_id : int;
-  wr_stmts : Sql.Ast.statement list;  (** parsed outside the engine lock *)
+  wr_stmts : Sql.Ast.statement list;  (** parsed when the frame arrived *)
   wr_t0 : float;  (** arrival time, for end-to-end submit latency *)
 }
 
@@ -103,7 +106,6 @@ type t = {
   config : config;
   stats : Server_stats.t;
   clock : unit -> float;
-  engine_lock : Mutex.t;
   conns : (int, conn) Hashtbl.t;
   batch : batch;
   mutable next_conn_id : int;
@@ -113,6 +115,8 @@ type t = {
   hub : Replication.Hub.t option;
       (** primary side: committed batches fan out to replica sinks;
           [None] without a WAL or in replica mode *)
+  upstream : Replication.Replica.t option;  (** replica side *)
+  mutable upstream_conn : conn option;  (** the open link to the primary *)
 }
 
 let create ?(config = default_config) ~clock sys =
@@ -126,12 +130,19 @@ let create ?(config = default_config) ~clock sys =
     | _ -> None
   in
   Option.iter (Relational.Database.set_durability db) config.durability;
+  let stats = Server_stats.create () in
+  let upstream =
+    Option.map
+      (fun _ ->
+        Replication.Replica.create ~replica_id:config.replica_id ~now:(clock ())
+          (Youtopia.System.catalog sys) stats)
+      config.replica_of
+  in
   {
     sys;
     config;
-    stats = Server_stats.create ();
+    stats;
     clock;
-    engine_lock = Mutex.create ();
     conns = Hashtbl.create 256;
     batch = { reqs = []; size = 0 };
     next_conn_id = 1;
@@ -139,6 +150,8 @@ let create ?(config = default_config) ~clock sys =
     booting = [];
     last_sweep = clock ();
     hub;
+    upstream;
+    upstream_conn = None;
   }
 
 let stats t = t.stats
@@ -152,37 +165,24 @@ let take_fresh_output t =
   t.fresh_output <- false;
   f
 
-(** Ship batches noted under the engine lock to connected replicas; called
-    after the lock is released, next to the response fan-out. *)
+(** Ship the batches noted while a batch committed to connected replicas,
+    next to the response fan-out.  A failed flush leaves them queued for
+    the next one; it is logged and counted, and answers nobody. *)
 let hub_flush t =
   match t.hub with
   | None -> ()
-  | Some hub ->
-    Replication.Hub.flush hub;
-    let s = Replication.Hub.stats hub in
-    Server_stats.set_repl_shipping t.stats
-      ~batches:s.Replication.Hub.batches_shipped
-      ~records:s.Replication.Hub.records_shipped
-      ~last_lsn:s.Replication.Hub.last_shipped_lsn
-      ~acked_lsn:s.Replication.Hub.min_acked_lsn
-
-(* ---------------- engine access ---------------- *)
-
-(* One engine section: [f] runs holding the engine lock.  The lock is
-   tried first, so [note] learns whether this acquisition had to wait.
-   Sections never nest — a re-lock from the holding thread raises. *)
-let engine_section t ~note f =
-  let waited = not (Mutex.try_lock t.engine_lock) in
-  if waited then Mutex.lock t.engine_lock;
-  note t.stats ~waited;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.engine_lock) f
-
-(** Anything that can mutate: DML, DDL, entangled submissions, cancels,
-    checkpoints, replica apply. *)
-let with_engine t f = engine_section t ~note:Server_stats.on_engine_write f
-
-(** Read-only scripts and admin probes: the same lock, counted apart. *)
-let with_engine_read t f = engine_section t ~note:Server_stats.on_engine_read f
+  | Some hub -> (
+    match Replication.Hub.flush hub with
+    | () ->
+      let s = Replication.Hub.stats hub in
+      Server_stats.set_repl_shipping t.stats
+        ~batches:s.Replication.Hub.batches_shipped
+        ~records:s.Replication.Hub.records_shipped
+        ~last_lsn:s.Replication.Hub.last_shipped_lsn
+        ~acked_lsn:s.Replication.Hub.min_acked_lsn
+    | exception exn ->
+      Server_stats.on_error t.stats;
+      Log.err (fun f -> f "replication flush: %s" (Printexc.to_string exn)))
 
 (* ---------------- outbound queues ---------------- *)
 
@@ -322,13 +322,13 @@ let wal_io_delta before after =
      b.Relational.Wal.fsyncs - a.Relational.Wal.fsyncs)
   | _ -> (0, 0)
 
-(** Execute one batch: the engine lock is taken {b once}, every request
-    runs with per-request error isolation inside a single WAL batch scope
-    (one flush, one fsync at scope end), dirty tables accumulate across
-    the whole batch and a single {!Coordinator.poke} covers them all.
-    Responses are queued {i after} the lock is released.  If the
-    scope-end durability sync fails, no response has been sent yet — every
-    batch member reports the failure instead of a false ack. *)
+(** Execute one batch: every request runs with per-request error isolation
+    inside a single WAL batch scope (one flush, one fsync at scope end),
+    dirty tables accumulate across the whole batch and a single
+    {!Coordinator.poke} covers them all.  Responses are queued {i after}
+    the scope ends.  If the scope-end durability sync fails, no response
+    has been sent yet — every batch member reports the failure instead of
+    a false ack. *)
 let execute_batch t batch =
   let db = Youtopia.System.database t.sys in
   let io0 = wal_io_snapshot t in
@@ -340,26 +340,24 @@ let execute_batch t batch =
   in
   let results =
     match
-      with_engine t (fun () ->
-          (* inside the engine lock, before any statement runs: a [kill]
-             here dies holding a possibly-unflushed WAL batch scope *)
-          Fault.point "server.batch";
-          Relational.Database.with_wal_batch db (fun () ->
-              let dml = ref 0 in
-              let results =
-                List.map
-                  (fun wr ->
-                    let response, n =
-                      exec_write_script t wr.wr_session ~id:wr.wr_id
-                        wr.wr_stmts
-                    in
-                    dml := !dml + n;
-                    (wr, response))
-                  batch
-              in
-              if !dml > 0 then
-                ignore (Youtopia.System.poke_batch t.sys ~statements:!dml);
-              results))
+      (* before any statement runs: a [kill] here crashes a batch that has
+         not touched the WAL *)
+      Fault.point "server.batch";
+      Relational.Database.with_wal_batch db (fun () ->
+          let dml = ref 0 in
+          let results =
+            List.map
+              (fun wr ->
+                let response, n =
+                  exec_write_script t wr.wr_session ~id:wr.wr_id wr.wr_stmts
+                in
+                dml := !dml + n;
+                (wr, response))
+              batch
+          in
+          if !dml > 0 then
+            ignore (Youtopia.System.poke_batch t.sys ~statements:!dml);
+          results)
     with
     | results -> results
     | exception exn ->
@@ -369,8 +367,8 @@ let execute_batch t batch =
   in
   let flushes, fsyncs = wal_io_delta io0 (wal_io_snapshot t) in
   Server_stats.on_batch t.stats ~size:(List.length batch) ~flushes ~fsyncs;
-  (* after the lock release: the batch is durable but not yet acked — a
-     [kill] here is the classic committed-but-unacknowledged crash *)
+  (* the batch is durable but not yet acked — a [kill] here is the
+     classic committed-but-unacknowledged crash *)
   let results =
     match Fault.point "server.batch.fanout" with
     | () -> results
@@ -403,10 +401,9 @@ let end_of_iteration t =
     writes in the open batch run. *)
 let settle t conn = if conn.batched > 0 then end_of_iteration t
 
-(** Submit dispatch.  Parsing happens outside any lock.  Read-only scripts
-    run inline under the engine lock, after the connection's own batched
-    writes.  Writes join the open batch; a full batch runs at once,
-    otherwise {!end_of_iteration} runs it. *)
+(** Submit dispatch.  Read-only scripts run inline, after the
+    connection's own batched writes.  Writes join the open batch; a full
+    batch runs at once, otherwise {!end_of_iteration} runs it. *)
 let answer t conn ~t0 response =
   Server_stats.on_submit t.stats ~latency:(t.clock () -. t0);
   send t conn response
@@ -422,10 +419,7 @@ let handle_submit t conn session ~id ~sql =
   | Ok stmts when List.for_all Sql.Ast.read_only stmts ->
     settle t conn;
     answer t conn ~t0
-      (match
-         with_engine_read t (fun () ->
-             List.map (Youtopia.System.exec t.sys session) stmts)
-       with
+      (match List.map (Youtopia.System.exec t.sys session) stmts with
       | rs -> result_of_responses id rs
       | exception Relational.Errors.Db_error kind ->
         Server_stats.on_error t.stats;
@@ -458,37 +452,28 @@ let handle_cancel t ~id ~query_id =
     Wire.Error { id; message = Wire.readonly_redirect ~host ~port }
   end
   else
-    match
-    with_engine t (fun () ->
-        Core.Coordinator.cancel (Youtopia.System.coordinator t.sys) query_id)
-  with
+    match Core.Coordinator.cancel (Youtopia.System.coordinator t.sys) query_id with
   | true -> Wire.Result { id; body = Wire.Listing (Printf.sprintf "cancelled Q%d" query_id) }
   | false ->
     Server_stats.on_error t.stats;
     Wire.Error { id; message = Printf.sprintf "Q%d is not pending" query_id }
 
 let handle_admin t ~id ~what =
-  (* admin probes only read engine state: counted as engine reads *)
   match what with
   | "server" ->
-    (* coordination poke counters ride along: plain int reads, no lock *)
+    (* coordination poke counters ride along *)
     let coord_kv =
       Core.Stats.to_kv
         (Core.Coordinator.stats (Youtopia.System.coordinator t.sys))
     in
     Wire.Stats { id; body = Server_stats.render t.stats ^ "\n" ^ coord_kv }
-  | "stats" -> Wire.Stats { id; body = with_engine_read t (fun () -> Youtopia.Admin.dump_stats t.sys) }
-  | "pending" -> Wire.Stats { id; body = with_engine_read t (fun () -> Youtopia.Admin.dump_pending t.sys) }
-  | "answers" -> Wire.Stats { id; body = with_engine_read t (fun () -> Youtopia.Admin.dump_answers t.sys) }
-  | "tables" -> Wire.Stats { id; body = with_engine_read t (fun () -> Youtopia.Admin.dump_tables t.sys) }
-  | "report" -> Wire.Stats { id; body = with_engine_read t (fun () -> Youtopia.Admin.report t.sys) }
+  | "stats" -> Wire.Stats { id; body = Youtopia.Admin.dump_stats t.sys }
+  | "pending" -> Wire.Stats { id; body = Youtopia.Admin.dump_pending t.sys }
+  | "answers" -> Wire.Stats { id; body = Youtopia.Admin.dump_answers t.sys }
+  | "tables" -> Wire.Stats { id; body = Youtopia.Admin.dump_tables t.sys }
+  | "report" -> Wire.Stats { id; body = Youtopia.Admin.report t.sys }
   | "checkpoint" -> (
-    (* exclusive: the snapshot must be a consistent cut, and two
-       concurrent checkpoints would race on the temp file *)
-    match
-      Relational.Errors.guard (fun () ->
-          with_engine t (fun () -> Youtopia.System.checkpoint t.sys))
-    with
+    match Relational.Errors.guard (fun () -> Youtopia.System.checkpoint t.sys) with
     | Ok (lsn, path) ->
       Wire.Stats { id; body = Printf.sprintf "checkpoint lsn=%d path=%s" lsn path }
     | Error kind ->
@@ -513,10 +498,6 @@ let handle_admin t ~id ~what =
     when other = "failpoint"
          || (String.length other > 10 && String.sub other 0 10 = "failpoint ")
     -> (
-    (* fault-injection control takes no engine lock: the failpoint table
-       is not engine state, and on a replica the upstream thread may sit
-       wedged in a delay failpoint inside the engine section — this probe
-       must still reach it to disarm it *)
     let ok body = Wire.Stats { id; body } in
     let err message =
       Server_stats.on_error t.stats;
@@ -569,12 +550,11 @@ let handle_admin t ~id ~what =
 
     Two bootstrap shapes: when the WAL file still holds the suffix past
     the replica's last applied LSN, ship those batches straight from the
-    file (no lock needed — a torn tail is an incomplete batch the live
-    stream covers).  Otherwise — fresh replica against a truncated log, or
-    a replica ahead of a restarted primary — stream a full checkpoint
-    snapshot cut under the engine lock, which excludes writers.  The
-    frames drain as the peer reads; {!tick} drops a replica that takes
-    none for {!stall_limit} seconds. *)
+    file (a torn tail is an incomplete batch the live stream covers).
+    Otherwise — fresh replica against a truncated log, or a replica ahead
+    of a restarted primary — stream a full checkpoint snapshot, cut
+    between batches.  The frames drain as the peer reads; {!tick} drops a
+    replica that takes none for {!stall_limit} seconds. *)
 let bootstrap_replica t conn ~last_lsn =
   let db = Youtopia.System.database t.sys in
   match db.Relational.Database.wal with
@@ -599,47 +579,15 @@ let bootstrap_replica t conn ~last_lsn =
             conn.conn_id last_lsn (List.length batches))
     end
     else begin
-      let lsn, lines =
-        with_engine_read t (fun () ->
-            Relational.Wal.sync wal;
-            let lsn = Relational.Wal.last_lsn wal in
-            ( lsn,
-              Relational.Checkpoint.to_lines ~lsn (Youtopia.System.catalog t.sys)
-            ))
+      let lsn = Relational.Wal.last_lsn wal in
+      let lines =
+        Relational.Checkpoint.to_lines ~lsn (Youtopia.System.catalog t.sys)
       in
       List.iter boot (Replication.frames_of_snapshot ~lsn lines);
       Log.info (fun f ->
           f "conn %d: replica bootstrap snapshot at lsn %d (replica was at %d)"
             conn.conn_id lsn last_lsn)
     end
-
-(** The replica side: apply what the upstream thread receives under the
-    engine lock, so local reads always see whole batches. *)
-let replica_callbacks t =
-  let catalog = Youtopia.System.catalog t.sys in
-  {
-    Replication.Replica.load_snapshot =
-      (fun ~lsn snapshot ->
-        with_engine t (fun () -> Relational.Catalog.adopt catalog snapshot);
-        Server_stats.on_repl_snapshot t.stats ~lsn);
-    apply_batch =
-      (fun ~lsn:_ records ->
-        with_engine t (fun () ->
-            (* raising here aborts the session before the applied LSN
-               advances; the reconnect re-requests this batch *)
-            Fault.point "repl.replica.apply";
-            ignore (Relational.Wal.apply_batches catalog records)));
-    notify =
-      (function
-      | Replication.Replica.Connected -> Server_stats.set_repl_upstream t.stats true
-      | Replication.Replica.Disconnected _ ->
-        Server_stats.set_repl_upstream t.stats false;
-        Server_stats.on_repl_reconnect t.stats
-      | Replication.Replica.Snapshot_loaded _ -> ()
-      | Replication.Replica.Batch_applied { lsn; lag_lsn; lag_ms } ->
-        Server_stats.on_repl_apply t.stats ~lsn ~seen:(lsn + lag_lsn) ~lag_lsn
-          ~lag_ms);
-  }
 
 (* ---------------- handshake and dispatch ---------------- *)
 
@@ -701,15 +649,39 @@ let handshake_of_request t conn req =
       Replica_peer sink)
   | _ -> raise (Wire.Protocol_error "expected HELLO as the first frame")
 
-(** Dispatch one decoded (text) frame, handshaking the connection first if
-    no peer is established yet; write SUBMITs join the open batch.  Raises
+(** Queue a request to the primary on the upstream link.  The core makes
+    these itself (RHELLO, RACKs), so like a bootstrap they are not bounded
+    by [max_outq]. *)
+let send_upstream t conn req =
+  Queue.push (false, Wire.encode_request req) conn.outq;
+  t.fresh_output <- true
+
+(** One frame from the primary: queue the RACKs it yields.  Any failure
+    ends the session; the link closes without a word and is redialled. *)
+let upstream_frame t conn r kind payload =
+  let now = t.clock () in
+  match
+    Replication.Replica.receive r ~now (Wire.decode_response_kind (kind, payload))
+  with
+  | acks -> List.iter (send_upstream t conn) acks
+  | exception exn ->
+    Replication.Replica.lost r ~now (Printexc.to_string exn);
+    conn.status <- Dead
+
+(** Dispatch one decoded frame, handshaking the connection first if no
+    peer is established yet; write SUBMITs join the open batch.  Raises
     {!Goodbye} on BYE, {!Wire.Protocol_error} on anything malformed. *)
-let dispatch_frame t conn payload =
-  let req = Wire.decode_request payload in
+let dispatch_frame t conn kind payload =
   match conn.peer with
-  | None -> conn.peer <- Some (handshake_of_request t conn req)
+  | Some (Upstream_peer r) -> upstream_frame t conn r kind payload
+  | _ when kind = Wire.Raw ->
+    raise
+      (Wire.Protocol_error
+         "unexpected raw frame (connection did not negotiate them)")
+  | None ->
+    conn.peer <- Some (handshake_of_request t conn (Wire.decode_request payload))
   | Some (Client_peer s) -> (
-    match req with
+    match Wire.decode_request payload with
     | Wire.Hello _ | Wire.Replica_hello _ ->
       raise (Wire.Protocol_error "duplicate HELLO")
     | Wire.Repl_ack _ ->
@@ -727,7 +699,7 @@ let dispatch_frame t conn payload =
     | Wire.Bye -> raise Goodbye)
   | Some (Replica_peer sink) -> (
     (* a replica link only ever sends acknowledgements *)
-    match req with
+    match Wire.decode_request payload with
     | Wire.Repl_ack { lsn } -> Replication.Hub.ack sink ~lsn
     | Wire.Bye -> raise Goodbye
     | _ -> raise (Wire.Protocol_error "unexpected frame on a replica link"))
@@ -759,10 +731,8 @@ let rec drain_decoder t conn =
         match Fault.skip "wire.recv.drop" with
         | exception Fault.Injected _ -> conn.status <- Dead
         | true -> drain_decoder t conn (* frame silently dropped *)
-        | false when kind = Wire.Raw ->
-          fail t conn "unexpected raw frame (connection did not negotiate them)"
         | false -> (
-          match dispatch_frame t conn payload with
+          match dispatch_frame t conn kind payload with
           | () -> drain_decoder t conn
           | exception Goodbye -> finish conn
           | exception Wire.Protocol_error m -> fail t conn m
@@ -770,7 +740,7 @@ let rec drain_decoder t conn =
 
 (* ---------------- connection lifecycle ---------------- *)
 
-let connect t =
+let new_conn t ~max_frame peer =
   let conn_id = t.next_conn_id in
   t.next_conn_id <- conn_id + 1;
   let now = t.clock () in
@@ -779,18 +749,42 @@ let connect t =
       conn_id;
       outq = Queue.create ();
       boot = Queue.create ();
-      dec = Wire.Decoder.create ~max_frame:t.config.max_frame ();
+      dec = Wire.Decoder.create ~max_frame ();
       status = Open;
       raw = false;
       batched = 0;
-      peer = None;
+      peer;
       last_activity = now;
       last_progress = now;
     }
   in
   Hashtbl.replace t.conns conn_id conn;
-  Server_stats.on_connect t.stats;
   conn
+
+let connect t =
+  Server_stats.on_connect t.stats;
+  new_conn t ~max_frame:t.config.max_frame None
+
+let dial_due t =
+  match t.upstream with
+  | Some r when t.upstream_conn = None ->
+    Replication.Replica.dial_due r ~now:(t.clock ())
+  | _ -> false
+
+let has_upstream t = t.upstream_conn <> None
+
+(* The upstream link reads the primary's frames at the wire's default
+   limit, whatever [max_frame] says about client frames. *)
+let connect_upstream t =
+  match t.upstream with
+  | None -> invalid_arg "Protocol.connect_upstream: not a replica"
+  | Some r ->
+    let conn =
+      new_conn t ~max_frame:Wire.default_max_frame (Some (Upstream_peer r))
+    in
+    t.upstream_conn <- Some conn;
+    send_upstream t conn (Replication.Replica.connect r);
+    conn
 
 let input t conn buf off len =
   conn.last_activity <- t.clock ();
@@ -802,11 +796,16 @@ let input_eof _t conn = finish conn
 
 (** Teardown: writes the connection already sent still run first, then
     whatever the handshake attached — client session and push listener,
-    or replica sink — is detached.  Idempotent. *)
+    or replica sink — is detached.  Closing the upstream link ends its
+    session, which schedules the redial.  Idempotent. *)
 let close t conn =
   if Hashtbl.mem t.conns conn.conn_id then begin
     settle t conn;
     Hashtbl.remove t.conns conn.conn_id;
+    (* the upstream link is the server's own, not a connection it took *)
+    (match conn.peer with
+    | Some (Upstream_peer _) -> ()
+    | _ -> Server_stats.on_disconnect t.stats);
     (match conn.peer with
     | Some (Client_peer s) ->
       Youtopia.Session.set_listener s None;
@@ -814,12 +813,14 @@ let close t conn =
     | Some (Replica_peer sink) ->
       Option.iter (fun hub -> Replication.Hub.unregister hub sink) t.hub;
       Server_stats.on_replica_disconnect t.stats
+    | Some (Upstream_peer r) ->
+      t.upstream_conn <- None;
+      Replication.Replica.lost r ~now:(t.clock ()) "connection closed"
     | None -> ());
     conn.peer <- None;
     conn.status <- Dead;
     Queue.clear conn.outq;
     Queue.clear conn.boot;
-    Server_stats.on_disconnect t.stats;
     Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
   end
 
@@ -835,20 +836,19 @@ let tick_ms t =
   if t.config.read_timeout > 0. then max 10 (int_of_float (sweep_period t *. 1000.))
   else 250
 
-(** A connection exempt from idle teardown: replica links (server-push,
-    legitimately quiet inbound), and clients whose user owns a parked
-    pending query — the whole point of coordination is that such a client
-    may wait arbitrarily long for a partner. *)
+(** A connection exempt from idle teardown: replica links in either
+    direction (server-push, legitimately quiet inbound), and clients whose
+    user owns a parked pending query — the whole point of coordination is
+    that such a client may wait arbitrarily long for a partner. *)
 let idle_exempt t conn =
   match conn.peer with
-  | Some (Replica_peer _) -> true
+  | Some (Replica_peer _ | Upstream_peer _) -> true
   | Some (Client_peer s) -> (
     let user = Youtopia.Session.user s in
     try
-      with_engine_read t (fun () ->
-          Core.Pending.exists
-            (fun q -> q.Core.Equery.owner = user)
-            (Core.Coordinator.pending (Youtopia.System.coordinator t.sys)))
+      Core.Pending.exists
+        (fun q -> q.Core.Equery.owner = user)
+        (Core.Coordinator.pending (Youtopia.System.coordinator t.sys))
     with _ -> false)
   | None -> false
 
@@ -881,8 +881,8 @@ let tick t =
       in
       List.iter
         (fun c ->
-          (* the exemption check takes the engine lock, so it only runs for
-             connections already past their deadline *)
+          (* the exemption check scans the pending store, so it only runs
+             for connections already past their deadline *)
           if not (idle_exempt t c) then begin
             Server_stats.on_idle_timeout t.stats;
             Log.debug (fun f -> f "conn %d: read timeout" c.conn_id);

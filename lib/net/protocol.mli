@@ -1,7 +1,7 @@
 (** The server's protocol core: handshake, dispatch, the open write batch
     and its executor, admin probes, the push listener, backpressure and
-    close decisions, the idle and stall verdicts, and the replica
-    bootstrap — everything above bytes.
+    close decisions, the idle and stall verdicts, the replica bootstrap
+    and, on a replica, the upstream link — everything above bytes.
 
     The core performs no socket IO, reads no clock but the [clock] it is
     given and starts no thread, so tests drive it byte by byte with a fake
@@ -9,8 +9,9 @@
     that feeds it what sockets read ({!input}, {!input_eof}), writes what
     it yields ({!pop_output}), asks it what to poll for ({!wants_read},
     {!has_output}, {!status}), and calls {!end_of_iteration} then {!tick}
-    once per iteration.  The API is pull-style: no list of actions and no
-    closure is allocated per frame.
+    once per iteration.  On a replica it also opens the upstream link
+    whenever {!dial_due} says so.  The API is pull-style: no list of
+    actions and no closure is allocated per frame.
 
     Per connection, outbound frames wait in two queues.  A replica's
     WELCOME and bootstrap stream (WAL catch-up batches or checkpoint
@@ -20,10 +21,11 @@
     — counts: a peer that lets [max_outq] of them pile up is dropped as a
     slow consumer.
 
-    Engine work runs under one mutex, the engine lock.  The thread driving
-    the core takes it for reads, writes, probes and the idle check; a
-    replica's upstream thread takes it through {!replica_callbacks}.  Every
-    other piece of core state belongs to the driving thread alone. *)
+    The upstream link is one more connection, whose peer is the primary:
+    its inbound frames feed {!Replication.Replica}, its outbound frames are
+    the RHELLO and the RACKs that module yields, and it is exempt from the
+    idle verdict.  So everything — engine, connections, replica — belongs to
+    the thread driving the core, and nothing takes a lock. *)
 
 val log_src : Logs.src
 
@@ -60,14 +62,31 @@ val create :
   ?config:Config.config -> clock:(unit -> float) -> Youtopia.System.t -> t
 (** A core serving [sys].  Without a [replica_of] and with a WAL attached,
     it creates the replication hub that ships committed batches to
-    replicas; it applies [config.durability] to the database.  [clock]
-    returns seconds; only differences between its readings matter. *)
+    replicas; with a [replica_of] it creates the upstream session, whose
+    first dial is due at once.  It applies [config.durability] to the
+    database.  [clock] returns seconds.  Only differences between its
+    readings matter, except to the replica's lag gauge, which compares
+    them with the primary's wall-clock send stamps. *)
 
 val stats : t -> Server_stats.t
 val system : t -> Youtopia.System.t
 
 val connect : t -> conn
 (** A new connection awaiting its HELLO. *)
+
+val dial_due : t -> bool
+(** Replica mode: no upstream link is open and the redial backoff
+    ({!Backoff.default}, reset by a completed handshake) has elapsed on
+    the core's clock.  Always [false] on a primary. *)
+
+val connect_upstream : t -> conn
+(** A new upstream link to the primary, its RHELLO (carrying the applied
+    LSN) already queued.  {!Server} connects the socket and carries the
+    link like any connection; {!close} ends the session and schedules the
+    redial.  Raises [Invalid_argument] on a primary. *)
+
+val has_upstream : t -> bool
+(** An upstream link is open (it does not count toward [max_conns]). *)
 
 val conn_id : conn -> int
 
@@ -82,10 +101,11 @@ val input_eof : t -> conn -> unit
 (** The peer half-closed: flush what is queued, then close. *)
 
 val end_of_iteration : t -> unit
-(** Execute the open batch, if any: one engine-lock acquisition, one WAL
-    group flush and one coordinator poke for all of it (failpoints
-    [server.batch] and [server.batch.fanout]), then queue the responses
-    and ship committed batches to replicas. *)
+(** Execute the open batch, if any: one WAL group flush and one
+    coordinator poke for all of it (failpoints [server.batch] and
+    [server.batch.fanout]), then queue the responses and ship committed
+    batches to replicas.  A failed shipment is logged and counted in
+    [errors]; its batches ship with the next one. *)
 
 val pop_output : t -> conn -> (bool * string) option
 (** The next [(raw, payload)] frame for the wire, bootstrap frames first.
@@ -116,10 +136,6 @@ val tick : t -> unit
     replica whose bootstrap has yielded no frame to {!pop_output} for
     30 s.  The idle verdict, swept every quarter of [read_timeout]
     (clamped to 10–250 ms), sends an ERROR to connections idle past
-    [read_timeout] and closes them, sparing replica links and clients
+    [read_timeout] and closes them, sparing replica links (either
+    direction) and clients
     whose user owns a parked pending query. *)
-
-val replica_callbacks : t -> Replication.Replica.callbacks
-(** For {!Replication.Replica.start} in replica mode: snapshot loads and
-    batch applies run under the engine lock ([repl.replica.apply] fires
-    inside it), and upstream events update the replication gauges. *)

@@ -2,19 +2,19 @@
 
     The primary keeps a {!Hub}: every committed WAL batch (hooked off
     {!Relational.Wal.set_on_append}, so DDL auto-commits are included) is
-    enqueued under the engine lock and fanned out to connected replica
-    sinks by {!Hub.flush} — which the server calls after releasing the
-    lock, mirroring how client responses are fanned out.  A replica runs
-    {!Replica.start}: a background thread that dials the primary with
-    {!Backoff}, sends [RHELLO] carrying the last LSN it applied, and then
-    consumes the primary's stream — snapshot chunks
+    enqueued as it commits and fanned out to connected replica sinks by
+    {!Hub.flush}, which the server calls after the batch's responses are
+    queued.  A replica keeps a {!Replica}: the IO-free state of its
+    upstream session.  It yields the [RHELLO] carrying the last LSN it
+    applied, consumes the primary's stream — snapshot chunks
     ({!Relational.Checkpoint} lines) when it is too far behind, WAL-record
-    frames otherwise — acknowledging each applied batch with [RACK].
+    frames otherwise — yields a [RACK] per applied batch, and decides when
+    a lost link is redialled ({!Backoff}).
 
-    Neither side depends on {!Server}: the hub sends through a callback
-    (the server's non-blocking per-connection enqueue) and the replica
-    applies through callbacks (the replica server wraps them in its engine
-    write lock), so the module is testable over bare sockets.
+    Neither side holds a socket, a thread or a lock: the hub sends through
+    a callback (the server's non-blocking per-connection enqueue) and the
+    server's event loop carries the replica's frames, so both are driven
+    by one thread.
 
     Delivery discipline: LSNs are dense (every commit-terminated batch
     increments by one), so the replica buffers completed batches and
@@ -115,7 +115,6 @@ module Hub = struct
   }
 
   type t = {
-    mu : Mutex.t;
     pending : (int * Wal.record list) Queue.t;
     mutable sinks : sink list;
     mutable batches_shipped : int;
@@ -125,7 +124,6 @@ module Hub = struct
 
   let create () =
     {
-      mu = Mutex.create ();
       pending = Queue.create ();
       sinks = [];
       batches_shipped = 0;
@@ -133,15 +131,10 @@ module Hub = struct
       last_shipped_lsn = 0;
     }
 
-  let with_mu t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
   (** Record a committed batch for shipping.  Called from the WAL's
-      on-append hook — under the WAL lock, inside the committer's engine
-      lock — so it only enqueues; {!flush} does the sending. *)
-  let note t ~lsn records =
-    with_mu t (fun () -> Queue.push (lsn, records) t.pending)
+      on-append hook, in the middle of a commit, so it only enqueues;
+      {!flush} does the sending. *)
+  let note t ~lsn records = Queue.push (lsn, records) t.pending
 
   (** Hook the hub into a WAL so every committed batch is noted. *)
   let attach t wal = Wal.set_on_append wal (Some (fun ~lsn recs -> note t ~lsn recs))
@@ -150,320 +143,216 @@ module Hub = struct
     let sink =
       { sink_id = replica_id; send; sent_lsn = 0; acked_lsn = 0; alive = true }
     in
-    with_mu t (fun () -> t.sinks <- sink :: t.sinks);
+    t.sinks <- sink :: t.sinks;
     sink
 
   let unregister t sink =
     sink.alive <- false;
-    with_mu t (fun () -> t.sinks <- List.filter (fun s -> s != sink) t.sinks)
+    t.sinks <- List.filter (fun s -> s != sink) t.sinks
 
   let ack sink ~lsn = if lsn > sink.acked_lsn then sink.acked_lsn <- lsn
 
-  (** Drain pending batches to every live sink, in commit order.  Runs
-      under the hub lock for the whole drain so chunks of different
-      batches never interleave on a connection; sends are non-blocking
-      enqueues, so holding it is cheap.  Call after releasing the engine
-      lock. *)
+  (** Drain pending batches to every live sink, in commit order: every
+      chunk of one batch is queued before the next batch starts, so chunks
+      of different batches never interleave on a connection.  Sends are
+      non-blocking enqueues.  [repl.hub.flush] fires before anything is
+      taken off the queue. *)
   let flush t =
     Fault.point "repl.hub.flush";
-    with_mu t (fun () ->
-        while not (Queue.is_empty t.pending) do
-          let lsn, records = Queue.pop t.pending in
-          (* [repl.hub.drop] loses this batch on the shipping path (never
-             from the log): replicas must detect the LSN gap and recover
-             via reconnect catch-up *)
-          if Fault.skip "repl.hub.drop" then ()
-          else if t.sinks <> [] then begin
-            let frames = frames_of_batch ~lsn ~sent_at_us:(now_us ()) records in
-            List.iter
-              (fun sink ->
-                if sink.alive then begin
-                  try
-                    List.iter sink.send frames;
-                    if lsn > sink.sent_lsn then sink.sent_lsn <- lsn
-                  with e ->
-                    sink.alive <- false;
-                    Log.warn (fun m ->
-                        m "dropping replica sink %s: %s" sink.sink_id
-                          (Printexc.to_string e))
-                end)
-              t.sinks;
-            t.batches_shipped <- t.batches_shipped + 1;
-            t.records_shipped <- t.records_shipped + List.length records;
-            if lsn > t.last_shipped_lsn then t.last_shipped_lsn <- lsn
-          end
-        done)
-
-  let stats t =
-    with_mu t (fun () ->
-        let live = List.filter (fun s -> s.alive) t.sinks in
-        {
-          replicas = List.length live;
-          batches_shipped = t.batches_shipped;
-          records_shipped = t.records_shipped;
-          last_shipped_lsn = t.last_shipped_lsn;
-          min_acked_lsn =
-            (match live with
-            | [] -> 0
-            | _ -> List.fold_left (fun m s -> min m s.acked_lsn) max_int live);
-        })
-
-  let replicas t =
-    with_mu t (fun () ->
-        List.filter_map
-          (fun s ->
-            if s.alive then Some (s.sink_id, s.sent_lsn, s.acked_lsn) else None)
-          t.sinks)
-end
-
-(* ---------------- replica: the upstream loop ---------------- *)
-
-module Replica = struct
-  type event =
-    | Connected
-    | Disconnected of string
-    | Snapshot_loaded of { lsn : int }
-    | Batch_applied of { lsn : int; lag_lsn : int; lag_ms : float }
-
-  type callbacks = {
-    load_snapshot : lsn:int -> Catalog.t -> unit;
-        (** swap the replica's state to the snapshot; runs on the replica
-            thread — wrap in the engine write lock *)
-    apply_batch : lsn:int -> Wal.record list -> unit;
-        (** apply one committed batch; same locking discipline *)
-    notify : event -> unit;  (** stats / logging; must not raise *)
-  }
-
-  type counters = {
-    mutable reconnects : int;
-    mutable snapshots_loaded : int;
-    mutable batches_applied : int;
-    mutable last_lag_ms : float;
-  }
-
-  type t = {
-    host : string;
-    port : int;
-    replica_id : string;
-    policy : Backoff.policy;
-    max_frame : int;
-    cb : callbacks;
-    mu : Mutex.t;
-    mutable applied_lsn : int;
-    mutable seen_lsn : int;
-    mutable connected : bool;
-    mutable stopping : bool;
-    mutable session_ok : bool;
-        (** the current/last session completed its handshake — resets the
-            reconnect backoff *)
-    mutable fd : Unix.file_descr option;
-    counters : counters;
-    mutable thread : Thread.t option;
-  }
-
-  let with_mu t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-  let applied_lsn t = t.applied_lsn
-  let seen_lsn t = t.seen_lsn
-  let connected t = t.connected
-
-  let stats t =
-    with_mu t (fun () ->
-        ( t.counters.reconnects,
-          t.counters.snapshots_loaded,
-          t.counters.batches_applied,
-          t.counters.last_lag_ms ))
-
-  let dial t =
-    let addr =
-      match Unix.getaddrinfo t.host (string_of_int t.port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] with
-      | ai :: _ -> ai.Unix.ai_addr
-      | [] -> failwith (Printf.sprintf "cannot resolve %s:%d" t.host t.port)
-    in
-    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd addr
-     with e ->
-       Unix.close fd;
-       raise e);
-    Unix.setsockopt fd Unix.TCP_NODELAY true;
-    fd
-
-  (** One connection lifetime: handshake, then consume the stream until it
-      breaks or [stop] shuts the socket down.  Completed batches are
-      buffered and applied strictly in LSN sequence; while a snapshot is
-      being streamed nothing is applied — the snapshot resets [applied]
-      (possibly backwards, when the primary restarted with an older log)
-      and the buffer drains on top of it. *)
-  let session t =
-    let fd = dial t in
-    t.fd <- Some fd;
-    let max_frame = t.max_frame in
-    let send req = Wire.write_frame ~max_frame fd (Wire.encode_request req) in
-    Fun.protect
-      ~finally:(fun () ->
-        t.fd <- None;
-        t.connected <- false;
-        try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        send
-          (Wire.Replica_hello
-             {
-               version = Wire.protocol_version;
-               replica_id = t.replica_id;
-               last_lsn = t.applied_lsn;
-             });
-        (match Wire.decode_response_kind (Wire.read_frame_kind ~max_frame fd) with
-        | Wire.Welcome _ -> ()
-        | Wire.Error { message; _ } -> failwith ("primary rejected replica: " ^ message)
-        | _ -> failwith "unexpected handshake response");
-        t.connected <- true;
-        t.session_ok <- true;
-        t.cb.notify Connected;
-        (* per-session reassembly state *)
-        let snap : (int * Buffer.t) option ref = ref None in
-        let partial : (int, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
-        let completed : (int, Wal.record list * int) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        let drain () =
-          if !snap = None then begin
-            let continue = ref true in
-            while !continue do
-              match Hashtbl.find_opt completed (t.applied_lsn + 1) with
-              | None -> continue := false
-              | Some (records, sent_at_us) ->
-                let lsn = t.applied_lsn + 1 in
-                Hashtbl.remove completed lsn;
-                (* a raising [apply_batch] aborts the session before
-                   [applied_lsn] advances; the reconnect re-requests from
-                   this batch *)
-                t.cb.apply_batch ~lsn records;
-                t.applied_lsn <- lsn;
-                let lag_lsn = max 0 (t.seen_lsn - lsn) in
-                let lag_ms = float_of_int (now_us () - sent_at_us) /. 1e3 in
-                with_mu t (fun () ->
-                    t.counters.batches_applied <-
-                      t.counters.batches_applied + 1;
-                    t.counters.last_lag_ms <- lag_ms);
-                t.cb.notify (Batch_applied { lsn; lag_lsn; lag_ms });
-                send (Wire.Repl_ack { lsn })
-            done;
-            (* stale duplicates (catch-up overlapping the live stream) *)
-            Hashtbl.iter
-              (fun lsn _ -> if lsn <= t.applied_lsn then Hashtbl.remove completed lsn)
-              (Hashtbl.copy completed)
-          end
-        in
-        let rec loop () =
-          (match Wire.decode_response_kind (Wire.read_frame_kind ~max_frame fd) with
-          | Wire.Snapshot_chunk { lsn; seq = _; last; data } ->
-            let buf =
-              match !snap with
-              | Some (l, buf) when l = lsn -> buf
-              | _ ->
-                let buf = Buffer.create 4096 in
-                snap := Some (lsn, buf);
-                buf
-            in
-            Buffer.add_string buf data;
-            if last then begin
-              let lines = String.split_on_char '\n' (Buffer.contents buf) in
-              let snap_lsn, catalog = Checkpoint.of_lines lines in
-              snap := None;
-              t.cb.load_snapshot ~lsn:snap_lsn catalog;
-              t.applied_lsn <- snap_lsn;
-              if snap_lsn > t.seen_lsn then t.seen_lsn <- snap_lsn;
-              with_mu t (fun () ->
-                  t.counters.snapshots_loaded <- t.counters.snapshots_loaded + 1);
-              t.cb.notify (Snapshot_loaded { lsn = snap_lsn });
-              drain ()
-            end
-          | Wire.Wal_recs { lsn; sent_at_us; last; records } ->
-            if lsn > t.seen_lsn then t.seen_lsn <- lsn;
-            let buf =
-              match Hashtbl.find_opt partial lsn with
-              | Some buf -> buf
-              | None ->
-                let buf = Buffer.create 256 in
-                Hashtbl.replace partial lsn buf;
-                buf
-            in
-            Buffer.add_string buf records;
-            if last then begin
-              let text = Buffer.contents buf in
-              Hashtbl.remove partial lsn;
-              Hashtbl.replace completed lsn (decode_batch text, sent_at_us);
-              drain ()
-            end
-          | Wire.Error { message; _ } -> failwith ("primary error: " ^ message)
-          | Wire.Welcome _ | Wire.Result _ | Wire.Pong _ | Wire.Stats _
-          | Wire.Push _ ->
-            ());
-          loop ()
-        in
-        loop ())
-
-  let run t =
-    let attempt = ref 0 in
-    while not t.stopping do
-      (try
-         session t (* returns only by exception *)
-       with e ->
-         if not t.stopping then begin
-           with_mu t (fun () ->
-               t.counters.reconnects <- t.counters.reconnects + 1);
-           t.cb.notify (Disconnected (Printexc.to_string e));
-           Log.info (fun m ->
-               m "replica %s: upstream %s:%d lost (%s); reconnecting"
-                 t.replica_id t.host t.port (Printexc.to_string e))
-         end);
-      if not t.stopping then begin
-        incr attempt;
-        if t.session_ok then attempt := 1;
-        t.session_ok <- false;
-        let delay =
-          Backoff.jittered t.policy ~attempt:(min !attempt t.policy.attempts)
-        in
-        if delay > 0. then Thread.delay delay
+    while not (Queue.is_empty t.pending) do
+      let lsn, records = Queue.pop t.pending in
+      (* [repl.hub.drop] loses this batch on the shipping path (never from
+         the log): replicas must detect the LSN gap and recover via
+         reconnect catch-up *)
+      if Fault.skip "repl.hub.drop" then ()
+      else if t.sinks <> [] then begin
+        let frames = frames_of_batch ~lsn ~sent_at_us:(now_us ()) records in
+        List.iter
+          (fun sink ->
+            if sink.alive then begin
+              try
+                List.iter sink.send frames;
+                if lsn > sink.sent_lsn then sink.sent_lsn <- lsn
+              with e ->
+                sink.alive <- false;
+                Log.warn (fun m ->
+                    m "dropping replica sink %s: %s" sink.sink_id
+                      (Printexc.to_string e))
+            end)
+          t.sinks;
+        t.batches_shipped <- t.batches_shipped + 1;
+        t.records_shipped <- t.records_shipped + List.length records;
+        if lsn > t.last_shipped_lsn then t.last_shipped_lsn <- lsn
       end
     done
 
-  let start ~host ~port ?(replica_id = "replica") ?(policy = Backoff.default)
-      ?(max_frame = Wire.default_max_frame) cb =
-    let t =
-      {
-        host;
-        port;
-        replica_id;
-        policy;
-        max_frame;
-        cb;
-        mu = Mutex.create ();
-        applied_lsn = 0;
-        seen_lsn = 0;
-        connected = false;
-        stopping = false;
-        session_ok = false;
-        fd = None;
-        counters =
-          {
-            reconnects = 0;
-            snapshots_loaded = 0;
-            batches_applied = 0;
-            last_lag_ms = 0.;
-          };
-        thread = None;
-      }
-    in
-    t.thread <- Some (Thread.create run t);
-    t
+  let stats t =
+    let live = List.filter (fun s -> s.alive) t.sinks in
+    {
+      replicas = List.length live;
+      batches_shipped = t.batches_shipped;
+      records_shipped = t.records_shipped;
+      last_shipped_lsn = t.last_shipped_lsn;
+      min_acked_lsn =
+        (match live with
+        | [] -> 0
+        | _ -> List.fold_left (fun m s -> min m s.acked_lsn) max_int live);
+    }
 
-  let stop t =
-    t.stopping <- true;
-    (match t.fd with
-    | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    | None -> ());
-    match t.thread with None -> () | Some th -> Thread.join th
+  let replicas t =
+    List.filter_map
+      (fun s -> if s.alive then Some (s.sink_id, s.sent_lsn, s.acked_lsn) else None)
+      t.sinks
+end
+
+(* ---------------- replica: the upstream session ---------------- *)
+
+module Replica = struct
+  type t = {
+    replica_id : string;
+    catalog : Catalog.t;
+    stats : Server_stats.t;
+    mutable applied_lsn : int;
+    mutable seen_lsn : int;
+    mutable live : bool;  (** a session is open: dialled and not yet lost *)
+    mutable welcomed : bool;  (** the open session completed its handshake *)
+    mutable attempt : int;
+        (** sessions lost since the last one that completed a handshake
+            (1 right after such a one); 0 before the first loss *)
+    mutable next_dial : float;
+    (* per-session reassembly *)
+    mutable snap : (int * Buffer.t) option;
+    partial : (int, Buffer.t) Hashtbl.t;
+    completed : (int, Wal.record list * int) Hashtbl.t;
+  }
+
+  let create ~replica_id ~now catalog stats =
+    {
+      replica_id;
+      catalog;
+      stats;
+      applied_lsn = 0;
+      seen_lsn = 0;
+      live = false;
+      welcomed = false;
+      attempt = 0;
+      next_dial = now;
+      snap = None;
+      partial = Hashtbl.create 8;
+      completed = Hashtbl.create 8;
+    }
+
+  let dial_due t ~now = (not t.live) && now >= t.next_dial
+
+  let connect t =
+    if t.attempt > 0 then Server_stats.on_repl_reconnect t.stats;
+    t.live <- true;
+    t.welcomed <- false;
+    t.snap <- None;
+    Hashtbl.reset t.partial;
+    Hashtbl.reset t.completed;
+    Wire.Replica_hello
+      {
+        version = Wire.protocol_version;
+        replica_id = t.replica_id;
+        last_lsn = t.applied_lsn;
+      }
+
+  let lost t ~now why =
+    if t.live then begin
+      t.live <- false;
+      t.attempt <- (if t.welcomed then 1 else t.attempt + 1);
+      let p = Backoff.default in
+      let delay = Backoff.jittered p ~attempt:(min t.attempt p.attempts) in
+      t.next_dial <- now +. delay;
+      Server_stats.set_repl_upstream t.stats false;
+      Log.info (fun m ->
+          m "replica %s: upstream lost (%s); redialling in %.0f ms" t.replica_id
+            why (delay *. 1e3))
+    end
+
+  (** Apply completed batches strictly in LSN sequence, one RACK each.
+      Nothing applies while a snapshot is streaming: the snapshot resets
+      [applied_lsn] (possibly backwards, when the primary restarted with an
+      older log) and the buffer drains on top of it. *)
+  let drain t ~now =
+    let acks = ref [] in
+    if t.snap = None then begin
+      let rec next () =
+        let lsn = t.applied_lsn + 1 in
+        match Hashtbl.find_opt t.completed lsn with
+        | None -> ()
+        | Some (records, sent_at_us) ->
+          Hashtbl.remove t.completed lsn;
+          (* raising here ends the session before [applied_lsn] advances;
+             the next RHELLO re-requests this batch *)
+          Fault.point "repl.replica.apply";
+          ignore (Wal.apply_batches t.catalog records);
+          t.applied_lsn <- lsn;
+          Server_stats.on_repl_apply t.stats ~lsn ~seen:t.seen_lsn
+            ~lag_lsn:(max 0 (t.seen_lsn - lsn))
+            ~lag_ms:((now *. 1e3) -. (float_of_int sent_at_us /. 1e3));
+          acks := Wire.Repl_ack { lsn } :: !acks;
+          next ()
+      in
+      next ();
+      (* stale duplicates (catch-up overlapping the live stream) *)
+      Hashtbl.filter_map_inplace
+        (fun lsn batch -> if lsn <= t.applied_lsn then None else Some batch)
+        t.completed
+    end;
+    List.rev !acks
+
+  let receive t ~now (response : Wire.response) =
+    match response with
+    | Wire.Welcome _ when not t.welcomed ->
+      t.welcomed <- true;
+      Server_stats.set_repl_upstream t.stats true;
+      []
+    | Wire.Error { message; _ } when not t.welcomed ->
+      failwith ("primary rejected replica: " ^ message)
+    | _ when not t.welcomed -> failwith "unexpected handshake response"
+    | Wire.Snapshot_chunk { lsn; seq = _; last; data } ->
+      let buf =
+        match t.snap with
+        | Some (l, buf) when l = lsn -> buf
+        | _ ->
+          let buf = Buffer.create 4096 in
+          t.snap <- Some (lsn, buf);
+          buf
+      in
+      Buffer.add_string buf data;
+      if not last then []
+      else begin
+        let lines = String.split_on_char '\n' (Buffer.contents buf) in
+        let snap_lsn, snapshot = Checkpoint.of_lines lines in
+        t.snap <- None;
+        Catalog.adopt t.catalog snapshot;
+        t.applied_lsn <- snap_lsn;
+        if snap_lsn > t.seen_lsn then t.seen_lsn <- snap_lsn;
+        Server_stats.on_repl_snapshot t.stats ~lsn:snap_lsn;
+        drain t ~now
+      end
+    | Wire.Wal_recs { lsn; sent_at_us; last; records } ->
+      if lsn > t.seen_lsn then t.seen_lsn <- lsn;
+      let buf =
+        match Hashtbl.find_opt t.partial lsn with
+        | Some buf -> buf
+        | None ->
+          let buf = Buffer.create 256 in
+          Hashtbl.replace t.partial lsn buf;
+          buf
+      in
+      Buffer.add_string buf records;
+      if not last then []
+      else begin
+        Hashtbl.remove t.partial lsn;
+        Hashtbl.replace t.completed lsn
+          (decode_batch (Buffer.contents buf), sent_at_us);
+        drain t ~now
+      end
+    | Wire.Error { message; _ } -> failwith ("primary error: " ^ message)
+    | Wire.Welcome _ | Wire.Result _ | Wire.Pong _ | Wire.Stats _ | Wire.Push _
+      ->
+      []
 end

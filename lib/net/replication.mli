@@ -1,18 +1,19 @@
-(** Checkpoint + WAL-shipping replication: primary-side hub and
-    replica-side upstream loop.
+(** Checkpoint + WAL-shipping replication: the primary-side hub and the
+    replica-side upstream session.
 
     The primary's {!Hub} collects committed WAL batches (via
     {!Relational.Wal.set_on_append}, so DDL auto-commits ship too) and
-    fans them out to replica sinks; the server enqueues under the engine
-    lock and calls {!Hub.flush} after releasing it.  A {!Replica} is a
-    background thread that dials the primary with {!Backoff}, announces
-    the last LSN it applied, bootstraps from a streamed checkpoint
-    snapshot (or a WAL-file suffix when the primary still has it), then
-    tails live batches — applying strictly in LSN sequence and
-    acknowledging each batch.
+    fans them out to replica sinks; the server notes them as they commit
+    and calls {!Hub.flush} after queueing the batch's responses.  A
+    {!Replica} is the IO-free upstream session: it announces the last LSN
+    it applied, bootstraps from a streamed checkpoint snapshot (or a
+    WAL-file suffix when the primary still has it), then tails live
+    batches — applying strictly in LSN sequence and acknowledging each
+    batch — and schedules the redial of a lost link with {!Backoff}.
 
-    Neither side depends on {!Server}; sending and applying go through
-    callbacks, so the protocol is testable over bare sockets. *)
+    Neither side depends on {!Server} or holds a socket, thread or lock:
+    the hub sends through a callback and the server's event loop carries
+    the replica's frames. *)
 
 open Relational
 
@@ -59,8 +60,7 @@ module Hub : sig
       shipping. *)
 
   val note : t -> lsn:int -> Wal.record list -> unit
-  (** Record a committed batch (called under the WAL lock — only
-      enqueues). *)
+  (** Record a committed batch (called mid-commit — only enqueues). *)
 
   val register : t -> replica_id:string -> send:(Wire.response -> unit) -> sink
   (** Add a replica sink.  [send] must be non-blocking (the server's
@@ -70,8 +70,9 @@ module Hub : sig
   val ack : sink -> lsn:int -> unit
 
   val flush : t -> unit
-  (** Drain pending batches to every live sink in commit order.  Call
-      after releasing the engine lock. *)
+  (** Drain pending batches to every live sink in commit order.  The
+      [repl.hub.flush] failpoint fires first: when it raises, every noted
+      batch stays queued for the next flush. *)
 
   val stats : t -> stats
 
@@ -80,43 +81,37 @@ module Hub : sig
 end
 
 module Replica : sig
-  type event =
-    | Connected
-    | Disconnected of string
-    | Snapshot_loaded of { lsn : int }
-    | Batch_applied of { lsn : int; lag_lsn : int; lag_ms : float }
-
-  type callbacks = {
-    load_snapshot : lsn:int -> Catalog.t -> unit;
-        (** swap the replica's state to the snapshot; runs on the replica
-            thread — wrap in the engine write lock *)
-    apply_batch : lsn:int -> Wal.record list -> unit;
-        (** apply one committed batch; same locking discipline *)
-    notify : event -> unit;  (** stats / logging; must not raise *)
-  }
-
   type t
 
-  val start :
-    host:string ->
-    port:int ->
-    ?replica_id:string ->
-    ?policy:Backoff.policy ->
-    ?max_frame:int ->
-    callbacks ->
-    t
-  (** Spawn the upstream loop: dial, [RHELLO], bootstrap, tail; reconnect
-      with backoff forever until {!stop}. *)
+  val create :
+    replica_id:string -> now:float -> Catalog.t -> Server_stats.t -> t
+  (** A replica of nothing yet (applied LSN 0) announcing itself as
+      [replica_id], whose first dial is due at [now].  Snapshots and
+      batches are applied to the catalog; the [repl_*] gauges of the stats
+      move with the session. *)
 
-  val stop : t -> unit
-  (** Shut the link down and join the thread. *)
+  val dial_due : t -> now:float -> bool
+  (** No session is open and the redial backoff has elapsed. *)
 
-  val applied_lsn : t -> int
-  val seen_lsn : t -> int
-  (** Highest primary LSN observed (applied or still in flight). *)
+  val connect : t -> Wire.request
+  (** Open a session: reassembly starts empty, and the result is the
+      [RHELLO] carrying the applied LSN, to send first.  Every session
+      after the first counts as a reconnect. *)
 
-  val connected : t -> bool
+  val receive : t -> now:float -> Wire.response -> Wire.request list
+  (** One frame from the primary, at wall-clock [now] (the lag gauge
+      compares it with the primary's send stamps); the result is the
+      [RACK]s to send, one per batch applied, in LSN order.  Batches apply
+      strictly in sequence: a duplicate at or below the applied LSN drops, a gap
+      waits.  The [repl.replica.apply] failpoint fires before each apply.
+      Raises — leaving the applied LSN where it was — when the primary
+      rejects the handshake or errors, on a frame the handshake does not
+      expect, or when an apply fails: the session is over, and the caller
+      ends it with {!lost}. *)
 
-  val stats : t -> int * int * int * float
-  (** [(reconnects, snapshots_loaded, batches_applied, last_lag_ms)]. *)
+  val lost : t -> now:float -> string -> unit
+  (** The session ended, for the given reason.  The next dial falls due
+      after [Backoff.jittered Backoff.default] of the session's attempt: attempt 1 after a
+      session that completed its handshake, one more after each that did
+      not.  A no-op when no session is open. *)
 end

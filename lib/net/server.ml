@@ -5,12 +5,14 @@
     connection, all {e non-blocking}, and waits on them with one [poll(2)]
     call per iteration — the only place the server waits.  The
     listening socket sits in the same poll set, so accepting is just
-    another readiness event.  Each iteration flushes what the core queued,
-    polls for the interest the core asks for, feeds the core what the
-    sockets read, accepts, and ends with {!Protocol.end_of_iteration} (the
-    open write batch) and {!Protocol.tick} (idle and bootstrap-stall
-    verdicts).  Nothing but the loop touches a connection, so connection
-    state takes no lock and needs no cross-thread wakeup. *)
+    another readiness event, and so does a replica's upstream link, dialled
+    with a non-blocking [connect] whenever the core says a dial is due.
+    Each iteration dials if due, flushes what the core queued, polls for
+    the interest the core asks for, feeds the core what the sockets read,
+    accepts, and ends with {!Protocol.end_of_iteration} (the open write
+    batch) and {!Protocol.tick} (idle and bootstrap-stall verdicts).
+    Nothing but the loop touches a connection or the engine, so neither
+    takes a lock and no thread wakes another. *)
 
 include Protocol.Config
 
@@ -46,8 +48,7 @@ type t = {
   mutable revents : int array;
   mutable slots : conn option array;
   mutable thread : Thread.t option;
-  mutable replica : Replication.Replica.t option;
-      (** replica side: the upstream loop tailing the primary *)
+  upstream : Unix.sockaddr option;  (** replica side: the primary, resolved *)
 }
 
 let port t = t.bound_port
@@ -136,21 +137,27 @@ let ensure_capacity t n =
     t.slots <- Array.make !cap None
   end
 
+let add t fd pc =
+  Hashtbl.replace t.conns (Protocol.conn_id pc)
+    { fd; pc; wbuf = Bytes.empty; woff = 0; wlen = 0 }
+
 (** Take one accepted socket in, unless the [server.accept] failpoint or
     [max_conns] refuses it.  It enters the poll set at the next interest
     build. *)
 let admit t fd =
   let refuse () = try Unix.close fd with Unix.Unix_error _ -> () in
+  (* the upstream link is not a connection this server took *)
+  let live =
+    Hashtbl.length t.conns - if Protocol.has_upstream t.core then 1 else 0
+  in
   if not (Fault.passes "server.accept") then begin
     Server_stats.on_error (stats t);
     refuse ()
   end
-  else if t.config.max_conns > 0 && Hashtbl.length t.conns >= t.config.max_conns
-  then begin
+  else if t.config.max_conns > 0 && live >= t.config.max_conns then begin
     Server_stats.on_conn_refused (stats t);
     Log.warn (fun f ->
-        f "refusing connection: %d live (max_conns=%d)" (Hashtbl.length t.conns)
-          t.config.max_conns);
+        f "refusing connection: %d live (max_conns=%d)" live t.config.max_conns);
     refuse ()
   end
   else
@@ -160,12 +167,33 @@ let admit t fd =
     with
     | () ->
       let pc = Protocol.connect t.core in
-      Hashtbl.replace t.conns (Protocol.conn_id pc)
-        { fd; pc; wbuf = Bytes.empty; woff = 0; wlen = 0 };
+      add t fd pc;
       Log.debug (fun f -> f "conn %d: accepted" (Protocol.conn_id pc))
     | exception Unix.Unix_error _ ->
       Server_stats.on_error (stats t);
       refuse ()
+
+(** Open the upstream link to the primary at [addr].  The [connect] is
+    non-blocking: the link joins the poll set at once, its RHELLO waits in
+    the core until the socket turns writable, and a refusal surfaces as a
+    poll error, like a reset.  A socket that cannot even start connecting
+    closes the link in the core, which schedules the next dial. *)
+let dial t addr =
+  let pc = Protocol.connect_upstream t.core in
+  match Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> Protocol.close t.core pc
+  | fd -> (
+    match
+      Unix.set_nonblock fd;
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      try Unix.connect fd addr
+      with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()
+    with
+    | () -> add t fd pc
+    | exception Unix.Unix_error (err, _, _) ->
+      Log.debug (fun f -> f "upstream connect: %s" (Unix.error_message err));
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Protocol.close t.core pc)
 
 (** Most connections one readable listen fd yields per iteration, so a
     connection storm cannot starve the connections already open. *)
@@ -192,10 +220,11 @@ let accept_ready t =
   in
   go accept_burst
 
-(** The loop thread: flush and compute per-connection interest (read while
-    the core wants input, write while output is pending) next to the
-    listen fd's, wait, service each ready connection, accept what the
-    listen fd holds, and finally run the core's batch and timers.  On exit
+(** The loop thread: dial the primary if due, flush and compute
+    per-connection interest (read while the core wants input, write while
+    output is pending) next to the listen fd's, wait, service each ready
+    connection, accept what the listen fd holds, and finally run the
+    core's batch and timers.  On exit
     (server stop) remaining output is flushed best-effort over
     briefly-blocking sockets so in-flight responses reach their clients. *)
 let loop_run t =
@@ -203,6 +232,9 @@ let loop_run t =
   let timeout_ms = Protocol.tick_ms t.core in
   while t.running do
     match
+      Option.iter
+        (fun addr -> if Protocol.dial_due t.core then dial t addr)
+        t.upstream;
       (* interest build; connections already condemned tear down here *)
       ensure_capacity t (Hashtbl.length t.conns + 1);
       let accepting = Unix.gettimeofday () >= t.accept_paused_until in
@@ -307,9 +339,20 @@ let loop_run t =
 
 let start ?(config = default_config) sys =
   Wire.check_port ~what:"Server.start: port" ~min:0 config.port;
-  Option.iter
-    (fun (_, p) -> Wire.check_port ~what:"Server.start: replica_of" ~min:1 p)
-    config.replica_of;
+  (* resolved once, here: [getaddrinfo] blocks, and the loop never may *)
+  let upstream =
+    Option.map
+      (fun (host, p) ->
+        Wire.check_port ~what:"Server.start: replica_of" ~min:1 p;
+        match
+          Unix.getaddrinfo host (string_of_int p)
+            [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+        with
+        | ai :: _ -> ai.Unix.ai_addr
+        | [] ->
+          failwith (Printf.sprintf "Server.start: cannot resolve %s:%d" host p))
+      config.replica_of
+  in
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
@@ -341,12 +384,7 @@ let start ?(config = default_config) sys =
       revents = Array.make 64 0;
       slots = Array.make 64 None;
       thread = None;
-      replica =
-        Option.map
-          (fun (host, port) ->
-            Replication.Replica.start ~host ~port ~replica_id:config.replica_id
-              (Protocol.replica_callbacks core))
-          config.replica_of;
+      upstream;
     }
   in
   t.thread <- Some (Thread.create loop_run t);
@@ -364,12 +402,6 @@ let start ?(config = default_config) sys =
 let stop t =
   if t.running then begin
     t.running <- false;
-    (* stop tailing the primary before tearing local state down *)
-    (match t.replica with
-    | Some r ->
-      Replication.Replica.stop r;
-      t.replica <- None
-    | None -> ());
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     Option.iter Thread.join t.thread;
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()

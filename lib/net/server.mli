@@ -2,17 +2,17 @@
 
     The server is a thin event loop around the IO-free {!Protocol} core.  One
     event loop on one thread owns the listening socket and every
-    connection, multiplexing them as non-blocking sockets with one
-    [poll(2)] wait per iteration ({!Netpoll}) — the server's only wait
-    site.  The loop keeps the listen fd, accept, the poll arrays,
-    [read]/[write] with partial-write staging, the exit drain and
-    {!start}/{!stop}; every protocol decision is the core's.
+    connection — on a replica, its upstream link to the primary too —
+    multiplexing them as non-blocking sockets with one [poll(2)] wait per
+    iteration ({!Netpoll}) — the server's only wait site.  The loop keeps
+    the listen fd, accept, the upstream dial (a non-blocking [connect]),
+    the poll arrays, [read]/[write] with partial-write staging, the exit
+    drain and {!start}/{!stop}; every protocol decision is the core's.
 
     What the core decides: the handshake (HELLO/RHELLO version
     negotiation); dispatch, with program order per connection; the open
     write batch — the write SUBMITs decoded in one poll iteration, at most
-    [max_batch], executed under one engine-lock acquisition with
-    per-request error isolation, one WAL group flush
+    [max_batch], executed with per-request error isolation, one WAL group flush
     ({!Relational.Wal.with_batch}) and one coordinator poke; admin probes;
     pushes, handed from the coordinator's fulfilment path onto the owning
     connection's outbound queue via {!Youtopia.Session.set_listener};
@@ -21,12 +21,13 @@
     verdict, which spares replica links and clients whose user owns a
     parked pending query; and the replica bootstrap, whose frames drain
     through the same loop — a replica that stops reading is dropped after
-    30 s without progress, and never holds up other clients.
+    30 s without progress, and never holds up other clients; and on a
+    replica, the upstream session — applying the primary's stream in LSN
+    order and redialling a lost link with backoff.
 
-    Engine work runs under one mutex, the engine lock, shared with a
-    replica's upstream thread.  Connections negotiated at protocol ≥ 2
-    receive bulky payloads (replication chunks, large result sets) as
-    raw-bytes frames. *)
+    Only the loop's thread touches the engine, so engine work takes no
+    lock.  Connections negotiated at protocol ≥ 2 receive bulky payloads
+    (replication chunks, large result sets) as raw-bytes frames. *)
 
 val log_src : Logs.src
 
@@ -54,8 +55,10 @@ type config = Protocol.Config.config = {
       (** run as a read replica of this primary: read-only SELECTs and
           admin probes are served locally, anything that could mutate is
           rejected with a redirect error naming the primary
-          ({!Wire.readonly_redirect}), and a background loop bootstraps
-          from a streamed snapshot then tails the primary's WAL *)
+          ({!Wire.readonly_redirect}), and the event loop keeps an
+          upstream link that bootstraps from a streamed snapshot then
+          tails the primary's WAL.  Exempt from [read_timeout] and
+          [max_conns] *)
   replica_id : string;  (** name announced in the replica handshake *)
   max_in_flight : int;
       (** responses one connection may have queued unflushed before the
@@ -73,12 +76,12 @@ val default_config : config
 type t
 
 val start : ?config:config -> Youtopia.System.t -> t
-(** Bind, listen, create the protocol core (clocked by
-    [Unix.gettimeofday]), start the upstream thread in replica mode, and
-    spawn the event-loop thread.  Raises
-    [Invalid_argument] if [port] lies outside 0–65535 or the [replica_of]
-    port outside 1–65535, and [Unix.Unix_error] if the address is
-    unavailable. *)
+(** Resolve [replica_of], bind, listen, create the protocol core (clocked
+    by [Unix.gettimeofday]), and spawn the event-loop thread, which dials
+    the primary in replica mode.  Raises [Invalid_argument] if [port] lies
+    outside 0–65535 or the [replica_of] port outside 1–65535, [Failure] if
+    the [replica_of] host does not resolve, and [Unix.Unix_error] if the
+    address is unavailable. *)
 
 val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)
@@ -90,5 +93,5 @@ val is_replica : t -> bool
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, close every connection after its
-    outbound queue drains, join the loop thread (and a replica's upstream
-    thread).  Idempotent. *)
+    outbound queue drains (a replica's upstream link included), and join
+    the loop thread.  Idempotent. *)

@@ -1,8 +1,8 @@
 (** Server-side counters: connections, frames, bytes, submissions, pushes,
     server-side submit handling latency, and the write-batching pipeline
-    (batch sizes, WAL flush/fsync amortisation, latency histogram).  All
-    counters are guarded by one mutex — they are touched by the event loop
-    and by the replica upstream thread, and read from any thread. *)
+    (batch sizes, WAL flush/fsync amortisation, latency histogram), and
+    the replication gauges.  The event loop's thread is the only writer;
+    one mutex guards the counters because any thread may read them. *)
 
 (* Submit-latency histogram: log-spaced upper bounds in µs; one extra
    overflow bucket at the end.  p50/p99 are estimated as the upper bound of
@@ -47,10 +47,6 @@ type t = {
   mutable submit_latency_total : float;
   mutable submit_latency_max : float;
   submit_latency_hist : int array;  (** [latency_buckets] log buckets *)
-  mutable engine_reads : int;
-  mutable engine_writes : int;
-  mutable engine_read_waits : int;
-  mutable engine_write_waits : int;
   (* write-batching pipeline *)
   mutable batches : int;  (** write batches executed *)
   mutable batched_requests : int;  (** write requests inside those batches *)
@@ -99,10 +95,6 @@ type snapshot = {
   submit_latency_p50 : float;  (** seconds, histogram upper-bound estimate *)
   submit_latency_p99 : float;  (** seconds, histogram upper-bound estimate *)
   submit_latency_hist : int array;
-  engine_reads : int;  (** engine-lock acquisitions for reads and probes *)
-  engine_writes : int;  (** engine-lock acquisitions for anything that writes *)
-  engine_read_waits : int;  (** read acquisitions that found the lock held *)
-  engine_write_waits : int;  (** write acquisitions that found the lock held *)
   batches : int;  (** write batches executed *)
   batched_requests : int;  (** write requests executed inside batches *)
   batch_size_mean : float;  (** 0 if no batches *)
@@ -146,10 +138,6 @@ let create () =
     submit_latency_total = 0.;
     submit_latency_max = 0.;
     submit_latency_hist = Array.make latency_buckets 0;
-    engine_reads = 0;
-    engine_writes = 0;
-    engine_read_waits = 0;
-    engine_write_waits = 0;
     batches = 0;
     batched_requests = 0;
     batch_size_max = 0;
@@ -209,16 +197,6 @@ let on_submit t ~latency =
 
 let on_push t = locked t (fun () -> t.pushes <- t.pushes + 1)
 let on_error t = locked t (fun () -> t.errors <- t.errors + 1)
-
-let on_engine_read t ~waited =
-  locked t (fun () ->
-      t.engine_reads <- t.engine_reads + 1;
-      if waited then t.engine_read_waits <- t.engine_read_waits + 1)
-
-let on_engine_write t ~waited =
-  locked t (fun () ->
-      t.engine_writes <- t.engine_writes + 1;
-      if waited then t.engine_write_waits <- t.engine_write_waits + 1)
 
 (** One drained write batch of [size] requests; [flushes]/[fsyncs] are the
     WAL io deltas the batch caused (one flush + at most one fsync when the
@@ -335,10 +313,6 @@ let snapshot t : snapshot =
           hist_percentile t.submit_latency_hist ~total:t.submits
             ~max_s:t.submit_latency_max 0.99;
         submit_latency_hist = Array.copy t.submit_latency_hist;
-        engine_reads = t.engine_reads;
-        engine_writes = t.engine_writes;
-        engine_read_waits = t.engine_read_waits;
-        engine_write_waits = t.engine_write_waits;
         batches = t.batches;
         batched_requests = t.batched_requests;
         batch_size_mean =
@@ -409,10 +383,6 @@ let render t =
       Printf.sprintf "submit_latency_p99_us=%.1f" (s.submit_latency_p99 *. 1e6);
       Printf.sprintf "submit_latency_hist_us=%s"
         (hist_to_string ~bounds:latency_bound_labels s.submit_latency_hist);
-      Printf.sprintf "engine_reads=%d" s.engine_reads;
-      Printf.sprintf "engine_writes=%d" s.engine_writes;
-      Printf.sprintf "engine_read_waits=%d" s.engine_read_waits;
-      Printf.sprintf "engine_write_waits=%d" s.engine_write_waits;
       Printf.sprintf "batches=%d" s.batches;
       Printf.sprintf "batched_requests=%d" s.batched_requests;
       Printf.sprintf "batch_size_mean=%.2f" s.batch_size_mean;

@@ -22,10 +22,6 @@ type snapshot = {
   submit_latency_p99 : float;  (** seconds, same estimate at p99 *)
   submit_latency_hist : int array;
       (** log buckets ≤50/100/200/500/1k/2k/5k/10k/20k/50k/100k µs + overflow *)
-  engine_reads : int;  (** engine-lock acquisitions for reads and probes *)
-  engine_writes : int;  (** engine-lock acquisitions for anything that writes *)
-  engine_read_waits : int;  (** read acquisitions that found the lock held *)
-  engine_write_waits : int;  (** write acquisitions that found the lock held *)
   batches : int;  (** write batches executed *)
   batched_requests : int;  (** write requests executed inside batches *)
   batch_size_mean : float;  (** 0 if no batches *)
@@ -65,14 +61,6 @@ val on_frame_out : t -> bytes:int -> unit
 val on_submit : t -> latency:float -> unit
 val on_push : t -> unit
 val on_error : t -> unit
-
-val on_engine_read : t -> waited:bool -> unit
-(** One engine-lock acquisition for a read or probe; [waited] if the lock
-    was held. *)
-
-val on_engine_write : t -> waited:bool -> unit
-(** One engine-lock acquisition for a write; [waited] if the lock was
-    held. *)
 
 val on_batch : t -> size:int -> flushes:int -> fsyncs:int -> unit
 (** One drained write batch of [size] requests; [flushes]/[fsyncs] are the

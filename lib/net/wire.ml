@@ -565,9 +565,10 @@ let read_frame ?max_frame fd =
 (* ---------------- incremental decoder ---------------- *)
 
 (** Incremental frame decoder: feed whatever bytes a socket produced,
-    extract the complete frames.  This is the read path of the event-loop
-    server, the thread-model reader {i and} the client — partial frames
-    wait in the buffer and never block anyone.  The buffer is compacted
+    extract the complete frames.  This is the read path of the server's
+    event loop (client connections and a replica's upstream link alike)
+    {i and} the client — partial frames wait in the buffer and never
+    block anyone.  The buffer is compacted
     lazily: consumed bytes are reclaimed when the next feed needs room, and
     the whole buffer resets to empty whenever it drains. *)
 module Decoder = struct

@@ -432,6 +432,190 @@ let prop_garbage_through_dispatch =
       P.close t probe;
       (not raised) && status_ok && answered)
 
+(* ---------------- replication shipping ---------------- *)
+
+(* A failed hub flush answers nobody: the INSERT and the SELECT that
+   settled it both answer, the connection stays open, the error is
+   counted, and the batch ships with the next flush, in LSN order. *)
+let test_hub_flush_error () =
+  with_wal_system (fun sys ->
+      let t = core ~sys (ref 0.) in
+      let w = hello t "writer" in
+      feed t w [ submit 1 "CREATE TABLE Hf (id INT)" ];
+      P.end_of_iteration t;
+      ignore (drain t w);
+      let r = replica_hello t in
+      ignore (drain t r);
+      Fault.arm ~one_shot:true "repl.hub.flush" (Fault.Error "boom");
+      Fun.protect ~finally:Fault.disarm_all (fun () ->
+          let errors0 = (stats t).Net.Server_stats.errors in
+          feed t w [ submit 2 "INSERT INTO Hf VALUES (1)"; submit 3 "SELECT COUNT(*) FROM Hf" ];
+          (match responses t w with
+          | [ W.Result { id = 2; _ }; W.Result { id = 3; body = W.Sql_result s } ] ->
+            check bool "the SELECT sees the INSERT" true
+              (Astring.String.is_infix ~affix:"(1)" s)
+          | _ -> Alcotest.fail "expected RESULT 2 then RESULT 3");
+          check status_t "the writer stays open" P.Open (P.status w);
+          check int "the failed flush counted" 1
+            ((stats t).Net.Server_stats.errors - errors0);
+          check int "nothing shipped yet" 0 (List.length (responses t r));
+          feed t w [ submit 4 "INSERT INTO Hf VALUES (2)" ];
+          P.end_of_iteration t;
+          ignore (drain t w);
+          let shipped =
+            List.filter_map
+              (function W.Wal_recs { lsn; last = true; _ } -> Some lsn | _ -> None)
+              (responses t r)
+          in
+          check (Alcotest.list int) "both batches, in LSN order" [ 2; 3 ] shipped))
+
+(* ---------------- the replica's upstream link ---------------- *)
+
+(* A replica core over an empty system, its upstream link not yet dialled. *)
+let replica_core now =
+  let config =
+    {
+      P.Config.default_config with
+      P.Config.replica_of = Some ("primary", 7077);
+      replica_id = "r1";
+    }
+  in
+  let sys = Youtopia.System.create () in
+  (sys, core ~config ~sys now)
+
+let feed_responses t c rs =
+  feed_bytes t c
+    (String.concat ""
+       (List.map (fun r -> Bytes.to_string (W.frame_bytes (W.encode_response r))) rs))
+
+(* every request the core queued for the primary *)
+let requests t c =
+  let rec go acc =
+    match P.pop_output t c with
+    | None -> List.rev acc
+    | Some (_, payload) -> go (W.decode_request payload :: acc)
+  in
+  go []
+
+(* Dial: the link's first frame is an RHELLO carrying [lsn]. *)
+let dial ?(welcome = true) t ~lsn =
+  check bool "a dial is due" true (P.dial_due t);
+  let c = P.connect_upstream t in
+  check bool "no second dial while the link is open" false (P.dial_due t);
+  (match requests t c with
+  | [ W.Replica_hello { replica_id = "r1"; last_lsn; _ } ] ->
+    check int "RHELLO carries the applied LSN" lsn last_lsn
+  | _ -> Alcotest.fail "expected one RHELLO");
+  if welcome then
+    feed_responses t c [ W.Welcome { version = W.protocol_version; banner = "p" } ];
+  c
+
+let wrec ~lsn records = Net.Replication.frames_of_batch ~lsn ~sent_at_us:0 records
+
+let ddl_batch =
+  let open Relational in
+  [
+    Wal.Create_table
+      (Schema.make ~primary_key:[ 0 ] "T" [ Schema.column "id" Ctype.TInt ]);
+    Wal.Commit 1;
+  ]
+
+let insert_batch k = Relational.[ Wal.Insert ("T", [| Value.Int k |]); Wal.Commit k ]
+
+let rows sys name =
+  match Relational.Catalog.find_opt (Youtopia.System.catalog sys) name with
+  | None -> -1
+  | Some tbl -> Relational.Table.row_count tbl
+
+let acks t c =
+  List.map
+    (function W.Repl_ack { lsn } -> lsn | _ -> Alcotest.fail "expected RACKs only")
+    (requests t c)
+
+let test_upstream_snapshot () =
+  let now = ref 0. in
+  let sys, t = replica_core now in
+  let c = dial t ~lsn:0 in
+  check bool "connected" true (stats t).Net.Server_stats.repl_upstream_connected;
+  let src = Youtopia.System.create () in
+  fill src ~chunks:2;
+  let frames =
+    Net.Replication.frames_of_snapshot ~lsn:5
+      (Relational.Checkpoint.to_lines ~lsn:5 (Youtopia.System.catalog src))
+  in
+  check bool "several chunks" true (List.length frames > 2);
+  feed_responses t c frames;
+  check int "the snapshot's rows loaded" (rows src "Big") (rows sys "Big");
+  let s = stats t in
+  check int "one snapshot" 1 s.Net.Server_stats.repl_snapshots_loaded;
+  check int "applied LSN from the snapshot" 5 s.Net.Server_stats.repl_applied_lsn;
+  check status_t "still open" P.Open (P.status c);
+  P.close t c;
+  now := 10.;
+  ignore (dial t ~lsn:5)
+
+let test_upstream_lsn_order () =
+  let sys, t = replica_core (ref 0.) in
+  let c = dial t ~lsn:0 in
+  feed_responses t c (wrec ~lsn:1 ddl_batch);
+  check (Alcotest.list int) "RACK 1" [ 1 ] (acks t c);
+  feed_responses t c (wrec ~lsn:3 (insert_batch 3));
+  check (Alcotest.list int) "LSN 3 waits for LSN 2" [] (acks t c);
+  check int "nothing applied yet" 0 (rows sys "T");
+  feed_responses t c (wrec ~lsn:2 (insert_batch 2));
+  check (Alcotest.list int) "RACK 2 then RACK 3" [ 2; 3 ] (acks t c);
+  check int "both applied" 2 (rows sys "T");
+  feed_responses t c (wrec ~lsn:2 (insert_batch 2));
+  check (Alcotest.list int) "a duplicate is dropped" [] (acks t c);
+  check int "and not applied" 2 (rows sys "T");
+  check int "applied LSN" 3 (stats t).Net.Server_stats.repl_applied_lsn;
+  check status_t "still open" P.Open (P.status c)
+
+let test_upstream_apply_error () =
+  let now = ref 0. in
+  let sys, t = replica_core now in
+  let c = dial t ~lsn:0 in
+  feed_responses t c (wrec ~lsn:1 ddl_batch);
+  ignore (requests t c);
+  Fault.arm ~one_shot:true "repl.replica.apply" (Fault.Error "disk gone");
+  Fun.protect ~finally:Fault.disarm_all (fun () ->
+      feed_responses t c (wrec ~lsn:2 (insert_batch 2)));
+  check status_t "the link is killed" P.Dead (P.status c);
+  check int "no RACK" 0 (List.length (requests t c));
+  check int "nothing applied" 0 (rows sys "T");
+  check int "applied LSN unchanged" 1 (stats t).Net.Server_stats.repl_applied_lsn;
+  check bool "disconnected" false (stats t).Net.Server_stats.repl_upstream_connected;
+  P.close t c;
+  now := 10.;
+  ignore (dial t ~lsn:1)
+
+(* After a session that completed its handshake the redial falls due
+   within attempt 1's jitter bounds; after one that did not, within
+   attempt 2's.  Every redial re-announces the applied LSN. *)
+let test_upstream_redial () =
+  let now = ref 100. in
+  let _sys, t = replica_core now in
+  let bounds attempt =
+    let p = Net.Backoff.default in
+    let d = Net.Backoff.delay_for p ~attempt in
+    (d *. (1. -. p.Net.Backoff.jitter), d *. (1. +. p.Net.Backoff.jitter))
+  in
+  let due_within (lo, hi) ~from =
+    now := from +. lo -. 1e-6;
+    check bool "not due before the lower bound" false (P.dial_due t);
+    now := from +. hi +. 1e-6;
+    check bool "due after the upper bound" true (P.dial_due t)
+  in
+  let c = dial t ~lsn:0 in
+  feed_responses t c (wrec ~lsn:1 ddl_batch);
+  P.close t c;
+  due_within (bounds 1) ~from:100.;
+  let c = dial ~welcome:false t ~lsn:1 in
+  P.close t c;
+  due_within (bounds 2) ~from:!now;
+  ignore (dial t ~lsn:1);
+  check int "two redials counted" 2 (stats t).Net.Server_stats.repl_reconnects
+
 let suite =
   [
     Alcotest.test_case "HELLO v1 and v2" `Quick test_hello_versions;
@@ -452,4 +636,14 @@ let suite =
       test_bootstrap_order;
     Alcotest.test_case "bootstrap stall verdict at 30 s" `Quick test_bootstrap_stall;
     QCheck_alcotest.to_alcotest prop_garbage_through_dispatch;
+    Alcotest.test_case "a failed hub flush answers nobody" `Quick
+      test_hub_flush_error;
+    Alcotest.test_case "upstream: SNAP chunks load, RHELLO carries the LSN" `Quick
+      test_upstream_snapshot;
+    Alcotest.test_case "upstream: WREC applies in LSN order, one RACK each" `Quick
+      test_upstream_lsn_order;
+    Alcotest.test_case "upstream: a failed apply kills the link" `Quick
+      test_upstream_apply_error;
+    Alcotest.test_case "upstream: redial inside the backoff's jitter" `Quick
+      test_upstream_redial;
   ]

@@ -452,6 +452,109 @@ let test_stalled_bootstrap_blocks_nobody () =
             s.Net.Server_stats.replicas_active;
           check int "no error counted" 0 s.Net.Server_stats.errors))
 
+(* The replica's upstream link is one more connection of its event loop,
+   so neither a connect that hangs nor a primary that never answers the
+   handshake may hold up the replica's own clients.  The "primary" is a
+   raw listener.  First its accept queue is full (backlog 0, one
+   connection queued), so the kernel drops the replica's SYN and the
+   connect stays in progress; then it accepts the replica, reads its
+   RHELLO and never sends WELCOME.  Both times a client's connect + PING
+   to the replica answers within 1 s. *)
+let test_upstream_never_blocks_the_loop () =
+  let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (loopback 0);
+  Unix.listen listener 0;
+  let lport =
+    match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let filler = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect filler (loopback lport);
+  let upstream = ref None in
+  let _rsys, rserver, rport = start_replica ~primary_port:lport () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* closing the listener first refuses a connect still in progress *)
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (listener :: filler :: Option.to_list !upstream);
+      Net.Server.stop rserver)
+    (fun () ->
+      let ping_within_1s what =
+        let t0 = Unix.gettimeofday () in
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.;
+            Unix.connect fd (loopback rport);
+            let rpc req =
+              Net.Wire.write_frame fd (Net.Wire.encode_request req);
+              match Net.Wire.decode_response (Net.Wire.read_frame fd) with
+              | r -> r
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Alcotest.failf "%s: no answer within 1 s: the loop is blocked" what
+            in
+            (match rpc (Net.Wire.Hello { version = 1; user = "bystander" }) with
+            | Net.Wire.Welcome _ -> ()
+            | _ -> Alcotest.failf "%s: expected WELCOME" what);
+            match rpc (Net.Wire.Ping { id = 1; payload = "alive" }) with
+            | Net.Wire.Pong { payload = "alive"; _ } -> ()
+            | _ -> Alcotest.failf "%s: expected PONG" what);
+        check bool (what ^ ": connect + PING within 1 s") true
+          (Unix.gettimeofday () -. t0 < 1.)
+      in
+      Unix.sleepf 0.2;
+      ping_within_1s "connect in progress";
+      (* make room: the replica's retransmitted SYN gets in *)
+      let queued, _ = Unix.accept listener in
+      Unix.close queued;
+      (match Unix.select [ listener ] [] [] 10. with
+      | [], _, _ -> Alcotest.fail "the replica never connected"
+      | _ -> upstream := Some (fst (Unix.accept listener)));
+      let up = Option.get !upstream in
+      Unix.setsockopt_float up Unix.SO_RCVTIMEO 5.;
+      (match Net.Wire.decode_request (Net.Wire.read_frame up) with
+      | Net.Wire.Replica_hello { last_lsn = 0; _ } -> ()
+      | _ -> Alcotest.fail "expected the replica's RHELLO");
+      ping_within_1s "handshake unanswered";
+      check bool "not connected" false
+        (snap rserver).Net.Server_stats.repl_upstream_connected)
+
+(* The upstream link is exempt from the idle verdict and from max_conns:
+   with read_timeout = 0.2 s it survives 1 s without traffic, and with
+   max_conns = 1 a client still gets in. *)
+let test_upstream_exempt_from_idle_and_max_conns () =
+  with_tmp_dir (fun wal_path ->
+      let _psys, pserver, pport = start_primary ~wal_path () in
+      let config =
+        {
+          Net.Server.default_config with
+          Net.Server.port = 0;
+          replica_of = Some ("127.0.0.1", pport);
+          read_timeout = 0.2;
+          max_conns = 1;
+        }
+      in
+      let rserver = Net.Server.start ~config (Youtopia.System.create ()) in
+      Fun.protect
+        ~finally:(fun () ->
+          Net.Server.stop rserver;
+          Net.Server.stop pserver)
+        (fun () ->
+          await "upstream connected" (fun () ->
+              (snap rserver).Net.Server_stats.repl_upstream_connected);
+          Unix.sleepf 1.;
+          let s = snap rserver in
+          check bool "still connected" true s.Net.Server_stats.repl_upstream_connected;
+          check int "no reconnect" 0 s.Net.Server_stats.repl_reconnects;
+          check int "no idle timeout" 0 s.Net.Server_stats.idle_timeouts;
+          let c = Net.Client.connect ~port:(Net.Server.port rserver) ~user:"solo" () in
+          Fun.protect
+            ~finally:(fun () -> Net.Client.close c)
+            (fun () -> ignore (Net.Client.ping c));
+          check int "nothing refused" 0 (snap rserver).Net.Server_stats.conns_refused))
+
 let suite =
   [
     Alcotest.test_case "replication frames round-trip" `Quick test_frames_roundtrip;
@@ -473,4 +576,8 @@ let suite =
       test_client_routes_reads_to_replicas;
     Alcotest.test_case "stalled bootstrap blocks no other client" `Quick
       test_stalled_bootstrap_blocks_nobody;
+    Alcotest.test_case "upstream connect or handshake never blocks the loop" `Quick
+      test_upstream_never_blocks_the_loop;
+    Alcotest.test_case "upstream link exempt from idle verdict and max_conns" `Quick
+      test_upstream_exempt_from_idle_and_max_conns;
   ]

@@ -2,8 +2,10 @@
 # End-to-end primary/replica smoke test over the real binaries.
 #
 # Exercises the full replication story the way an operator would drive it:
-# seed a primary, bootstrap a replica over the wire, read from the replica,
-# confirm it rejects writes with a redirect, then restart the primary
+# seed a primary, bootstrap a replica over the wire, check the replica
+# runs no more threads than the primary (its upstream link is one more
+# connection of the event loop), read from the replica, confirm it
+# rejects writes with a redirect, then restart the primary
 # mid-stream and check the replica catches up on the rows written after
 # the restart.  Run from the repo root after `dune build`:
 #
@@ -101,10 +103,21 @@ done
 echo "== start replica (dynamic port)"
 start_server "$TMP/replica.log" --port 0 --replica-of "127.0.0.1:$PPORT" \
   --replica-id smoke
+REPLICA_PID=$SERVER_PID
 RPORT=$SERVER_PORT
 wait_port "$RPORT"
 wait_rows "$RPORT" 20
 echo "   replica on :$RPORT bootstrapped with 20 rows"
+
+echo "== the replica runs as many threads as the primary"
+# compared process to process, not to a constant: the runtime's own
+# threads vary by OCaml version
+threads() { sed -n 's/^Threads:[[:space:]]*//p' "/proc/$1/status"; }
+PTHREADS=$(threads "$PRIMARY_PID")
+RTHREADS=$(threads "$REPLICA_PID")
+[ -n "$PTHREADS" ] && [ "$PTHREADS" = "$RTHREADS" ] \
+  || fail "replica runs ${RTHREADS:-?} thread(s), primary ${PTHREADS:-?}"
+echo "   Threads: primary $PTHREADS, replica $RTHREADS"
 
 echo "== replica rejects writes with a redirect"
 out=$(sql "$RPORT" "INSERT INTO Kv VALUES (999, 'nope')")
