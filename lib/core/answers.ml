@@ -41,8 +41,6 @@ let adopt t name =
   t.rels <- (key name, table) :: t.rels;
   table
 
-let is_declared t rel = List.mem_assoc (key rel) t.rels
-
 let find_opt t rel = List.assoc_opt (key rel) t.rels
 
 let find t rel =
@@ -50,8 +48,6 @@ let find t rel =
   | Some table -> table
   | None ->
     Errors.fail (Errors.No_such_table ("answer relation " ^ rel))
-
-let schema t rel = Table.schema (find t rel)
 
 let relation_names t = List.map (fun (_, table) -> Table.name table) t.rels
 
@@ -97,7 +93,3 @@ let matching t (subst : Subst.t) (atom : Atom.t) : Subst.t Seq.t =
       |> Seq.filter_map (fun row -> Subst.unify_row subst resolved row)
     end
 
-let total_tuples t =
-  List.fold_left (fun acc (_, table) -> acc + Table.row_count table) 0 t.rels
-
-let clear t = List.iter (fun (_, table) -> Table.clear table) t.rels

@@ -21,10 +21,8 @@ val adopt : t -> string -> Table.t
     recovery) as an answer relation, creating the matcher's indexes if they
     are missing. *)
 
-val is_declared : t -> string -> bool
 val find_opt : t -> string -> Table.t option
 val find : t -> string -> Table.t
-val schema : t -> string -> Schema.t
 val relation_names : t -> string list
 
 val contains : t -> string -> Tuple.t -> bool
@@ -37,5 +35,3 @@ val matching : t -> Subst.t -> Atom.t -> Subst.t Seq.t
     an existing answer tuple.  Ground positions of the atom drive an indexed
     lookup where possible. *)
 
-val total_tuples : t -> int
-val clear : t -> unit

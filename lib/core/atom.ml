@@ -15,8 +15,6 @@ let same_rel a b =
 
 let vars a = Array.fold_left Term.vars [] a.args
 
-let is_ground a = Array.for_all (fun t -> not (Term.is_var t)) a.args
-
 (** The tuple of a ground atom; [None] if any variable remains. *)
 let to_tuple a =
   let exception Not_ground in
@@ -28,11 +26,6 @@ let to_tuple a =
   with Not_ground -> None
 
 let rename f a = { a with args = Array.map (Term.rename f) a.args }
-
-let equal a b =
-  same_rel a b
-  && Array.length a.args = Array.length b.args
-  && Array.for_all2 Term.equal a.args b.args
 
 let pp ppf a =
   Fmt.pf ppf "%s(%a)" a.rel Fmt.(array ~sep:(any ", ") Term.pp) a.args

@@ -13,13 +13,11 @@ val same_rel : t -> t -> bool
 (** Case-insensitive relation-name equality (SQL convention). *)
 
 val vars : t -> string list
-val is_ground : t -> bool
 
 val to_tuple : t -> Tuple.t option
 (** The tuple of a ground atom; [None] if any variable remains. *)
 
 val rename : (string -> string) -> t -> t
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -64,8 +64,6 @@ type t = {
       (** committed row images since the last poke, [Tuples] only *)
   mutable next_id : int;
   mutable listeners : (Events.notification -> unit) list;
-  deadlines : (int, float) Hashtbl.t;
-      (** optional absolute expiry per pending query *)
   mu : Mutex.t;
 }
 
@@ -87,7 +85,6 @@ let create ?(config = default_config) db =
       deltas = Hashtbl.create 32;
       next_id = 1;
       listeners = [];
-      deadlines = Hashtbl.create 16;
       mu = Mutex.create ();
     }
   in
@@ -152,7 +149,6 @@ let adopt_answer_relation t name = ignore (Answers.adopt t.answers name)
 let answers t = t.answers
 let pending t = t.pending
 let stats t = t.stats
-let database t = t.db
 
 let subscribe t listener = t.listeners <- listener :: t.listeners
 
@@ -245,9 +241,7 @@ let fulfil t (success : Matcher.success) : Events.notification list =
     List.map (fun (q : Equery.t) -> q.Equery.id) success.Matcher.group
   in
   List.iter
-    (fun (q : Equery.t) ->
-      Pending.remove t.pending q.Equery.id;
-      Hashtbl.remove t.deadlines q.Equery.id)
+    (fun (q : Equery.t) -> Pending.remove t.pending q.Equery.id)
     success.Matcher.group;
   t.stats.Stats.groups_fulfilled <- t.stats.Stats.groups_fulfilled + 1;
   t.stats.Stats.answered <-
@@ -306,7 +300,7 @@ let rec cascade_rev t tuples acc =
 (* ------------------------------------------------------------------ *)
 (* Submission. *)
 
-let submit_instance ?deadline t (q : Equery.t) : outcome =
+let submit_instance t (q : Equery.t) : outcome =
   let q = Equery.freshen ~id:t.next_id q in
   t.next_id <- t.next_id + 1;
   match try_match t q with
@@ -322,17 +316,12 @@ let submit_instance ?deadline t (q : Equery.t) : outcome =
   | None ->
     Log.debug (fun m -> m "Q%d (%s) parked in the pending store" q.Equery.id q.Equery.owner);
     Pending.add t.pending q;
-    (match deadline with
-    | Some d -> Hashtbl.replace t.deadlines q.Equery.id d
-    | None -> ());
     t.stats.Stats.registered <- t.stats.Stats.registered + 1;
     Registered q.Equery.id
 
-(** [submit ?deadline t q] — the arrival path.  CHOOSE k submits k
-    independent instances (each with CHOOSE 1 semantics) and reports their
-    outcomes.  A query still pending at absolute time [deadline] (caller's
-    clock, see {!expire}) is withdrawn. *)
-let submit ?deadline t (q : Equery.t) : outcome =
+(** [submit t q] — the arrival path.  CHOOSE k submits k independent
+    instances (each with CHOOSE 1 semantics) and reports their outcomes. *)
+let submit t (q : Equery.t) : outcome =
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
@@ -343,33 +332,11 @@ let submit ?deadline t (q : Equery.t) : outcome =
         t.stats.Stats.rejected <- t.stats.Stats.rejected + 1;
         Rejected reason
       | Safety.Safe ->
-        if q.Equery.choose = 1 then submit_instance ?deadline t q
+        if q.Equery.choose = 1 then submit_instance t q
         else
           Multi
             (List.init q.Equery.choose (fun _ ->
-                 submit_instance ?deadline t { q with Equery.choose = 1 })))
-
-(** [expire t ~now] withdraws every pending query whose submission deadline
-    has passed; returns the expired ids.  The coordinator never reads a
-    clock itself — callers pass [now] (typically [Unix.gettimeofday ()]),
-    which keeps the engine deterministic under test. *)
-let expire t ~now =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
-      let expired =
-        Hashtbl.fold
-          (fun id deadline acc -> if deadline <= now then id :: acc else acc)
-          t.deadlines []
-      in
-      List.iter
-        (fun id ->
-          Pending.remove t.pending id;
-          Hashtbl.remove t.deadlines id;
-          t.stats.Stats.cancelled <- t.stats.Stats.cancelled + 1)
-        expired;
-      List.sort compare expired)
+                 submit_instance t { q with Equery.choose = 1 })))
 
 (** [cancel t id] withdraws a pending query (e.g. the user gave up). *)
 let cancel t id =
@@ -379,7 +346,6 @@ let cancel t id =
     (fun () ->
       if Pending.mem t.pending id then begin
         Pending.remove t.pending id;
-        Hashtbl.remove t.deadlines id;
         t.stats.Stats.cancelled <- t.stats.Stats.cancelled + 1;
         true
       end

@@ -17,10 +17,6 @@
 
 open Relational
 
-val log_src : Logs.src
-(** Log source ("youtopia.coordinator"); enable a [Logs] reporter at debug
-    level to trace arrivals, parking, and fulfilments. *)
-
 (** Which pending queries a {!poke} retries.  [Tuples] is the production
     policy; [Tables] and [All] are reference semantics that the property
     tests and benches compare it against.  Every policy produces the same
@@ -56,21 +52,12 @@ val adopt_answer_relation : t -> string -> unit
 val answers : t -> Answers.t
 val pending : t -> Pending.t
 val stats : t -> Stats.t
-val database : t -> Database.t
 
 val subscribe : t -> (Events.notification -> unit) -> unit
 
-val submit : ?deadline:float -> t -> Equery.t -> outcome
+val submit : t -> Equery.t -> outcome
 (** The arrival path.  CHOOSE k submits k independent instances (each with
-    CHOOSE 1 semantics) and reports their outcomes.  A query still pending
-    at absolute time [deadline] (caller's clock, see {!expire}) is
-    withdrawn. *)
-
-val expire : t -> now:float -> int list
-(** Withdraw every pending query whose submission deadline has passed;
-    returns the expired ids.  The coordinator never reads a clock itself —
-    callers pass [now] (typically [Unix.gettimeofday ()]), which keeps the
-    engine deterministic under test. *)
+    CHOOSE 1 semantics) and reports their outcomes. *)
 
 val cancel : t -> int -> bool
 (** [cancel t id] withdraws a pending query; [false] if [id] is not

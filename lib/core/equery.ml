@@ -61,23 +61,6 @@ let make ?(label = "") ?(preds = []) ?(eq_bindings = []) ?(choose = 1)
     side_effects;
   }
 
-(** All variables appearing anywhere in the query. *)
-let vars q =
-  let acc = List.concat_map Atom.vars q.heads in
-  let acc =
-    List.fold_left
-      (fun acc (d : db_atom) -> Array.fold_left Term.vars acc d.binding)
-      acc q.db_atoms
-  in
-  let acc = List.fold_left (fun acc a -> Atom.vars a @ acc) acc q.ans_atoms in
-  let acc = List.fold_left Term.pred_vars acc q.preds in
-  let acc = List.fold_left (fun acc (x, _) -> x :: acc) acc q.eq_bindings in
-  List.sort_uniq String.compare acc
-
-let head_relations q =
-  List.map (fun (h : Atom.t) -> h.Atom.rel) q.heads
-  |> List.sort_uniq String.compare
-
 (** Rename every variable through [f] (used to rename query instances
     apart: [f x = "q<id>:" ^ x]). *)
 let rename f q =
@@ -126,28 +109,6 @@ let display_var x =
     String.sub x (i + 1) (String.length x - i - 1)
   | _ -> x
 
-let pp_side_effect ppf = function
-  | Sf_insert (table, terms) ->
-    Fmt.pf ppf "INSERT INTO %s VALUES (%a)" table
-      Fmt.(array ~sep:(any ", ") Term.pp)
-      terms
-  | Sf_decrement { table; column; where_eq } ->
-    Fmt.pf ppf "UPDATE %s SET %s = %s - 1 WHERE %a" table column column
-      Fmt.(
-        list ~sep:(any " AND ") (fun ppf (c, t) ->
-            Fmt.pf ppf "%s = %a" c Term.pp t))
-      where_eq
-  | Sf_update { table; set; where_eq } ->
-    Fmt.pf ppf "UPDATE %s SET %a WHERE %a" table
-      Fmt.(
-        list ~sep:(any ", ") (fun ppf (c, e) ->
-            Fmt.pf ppf "%s = %a" c Term.pp_texpr e))
-      set
-      Fmt.(
-        list ~sep:(any " AND ") (fun ppf (c, t) ->
-            Fmt.pf ppf "%s = %a" c Term.pp t))
-      where_eq
-
 let pp ppf q =
   Fmt.pf ppf "@[<v 2>Q%d owner=%s%s:@,heads: %a@,db: %a@,ans: %a@,preds: %a%a@]"
     q.id q.owner
@@ -174,4 +135,3 @@ let pp ppf q =
           bs)
     q.eq_bindings
 
-let to_string q = Fmt.str "%a" pp q

@@ -63,15 +63,6 @@ val make :
   unit ->
   t
 
-val vars : t -> string list
-(** All variables appearing anywhere in the query, sorted and deduplicated. *)
-
-val head_relations : t -> string list
-
-val rename : (string -> string) -> t -> t
-(** Rename every variable (heads, bodies, predicates, pinned bindings, side
-    effects) through the given function. *)
-
 val freshen : id:int -> t -> t
 (** [freshen ~id q] assigns the instance id and renames variables apart
     ([x] becomes ["q<id>:x"]), so distinct instances never collide. *)
@@ -79,6 +70,4 @@ val freshen : id:int -> t -> t
 val display_var : string -> string
 (** Strip the instance prefix from a freshened variable name, for display. *)
 
-val pp_side_effect : Format.formatter -> side_effect -> unit
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

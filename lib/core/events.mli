@@ -12,5 +12,4 @@ type notification = {
   group : int list;  (** ids of every query answered in the same match *)
 }
 
-val pp_notification : Format.formatter -> notification -> unit
 val notification_to_string : notification -> string

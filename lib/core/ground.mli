@@ -11,9 +11,6 @@
 
 open Relational
 
-val preds_consistent : Subst.t -> Term.pred list -> bool
-(** No predicate is definitely false under the substitution. *)
-
 val enumerate :
   Catalog.t -> Stats.t -> Equery.t -> Subst.t -> (Subst.t -> unit) -> unit
 (** [enumerate cat stats q subst yield] calls [yield subst'] for every

@@ -218,7 +218,6 @@ let bucket_count t =
   + Hashtbl.length t.c_by_var + Hashtbl.length t.by_table
   + Hashtbl.length t.t_by_const + Hashtbl.length t.t_by_var
 
-let iter f t = Int_map.iter (fun _ q -> f q) t.queries
 let exists f t = Int_map.exists (fun _ q -> f q) t.queries
 let to_list t = Int_map.fold (fun _ q acc -> q :: acc) t.queries [] |> List.rev
 

@@ -28,7 +28,6 @@ val add : t -> Equery.t -> unit
     {!Equery.freshen}). *)
 
 val remove : t -> int -> unit
-val iter : (Equery.t -> unit) -> t -> unit
 
 val exists : (Equery.t -> bool) -> t -> bool
 (** Stops at the first query satisfying the predicate; allocates no list. *)
@@ -44,10 +43,6 @@ val interested : t -> Atom.t -> Equery.t list
     constraints} could unify with the ground atom [atom]; the coordinator's
     cascade uses this to retry only the queries a fresh answer tuple could
     help. *)
-
-val tables_read : Equery.t -> string list
-(** Base tables a query's db-atom sub-plans scan (lowercased, sorted,
-    deduplicated). *)
 
 val reader_ids : t -> string list -> int list
 (** [reader_ids t names] — sorted ids of pending queries whose db-atom

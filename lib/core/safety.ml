@@ -101,21 +101,65 @@ let check (answers : Answers.t) (q : Equery.t) : verdict =
     | None, None, None, [] -> Safe
   end
 
-(** Workload-level matchability analysis (the admin interface uses it to
-    explain why a pending query can never be answered): every answer
-    constraint of every query must unify with the head of at least one query
-    in the workload (possibly itself). *)
-let check_matchable (workload : Equery.t list) : (Equery.t * Atom.t) list =
-  let heads = List.concat_map (fun q -> q.Equery.heads) workload in
-  List.concat_map
-    (fun q ->
+(* ------------------------------------------------------------------ *)
+(* Workload analysis. *)
+
+type analysis = {
+  edges : (Equery.t * Equery.t) list;
+  unsupplied : (Equery.t * Atom.t) list;
+  components : Equery.t list list;
+}
+
+let analyse (workload : Equery.t list) : analysis =
+  let qs = Array.of_list workload in
+  let all = List.init (Array.length qs) Fun.id in
+  (* rename every query apart so that variables shared by accident (two
+     templates translated from similar SQL) cannot fake unifiability *)
+  let fresh = Array.mapi (fun i q -> Equery.freshen ~id:(i + 1) q) qs in
+  let supplies a j =
+    List.exists
+      (fun h -> Subst.unify_atoms Subst.empty a h <> None)
+      fresh.(j).Equery.heads
+  in
+  let unsupplied = ref [] in
+  (* suppliers.(i): every j that supplies some constraint of i, ascending *)
+  let suppliers =
+    Array.mapi
+      (fun i (q : Equery.t) ->
+        List.concat
+          (List.map2
+             (fun a fresh_a ->
+               match List.filter (supplies fresh_a) all with
+               | [] ->
+                 unsupplied := (q, a) :: !unsupplied;
+                 []
+               | js -> js)
+             q.Equery.ans_atoms fresh.(i).Equery.ans_atoms)
+        |> List.sort_uniq compare)
+      qs
+  in
+  let adjacent = Array.copy suppliers in
+  Array.iteri
+    (fun i js -> List.iter (fun j -> adjacent.(j) <- i :: adjacent.(j)) js)
+    suppliers;
+  let seen = Array.make (Array.length qs) false in
+  let rec visit acc i =
+    if seen.(i) then acc
+    else begin
+      seen.(i) <- true;
+      List.fold_left visit (i :: acc) adjacent.(i)
+    end
+  in
+  {
+    edges =
+      List.concat_map
+        (fun i -> List.map (fun j -> qs.(i), qs.(j)) suppliers.(i))
+        all;
+    unsupplied = List.rev !unsupplied;
+    components =
       List.filter_map
-        (fun a ->
-          let ok =
-            List.exists
-              (fun h -> Subst.unify_atoms Subst.empty a h <> None)
-              heads
-          in
-          if ok then None else Some (q, a))
-        q.Equery.ans_atoms)
-    workload
+        (fun i ->
+          if seen.(i) then None
+          else Some (List.map (Array.get qs) (List.sort compare (visit [] i))))
+        all;
+  }

@@ -20,8 +20,33 @@ type verdict = Safe | Unsafe of string
 
 val check : Answers.t -> Equery.t -> verdict
 
-val check_matchable : Equery.t list -> (Equery.t * Atom.t) list
-(** Workload-level matchability: every answer constraint of every query
-    must unify with the head of at least one query in the workload
-    (possibly itself); returns the violations.  The admin interface uses it
-    to explain why a pending query can never be answered. *)
+(** {1 Workload analysis}
+
+    Which queries of a workload — the pending store, or the query shapes an
+    application submits — can supply which answer constraints.  A
+    constraint {i can be supplied} by a query when it unifies with one of
+    that query's heads (possibly the constraining query's own).  A
+    constraint no query can supply strands its query in the pending store
+    unless an existing answer tuple meets it.  The admin interface reports
+    these; deploy-time checks of an application's query shapes ask that
+    there are none.  Nothing about the database is consulted, so an edge
+    means "may coordinate", never "will". *)
+
+type analysis = {
+  edges : (Equery.t * Equery.t) list;
+      (** [(consumer, supplier)], once per pair, in workload order: some
+          answer constraint of [consumer] unifies with a head of
+          [supplier] *)
+  unsupplied : (Equery.t * Atom.t) list;
+      (** each answer constraint that unifies with no head of the workload,
+          with its query *)
+  components : Equery.t list list;
+      (** connected components of the undirected supply graph, each in
+          workload order: the queries whose instances may end up in one
+          match group.  A query with no constraints that supplies nobody is
+          a component of its own. *)
+}
+
+val analyse : Equery.t list -> analysis
+(** Queries in the result are the caller's own values, so [==] identifies
+    them. *)

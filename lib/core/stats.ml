@@ -48,27 +48,6 @@ let create () =
     tuple_fallbacks = 0;
   }
 
-let reset s =
-  s.submitted <- 0;
-  s.answered <- 0;
-  s.groups_fulfilled <- 0;
-  s.rejected <- 0;
-  s.registered <- 0;
-  s.cancelled <- 0;
-  s.match_attempts <- 0;
-  s.search_steps <- 0;
-  s.unify_attempts <- 0;
-  s.groundings <- 0;
-  s.budget_exhausted <- 0;
-  s.pokes <- 0;
-  s.dirty_retries <- 0;
-  s.dirty_skipped <- 0;
-  s.batch_pokes <- 0;
-  s.batch_poke_stmts <- 0;
-  s.tuple_probes <- 0;
-  s.tuple_hits <- 0;
-  s.tuple_fallbacks <- 0
-
 let pp ppf s =
   Fmt.pf ppf
     "@[<v>submitted: %d@,answered: %d@,groups fulfilled: %d@,rejected: \

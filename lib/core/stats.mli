@@ -8,7 +8,7 @@ type t = {
   mutable groups_fulfilled : int;
   mutable rejected : int;  (** failed the safety check *)
   mutable registered : int;  (** parked in the pending store *)
-  mutable cancelled : int;  (** cancelled or expired *)
+  mutable cancelled : int;  (** withdrawn by {!Coordinator.cancel} *)
   mutable match_attempts : int;
   mutable search_steps : int;  (** matcher [solve] invocations *)
   mutable unify_attempts : int;
@@ -28,8 +28,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_kv : t -> string

@@ -10,7 +10,6 @@ module M = Map.Make (String)
 type t = Term.t M.t
 
 let empty : t = M.empty
-let cardinal = M.cardinal
 
 (** Resolve a term to its current representative: follow variable bindings
     until a constant or an unbound variable is reached. *)
@@ -19,14 +18,6 @@ let rec walk (s : t) (t : Term.t) =
   | Term.Const _ -> t
   | Term.Var x -> (
     match M.find_opt x s with None -> t | Some t' -> walk s t')
-
-let lookup s x = walk s (Term.Var x)
-
-(** Value of a variable if bound to a constant. *)
-let value_of s x =
-  match walk s (Term.Var x) with
-  | Term.Const v -> Some v
-  | Term.Var _ -> None
 
 let bind s x t = M.add x t s
 
@@ -70,7 +61,6 @@ let unify_row (s : t) (terms : Term.t array) (row : Tuple.t) =
     !result
   end
 
-let apply_term s t = walk s t
 let apply_atom s (a : Atom.t) = { a with Atom.args = Array.map (walk s) a.Atom.args }
 
 (** Evaluate a term-level arithmetic expression; [None] when a variable is
@@ -96,11 +86,3 @@ let check_pred s (p : Term.pred) : verdict =
     else if Term.eval_cmp p.Term.op (Value.compare a b) then True
     else False
   | _ -> Unknown
-
-let pp ppf (s : t) =
-  Fmt.pf ppf "{@[%a@]}"
-    Fmt.(
-      list ~sep:(any ",@ ") (fun ppf (x, t) -> Fmt.pf ppf "%s ↦ %a" x Term.pp t))
-    (M.bindings s)
-
-let to_string s = Fmt.str "%a" pp s

@@ -9,15 +9,10 @@ open Relational
 type t
 
 val empty : t
-val cardinal : t -> int
 
 val walk : t -> Term.t -> Term.t
 (** Resolve a term to its current representative: follow variable bindings
     until a constant or an unbound variable is reached. *)
-
-val lookup : t -> string -> Term.t
-val value_of : t -> string -> Value.t option
-(** Value of a variable if bound (transitively) to a constant. *)
 
 val bind : t -> string -> Term.t -> t
 
@@ -31,7 +26,6 @@ val unify_atoms : t -> Atom.t -> Atom.t -> t option
 val unify_row : t -> Term.t array -> Tuple.t -> t option
 (** [unify_row s terms row] — unify a term vector against ground values. *)
 
-val apply_term : t -> Term.t -> Term.t
 val apply_atom : t -> Atom.t -> Atom.t
 
 val eval_texpr : t -> Term.texpr -> Value.t option
@@ -43,6 +37,3 @@ type verdict = True | False | Unknown
 val check_pred : t -> Term.pred -> verdict
 (** Check a scalar predicate under the substitution.  [Unknown] when some
     variable is still unbound (the check is retried at match completion). *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

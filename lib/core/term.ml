@@ -10,28 +10,15 @@ open Relational
 
 type t = Const of Value.t | Var of string
 
-let const v = Const v
-let var name = Var name
-let is_var = function Var _ -> true | Const _ -> false
-
 let equal a b =
   match a, b with
   | Const x, Const y -> Value.equal x y
   | Var x, Var y -> String.equal x y
   | Const _, Var _ | Var _, Const _ -> false
 
-let compare a b =
-  match a, b with
-  | Const x, Const y -> Value.compare x y
-  | Var x, Var y -> String.compare x y
-  | Const _, Var _ -> -1
-  | Var _, Const _ -> 1
-
 let pp ppf = function
   | Const v -> Value.pp ppf v
   | Var x -> Fmt.pf ppf "?%s" x
-
-let to_string t = Fmt.str "%a" pp t
 
 (** Variables of a term, prepended to [acc]. *)
 let vars acc = function Const _ -> acc | Var x -> x :: acc

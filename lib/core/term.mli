@@ -10,13 +10,8 @@ open Relational
 
 type t = Const of Value.t | Var of string
 
-val const : Value.t -> t
-val var : string -> t
-val is_var : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val vars : string list -> t -> string list
 (** [vars acc t] — variables of [t] prepended to [acc]. *)
@@ -35,9 +30,7 @@ type texpr =
   | Sub of texpr * texpr
   | Mul of texpr * texpr
 
-val texpr_vars : string list -> texpr -> string list
 val texpr_rename : (string -> string) -> texpr -> texpr
-val pp_texpr : Format.formatter -> texpr -> unit
 
 (** {1 Scalar comparison predicates} *)
 
@@ -45,7 +38,6 @@ type cmp = Ceq | Cneq | Clt | Cleq | Cgt | Cgeq
 
 type pred = { op : cmp; lhs : texpr; rhs : texpr }
 
-val cmp_to_string : cmp -> string
 val pred_vars : string list -> pred -> string list
 val pred_rename : (string -> string) -> pred -> pred
 val pp_pred : Format.formatter -> pred -> unit

@@ -51,7 +51,6 @@ type t = {
   mutable closed : bool;
 }
 
-let user t = t.user
 let banner t = t.banner
 let replica_count t = Array.length t.replicas
 
@@ -296,21 +295,6 @@ let admin t what =
   match rpc t (Wire.Admin { id; what }) id with
   | Wire.Listing body -> body
   | _ -> raise (Wire.Protocol_error "unexpected admin response")
-
-(** [admin_on_replica t i what] — probe replica [i] directly (dialling it
-    if needed); bypasses routing, for lag inspection and tests. *)
-let admin_on_replica t i what =
-  let slot = t.replicas.(i) in
-  match slot_link t slot with
-  | None -> raise (Server_error "replica is down")
-  | Some link -> (
-    let id = fresh_id t in
-    match rpc_on t link (Wire.Admin { id; what }) id with
-    | Wire.Listing body -> body
-    | _ -> raise (Wire.Protocol_error "unexpected admin response")
-    | exception e when transient e ->
-      mark_down t slot;
-      raise e)
 
 let ping ?(payload = "ping") t =
   let id = fresh_id t in

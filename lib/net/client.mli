@@ -30,7 +30,6 @@ val connect :
     server rejects the handshake, and [Invalid_argument] if any port lies
     outside 1–65535. *)
 
-val user : t -> string
 val banner : t -> string
 
 val replica_count : t -> int
@@ -49,11 +48,6 @@ val cancel : t -> int -> string
 val admin : t -> string -> string
 (** Admin probe on the primary: "server" (wire/server counters), "stats",
     "pending", "answers", "tables", "report", "checkpoint", "replicas". *)
-
-val admin_on_replica : t -> int -> string -> string
-(** Admin probe on replica [i] directly (dialling it if needed) —
-    bypasses routing; for lag inspection and tests.  Raises
-    {!Server_error} when the replica is down. *)
 
 val ping : ?payload:string -> t -> string
 

@@ -155,7 +155,6 @@ let create ?(config = default_config) ~clock sys =
   }
 
 let stats t = t.stats
-let system t = t.sys
 let is_replica t = t.config.replica_of <> None
 let conn_id c = c.conn_id
 let status c = c.status
@@ -186,9 +185,19 @@ let hub_flush t =
 
 (* ---------------- outbound queues ---------------- *)
 
+(** On the upstream link, end the replica's session for [why], which
+    schedules the redial.  The first cause the link learns of is the one
+    logged: the session is already over when the teardown that follows
+    reports its own. *)
+let upstream_lost t conn why =
+  match conn.peer with
+  | Some (Upstream_peer r) -> Replication.Replica.lost r ~now:(t.clock ()) why
+  | _ -> ()
+
 (** Condemn a connection the server gives up on: nothing more is queued
     or sent, and the event loop tears it down. *)
 let drop t conn why =
+  upstream_lost t conn why;
   conn.status <- Dead;
   Queue.clear conn.outq;
   Queue.clear conn.boot;
@@ -665,7 +674,7 @@ let upstream_frame t conn r kind payload =
   with
   | acks -> List.iter (send_upstream t conn) acks
   | exception exn ->
-    Replication.Replica.lost r ~now (Printexc.to_string exn);
+    upstream_lost t conn (Printexc.to_string exn);
     conn.status <- Dead
 
 (** Dispatch one decoded frame, handshaking the connection first if no
@@ -709,6 +718,7 @@ let finish conn = if conn.status = Open then conn.status <- Flush_then_close
 (* An answered error ends the connection, once queued output (the error
    included) has flushed. *)
 let fail t conn message =
+  upstream_lost t conn message;
   settle t conn;
   Server_stats.on_error t.stats;
   Log.debug (fun f -> f "conn %d: %s" conn.conn_id message);
@@ -765,11 +775,15 @@ let connect t =
   Server_stats.on_connect t.stats;
   new_conn t ~max_frame:t.config.max_frame None
 
-let dial_due t =
+(* when the next upstream dial falls due; [None] on a primary and while
+   the link is open *)
+let next_dial t =
   match t.upstream with
-  | Some r when t.upstream_conn = None ->
-    Replication.Replica.dial_due r ~now:(t.clock ())
-  | _ -> false
+  | Some r when t.upstream_conn = None -> Replication.Replica.next_dial r
+  | _ -> None
+
+let dial_due t =
+  match next_dial t with Some at -> t.clock () >= at | None -> false
 
 let has_upstream t = t.upstream_conn <> None
 
@@ -792,13 +806,16 @@ let input t conn buf off len =
   drain_decoder t conn
 
 (** EOF from the peer: queued responses still reach a half-closed peer. *)
-let input_eof _t conn = finish conn
+let input_eof t conn =
+  upstream_lost t conn "EOF from the primary";
+  finish conn
 
 (** Teardown: writes the connection already sent still run first, then
     whatever the handshake attached — client session and push listener,
     or replica sink — is detached.  Closing the upstream link ends its
-    session, which schedules the redial.  Idempotent. *)
-let close t conn =
+    session for [why], unless a cause the core saw first already ended
+    it, and schedules the redial.  Idempotent. *)
+let close t conn why =
   if Hashtbl.mem t.conns conn.conn_id then begin
     settle t conn;
     Hashtbl.remove t.conns conn.conn_id;
@@ -813,15 +830,15 @@ let close t conn =
     | Some (Replica_peer sink) ->
       Option.iter (fun hub -> Replication.Hub.unregister hub sink) t.hub;
       Server_stats.on_replica_disconnect t.stats
-    | Some (Upstream_peer r) ->
+    | Some (Upstream_peer _) ->
       t.upstream_conn <- None;
-      Replication.Replica.lost r ~now:(t.clock ()) "connection closed"
+      upstream_lost t conn why
     | None -> ());
     conn.peer <- None;
     conn.status <- Dead;
     Queue.clear conn.outq;
     Queue.clear conn.boot;
-    Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
+    Log.debug (fun f -> f "conn %d: closed (%s)" conn.conn_id why)
   end
 
 (* ---------------- timers ---------------- *)
@@ -833,8 +850,14 @@ let stall_limit = 30.
 let sweep_period t = Float.min 0.25 (Float.max 0.01 (t.config.read_timeout /. 4.))
 
 let tick_ms t =
-  if t.config.read_timeout > 0. then max 10 (int_of_float (sweep_period t *. 1000.))
-  else 250
+  let sweep =
+    if t.config.read_timeout > 0. then max 10 (int_of_float (sweep_period t *. 1000.))
+    else 250
+  in
+  match next_dial t with
+  | None -> sweep
+  | Some at ->
+    max 0 (min sweep (int_of_float (Float.ceil ((at -. t.clock ()) *. 1000.))))
 
 (** A connection exempt from idle teardown: replica links in either
     direction (server-push, legitimately quiet inbound), and clients whose

@@ -69,7 +69,6 @@ val create :
     them with the primary's wall-clock send stamps. *)
 
 val stats : t -> Server_stats.t
-val system : t -> Youtopia.System.t
 
 val connect : t -> conn
 (** A new connection awaiting its HELLO. *)
@@ -123,13 +122,19 @@ val status : conn -> status
 val take_fresh_output : t -> bool
 (** Whether a frame was queued since the last call. *)
 
-val close : t -> conn -> unit
-(** The event loop is done with the connection: its writes in the open batch
-    run first, then its session or replica sink is detached.  Idempotent. *)
+val close : t -> conn -> string -> unit
+(** [close t c why]: the event loop is done with the connection, for the
+    reason [why] (an EOF, a socket error, the server stopping).  Its writes
+    in the open batch run first, then its session or replica sink is
+    detached.  On the upstream link the replica's session ends for [why],
+    unless a cause the core saw first ended it: the primary's EOF, a
+    protocol error, a frame the session rejected.  Idempotent. *)
 
 val tick_ms : t -> int
-(** The longest the event loop should go between {!tick}s, in
-    milliseconds. *)
+(** The longest the event loop should wait before its next {!tick} or
+    {!dial_due} check, in milliseconds: the sweep period, or less when the
+    upstream redial falls due sooner.  It moves with the clock, so the loop
+    reads it every iteration. *)
 
 val tick : t -> unit
 (** Timers.  The bootstrap stall verdict drops, as a slow consumer, a

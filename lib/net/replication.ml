@@ -242,7 +242,7 @@ module Replica = struct
       completed = Hashtbl.create 8;
     }
 
-  let dial_due t ~now = (not t.live) && now >= t.next_dial
+  let next_dial t = if t.live then None else Some t.next_dial
 
   let connect t =
     if t.attempt > 0 then Server_stats.on_repl_reconnect t.stats;

@@ -23,9 +23,6 @@ val now_us : unit -> int
 (** Wall-clock µs since the epoch — the [sent_at_us] stamp on [WREC]
     frames. *)
 
-val encode_batch : Wal.record list -> string
-(** Newline-joined WAL line codec — the payload of [WREC] frames. *)
-
 val decode_batch : string -> Wal.record list
 
 val frames_of_batch :
@@ -59,9 +56,6 @@ module Hub : sig
   (** Hook the hub into a WAL so every committed batch is noted for
       shipping. *)
 
-  val note : t -> lsn:int -> Wal.record list -> unit
-  (** Record a committed batch (called mid-commit — only enqueues). *)
-
   val register : t -> replica_id:string -> send:(Wire.response -> unit) -> sink
   (** Add a replica sink.  [send] must be non-blocking (the server's
       per-connection enqueue); if it raises, the sink is marked dead. *)
@@ -90,8 +84,9 @@ module Replica : sig
       batches are applied to the catalog; the [repl_*] gauges of the stats
       move with the session. *)
 
-  val dial_due : t -> now:float -> bool
-  (** No session is open and the redial backoff has elapsed. *)
+  val next_dial : t -> float option
+  (** When the next dial falls due, on the clock of {!create}'s [now]:
+      [None] while a session is open. *)
 
   val connect : t -> Wire.request
   (** Open a session: reassembly starts empty, and the result is the

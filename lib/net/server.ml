@@ -53,24 +53,27 @@ type t = {
 
 let port t = t.bound_port
 let stats t = Protocol.stats t.core
-let system t = Protocol.system t.core
-let is_replica t = t.config.replica_of <> None
 
 let pending_out c = c.wlen > c.woff || Protocol.has_output c.pc
 
+(* Why a connection ends: each IO step below yields [Error why], which
+   {!teardown} hands to {!Protocol.close}. *)
+let condemned = "condemned by the protocol core"
+
+let alive c = if Protocol.status c.pc <> Protocol.Dead then Ok () else Error condemned
+
 (** Write the staged frame, then frames the core yields, as far as the
-    socket allows; [false] means the connection is dead.  Staging applies
-    the same [wire.send] / [wire.send.drop] failpoint semantics as
-    {!Wire.write_frame}. *)
+    socket allows.  Staging applies the same [wire.send] /
+    [wire.send.drop] failpoint semantics as {!Wire.write_frame}. *)
 let flush t c =
   let rec step () =
     if c.woff < c.wlen then
       match Unix.write c.fd c.wbuf c.woff (c.wlen - c.woff) with
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        true
-      | exception Unix.Unix_error _ -> false
-      | 0 -> false
+        Ok ()
+      | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+      | 0 -> Error "write returned 0"
       | k ->
         c.woff <- c.woff + k;
         if c.woff >= c.wlen then begin
@@ -81,48 +84,56 @@ let flush t c =
         step ()
     else
       match Protocol.pop_output t.core c.pc with
-      | None -> Protocol.status c.pc <> Protocol.Dead
+      | None -> alive c
       | Some (raw, payload) -> (
         match Fault.skip "wire.send.drop" with
-        | exception Fault.Injected _ -> false
+        | exception Fault.Injected _ -> Error "failpoint wire.send.drop"
         | true -> step () (* frame silently swallowed *)
         | false -> (
           let frame = Wire.frame_bytes ~raw payload in
           match Fault.cut "wire.send" ~len:(Bytes.length frame) with
-          | exception Fault.Injected _ -> false
+          | exception Fault.Injected _ -> Error "failpoint wire.send"
           | Some k ->
             (* the wire gets only the first [k] bytes, then the connection
                dies holding a truncated frame *)
             (try ignore (Unix.write c.fd frame 0 k) with Unix.Unix_error _ -> ());
-            false
+            Error "failpoint wire.send"
           | None ->
             c.wbuf <- frame;
             c.woff <- 0;
             c.wlen <- Bytes.length frame;
             step ()))
   in
-  Fault.passes "server.loop.writable" && step ()
+  if Fault.passes "server.loop.writable" then step ()
+  else Error "failpoint server.loop.writable"
 
-(** One readable event: hand whatever the socket has to the core; [false]
-    means the connection is dead. *)
+(** One readable event: hand whatever the socket has to the core. *)
 let read t c scratch =
-  Fault.passes "server.loop.readable"
-  &&
-  match Unix.read c.fd scratch 0 (Bytes.length scratch) with
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-    true
-  | exception Unix.Unix_error _ -> false
-  | 0 ->
-    Protocol.input_eof t.core c.pc;
-    true
-  | n ->
-    Protocol.input t.core c.pc scratch 0 n;
-    Protocol.status c.pc <> Protocol.Dead
+  if not (Fault.passes "server.loop.readable") then
+    Error "failpoint server.loop.readable"
+  else
+    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      Ok ()
+    | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+    | 0 ->
+      Protocol.input_eof t.core c.pc;
+      Ok ()
+    | n ->
+      Protocol.input t.core c.pc scratch 0 n;
+      alive c
 
-let teardown t c =
+(* A poll error: the socket's pending error (a refused non-blocking
+   connect, a reset) or, without one, a hang-up. *)
+let poll_error fd =
+  match Unix.getsockopt_error fd with
+  | Some err -> Unix.error_message err
+  | None | (exception Unix.Unix_error _) -> "hang-up"
+
+let teardown t c why =
   Hashtbl.remove t.conns (Protocol.conn_id c.pc);
-  Protocol.close t.core c.pc;
+  Protocol.close t.core c.pc why;
   try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let ensure_capacity t n =
@@ -181,7 +192,8 @@ let admit t fd =
 let dial t addr =
   let pc = Protocol.connect_upstream t.core in
   match Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> Protocol.close t.core pc
+  | exception Unix.Unix_error (err, _, _) ->
+    Protocol.close t.core pc (Unix.error_message err)
   | fd -> (
     match
       Unix.set_nonblock fd;
@@ -191,9 +203,8 @@ let dial t addr =
     with
     | () -> add t fd pc
     | exception Unix.Unix_error (err, _, _) ->
-      Log.debug (fun f -> f "upstream connect: %s" (Unix.error_message err));
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      Protocol.close t.core pc)
+      Protocol.close t.core pc (Unix.error_message err))
 
 (** Most connections one readable listen fd yields per iteration, so a
     connection storm cannot starve the connections already open. *)
@@ -229,7 +240,6 @@ let accept_ready t =
     briefly-blocking sockets so in-flight responses reach their clients. *)
 let loop_run t =
   let scratch = Bytes.create 65536 in
-  let timeout_ms = Protocol.tick_ms t.core in
   while t.running do
     match
       Option.iter
@@ -251,27 +261,29 @@ let loop_run t =
              pushing freshly-queued output here — instead of registering
              POLLOUT and paying a whole poll round-trip first — halves
              the response path.  EAGAIN falls back to POLLOUT below. *)
-          let alive =
-            Protocol.status c.pc <> Protocol.Dead
-            && ((not (pending_out c)) || flush t c)
+          let verdict =
+            match alive c with
+            | Ok () when pending_out c -> flush t c
+            | v -> v
           in
           let pending = pending_out c in
-          if
-            (not alive)
-            || (Protocol.status c.pc = Protocol.Flush_then_close && not pending)
-          then doomed := c :: !doomed
-          else begin
+          match verdict with
+          | Error why -> doomed := (c, why) :: !doomed
+          | Ok () when Protocol.status c.pc = Protocol.Flush_then_close && not pending
+            ->
+            doomed := (c, "closing after its last frame") :: !doomed
+          | Ok () ->
             t.fds.(!n) <- c.fd;
             t.events.(!n) <-
               (if Protocol.wants_read t.core c.pc then Netpoll.readable else 0)
               lor (if pending then Netpoll.writable else 0);
             t.slots.(!n) <- Some c;
-            incr n
-          end)
+            incr n)
         t.conns;
-      List.iter (teardown t) !doomed;
+      List.iter (fun (c, why) -> teardown t c why) !doomed;
       Server_stats.on_loop_iteration (stats t) ~fds:!n;
       (match
+         let timeout_ms = Protocol.tick_ms t.core in
          Netpoll.wait ~fds:t.fds ~events:t.events ~revents:t.revents ~nfds:!n
            ~timeout_ms:
              (if Protocol.take_fresh_output t.core then 0
@@ -288,12 +300,16 @@ let loop_run t =
         | Some c when t.revents.(i) <> 0 && Protocol.status c.pc <> Protocol.Dead
           ->
           let ready = t.revents.(i) land t.events.(i) in
-          if
-            not
-              (t.revents.(i) land Netpoll.error = 0
-              && (ready land Netpoll.writable = 0 || flush t c)
-              && (ready land Netpoll.readable = 0 || read t c scratch))
-          then teardown t c
+          let verdict =
+            if t.revents.(i) land Netpoll.error <> 0 then Error (poll_error c.fd)
+            else
+              match
+                if ready land Netpoll.writable = 0 then Ok () else flush t c
+              with
+              | Ok () when ready land Netpoll.readable <> 0 -> read t c scratch
+              | v -> v
+          in
+          (match verdict with Error why -> teardown t c why | Ok () -> ())
         | _ -> ());
         t.slots.(i) <- None
       done;
@@ -332,7 +348,7 @@ let loop_run t =
       with _ -> ())
     t.conns;
   let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (teardown t) cs;
+  List.iter (fun c -> teardown t c "server stopping") cs;
   Log.info (fun f -> f "stopped; %d connection(s) drained" (List.length cs))
 
 (* ---------------- lifecycle ---------------- *)

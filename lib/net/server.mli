@@ -87,9 +87,6 @@ val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)
 
 val stats : t -> Server_stats.t
-val system : t -> Youtopia.System.t
-
-val is_replica : t -> bool
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, close every connection after its

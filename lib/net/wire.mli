@@ -11,8 +11,6 @@
 val protocol_version : int
 (** Highest version this build speaks (2: raw-bytes frames). *)
 
-val min_protocol_version : int
-
 val negotiate : int -> int option
 (** [negotiate client_version] — the version the connection will speak
     (the client's, when the server knows it), or [None] to reject.  Raw
@@ -82,8 +80,6 @@ val check_port : what:string -> min:int -> int -> unit
     bits of a port, so 70000 would silently bind or dial 4464.  [min] is
     0 for a listener (ephemeral port) and 1 for a dial target. *)
 
-val readonly_redirect_prefix : string
-
 val readonly_redirect : host:string -> port:int -> string
 (** Error message a read-only replica answers writes with; parsable by
     {!parse_readonly_redirect}. *)
@@ -97,7 +93,6 @@ val parse_readonly_redirect : string -> (string * int) option
 val encode_notification : Core.Events.notification -> string
 val decode_notification : string -> Core.Events.notification
 val encode_body : result_body -> string
-val decode_body : string -> result_body
 val encode_request : request -> string
 val decode_request : string -> request
 val encode_response : response -> string

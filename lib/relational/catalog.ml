@@ -76,10 +76,3 @@ let table_names t =
 
 let iter f t = Hashtbl.iter (fun _ table -> f table) t.tables
 
-let total_rows t =
-  Hashtbl.fold (fun _ table acc -> acc + Table.row_count table) t.tables 0
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(list ~sep:cut (fun ppf name -> Fmt.pf ppf "%a" Table.pp (find t name)))
-    (table_names t)

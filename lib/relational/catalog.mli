@@ -38,5 +38,3 @@ val find_view : t -> string -> string option
 val view_names : t -> string list
 val table_names : t -> string list
 val iter : (Table.t -> unit) -> t -> unit
-val total_rows : t -> int
-val pp : Format.formatter -> t -> unit

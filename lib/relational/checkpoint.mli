@@ -23,8 +23,6 @@ val of_lines : string list -> int * Catalog.t
 (** Rebuild [(lsn, catalog)]; raises [Wal_error] on any framing, codec,
     count or ordering problem. *)
 
-val path_for : wal_path:string -> lsn:int -> string
-
 val list : wal_path:string -> (int * string) list
 (** Existing snapshots for this WAL as [(lsn, path)], newest first. *)
 

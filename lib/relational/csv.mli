@@ -1,6 +1,5 @@
 (** CSV import/export for tables (RFC 4180-style quoting). *)
 
-val encode_field : string -> string
 val encode_row : string list -> string
 
 val parse : string -> string list list

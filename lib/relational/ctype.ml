@@ -2,8 +2,6 @@
 
 type t = TInt | TFloat | TBool | TText
 
-let equal (a : t) b = a = b
-
 let to_string = function
   | TInt -> "INT"
   | TFloat -> "FLOAT"

@@ -2,7 +2,6 @@
 
 type t = TInt | TFloat | TBool | TText
 
-val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

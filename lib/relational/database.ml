@@ -39,7 +39,6 @@ let attach_wal ?durability db path =
 let set_durability db d =
   match db.wal with None -> () | Some wal -> Wal.set_durability wal d
 
-let wal_durability db = Option.map Wal.durability db.wal
 let wal_io db = Option.map Wal.io_stats db.wal
 
 let reset_io_stats db =

@@ -31,7 +31,6 @@ val attach_wal : ?durability:Wal.durability -> t -> string -> unit
 val set_durability : t -> Wal.durability -> unit
 (** No-op without an attached WAL. *)
 
-val wal_durability : t -> Wal.durability option
 val wal_io : t -> Wal.io_stats option
 
 val reset_io_stats : t -> unit

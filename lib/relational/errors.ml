@@ -49,7 +49,3 @@ let internalf fmt = Format.kasprintf (fun m -> fail (Internal m)) fmt
 (** [guard f] runs [f ()] and converts a {!Db_error} into [Error kind]. *)
 let guard f = try Ok (f ()) with Db_error k -> Error k
 
-(** [to_msg r] maps an [Error kind] to a human-readable [Error (`Msg _)]. *)
-let to_msg = function
-  | Ok _ as ok -> ok
-  | Error k -> Error (`Msg (kind_to_string k))

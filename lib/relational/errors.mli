@@ -31,5 +31,3 @@ val internalf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val guard : (unit -> 'a) -> ('a, kind) result
 (** [guard f] runs [f ()] and converts a {!Db_error} into [Error kind]. *)
 
-val to_msg : ('a, kind) result -> ('a, [> `Msg of string ]) result
-(** Map an [Error kind] to a human-readable [Error (`Msg _)]. *)

@@ -4,20 +4,6 @@
     scans produce rows in slot order, joins preserve left-major order, and
     sorts are stable. *)
 
-(** Counters exposed to the ablation benchmarks. *)
-type counters = {
-  mutable rows_scanned : int;
-  mutable rows_emitted : int;
-  mutable index_lookups : int;
-}
-
-let counters = { rows_scanned = 0; rows_emitted = 0; index_lookups = 0 }
-
-let reset_counters () =
-  counters.rows_scanned <- 0;
-  counters.rows_emitted <- 0;
-  counters.index_lookups <- 0
-
 let agg_init = function
   | Plan.Count_star | Plan.Count _ -> Value.Int 0
   | Plan.Sum _ -> Value.Null
@@ -61,24 +47,21 @@ let agg_final st = function
     if st.count = 0 then Value.Null
     else Value.Float (st.fsum /. float_of_int st.count)
 
-let rec run_observed observe (cat : Catalog.t) (plan : Plan.t) : Tuple.t list =
+(* The one evaluator.  [observe] sees every node's output rows as the node
+   completes (post-order); {!run} passes a no-op and {!explain_analyze}
+   counts them. *)
+let rec eval observe (cat : Catalog.t) (plan : Plan.t) : Tuple.t list =
   let rows = eval_op observe cat plan in
-  observe plan (List.length rows);
+  observe plan rows;
   rows
 
 and eval_op observe (cat : Catalog.t) (plan : Plan.t) : Tuple.t list =
-  let run cat plan = run_observed observe cat plan in
-  ignore run;
+  let run cat plan = eval observe cat plan in
   match plan.Plan.op with
   | Plan.Values rows -> rows
-  | Plan.Scan { table } ->
-    let t = Catalog.find cat table in
-    let rows = Table.rows t in
-    counters.rows_scanned <- counters.rows_scanned + List.length rows;
-    rows
+  | Plan.Scan { table } -> Table.rows (Catalog.find cat table)
   | Plan.Index_lookup { table; positions; key } ->
     let t = Catalog.find cat table in
-    counters.index_lookups <- counters.index_lookups + 1;
     Table.lookup_eq t positions key |> List.map (Table.get_exn t)
   | Plan.Filter (pred, input) ->
     List.filter (fun row -> Expr.holds row pred) (run cat input)
@@ -195,18 +178,6 @@ and eval_op observe (cat : Catalog.t) (plan : Plan.t) : Tuple.t list =
                     match residual with
                     | None -> Some joined
                     | Some p -> if Expr.holds joined p then Some joined else None))
-  | Plan.Semi_join { left; right; left_keys; right_keys; anti } ->
-    let keys = Tuple.Tbl.create 64 in
-    List.iter
-      (fun r -> Tuple.Tbl.replace keys (Tuple.project right_keys r) ())
-      (run cat right);
-    run cat left
-    |> List.filter (fun l ->
-           let key = Tuple.project left_keys l in
-           if Array.exists Value.is_null key then false
-           else
-             let present = Tuple.Tbl.mem keys key in
-             if anti then not present else present)
   | Plan.Aggregate { group_by; aggs; input } ->
     let rows = run cat input in
     let groups = Tuple.Tbl.create 64 in
@@ -276,10 +247,7 @@ and eval_op observe (cat : Catalog.t) (plan : Plan.t) : Tuple.t list =
     take n (run cat input)
 
 (** [run cat plan] — execute a plan to a materialised row list. *)
-let run cat plan = run_observed (fun _ _ -> ()) cat plan
-
-(** [run_schema cat plan] also returns the output schema. *)
-let run_schema cat plan = plan.Plan.schema, run cat plan
+let run cat plan = eval (fun _ _ -> ()) cat plan
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE support: execute while recording per-node output
@@ -303,7 +271,6 @@ let node_label (plan : Plan.t) =
     | Plan.Except -> "except")
     ^ (if all then "_all" else "")
   | Plan.Hash_join _ -> "hash_join"
-  | Plan.Semi_join { anti; _ } -> if anti then "anti_join" else "semi_join"
   | Plan.Aggregate { group_by; aggs; _ } ->
     Printf.sprintf "aggregate [%d group expr(s), %d agg(s)]"
       (List.length group_by) (List.length aggs)
@@ -323,15 +290,14 @@ let children (plan : Plan.t) =
   | Plan.Nl_join { left; right; _ }
   | Plan.Left_join { left; right; _ }
   | Plan.Set_op { left; right; _ }
-  | Plan.Hash_join { left; right; _ }
-  | Plan.Semi_join { left; right; _ } -> [ left; right ]
+  | Plan.Hash_join { left; right; _ } -> [ left; right ]
 
 (** [explain_analyze cat plan] executes the plan and returns the rows plus
     the plan tree annotated with each operator's actual output cardinality. *)
 let explain_analyze cat plan =
   let counts : (Plan.t * int) list ref = ref [] in
-  let observe node n = counts := (node, n) :: !counts in
-  let rows = run_observed observe cat plan in
+  let observe node rows = counts := (node, List.length rows) :: !counts in
+  let rows = eval observe cat plan in
   let count_of node =
     let rec find = function
       | [] -> None

@@ -4,25 +4,7 @@
     scans produce rows in slot order, joins preserve left-major order, and
     sorts are stable. *)
 
-type counters = {
-  mutable rows_scanned : int;
-  mutable rows_emitted : int;
-  mutable index_lookups : int;
-}
-
-val counters : counters
-(** Process-wide counters exposed to the ablation benchmarks. *)
-
-val reset_counters : unit -> unit
-
 val run : Catalog.t -> Plan.t -> Tuple.t list
-
-val run_observed : (Plan.t -> int -> unit) -> Catalog.t -> Plan.t -> Tuple.t list
-(** Like {!run}, invoking the callback with every node's output
-    cardinality as it completes (post-order). *)
-
-val run_schema : Catalog.t -> Plan.t -> Schema.t * Tuple.t list
-(** Also returns the plan's output schema. *)
 
 val explain_analyze : Catalog.t -> Plan.t -> Tuple.t list * string
 (** Execute and return the rows plus the plan tree annotated with each

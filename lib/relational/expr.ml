@@ -124,11 +124,6 @@ let rec remap f = function
   | Fn (g, args) -> Fn (g, List.map (remap f) args)
   | Like (a, b) -> Like (remap f a, remap f b)
 
-(** [shift n e] adds [n] to every resolved column position — used when an
-    expression over the right side of a join is evaluated against the
-    concatenated tuple. *)
-let shift n e = remap (fun i -> i + n) e
-
 (** Column positions referenced by a resolved expression. *)
 let columns e =
   let rec loop acc = function

@@ -45,7 +45,6 @@ type t =
   | Fn of fn * t list  (** scalar function application *)
   | Like of t * t  (** SQL LIKE: [%] any run, [_] any one character *)
 
-val fn_to_string : fn -> string
 val binop_to_string : binop -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
@@ -56,9 +55,6 @@ val resolve : (string option -> string -> int option) -> t -> t
 
 val remap : (int -> int) -> t -> t
 (** Rewrite resolved column positions (join reordering). *)
-
-val shift : int -> t -> t
-(** [shift n] adds [n] to every resolved position. *)
 
 val columns : t -> int list
 (** Column positions referenced by a resolved expression, sorted. *)

@@ -1,112 +1,49 @@
 (** Secondary indexes over tables.
 
     An index maps the projection of a row onto a fixed set of column
-    positions to the set of row ids holding that key.  Two physical forms
-    exist: a hash index (point lookups, the common case for the coordination
-    engine's grounding step) and an ordered index (range scans).  Indexes are
-    maintained by {!Table} on every mutation. *)
+    positions to the set of row ids holding that key, in a hash table
+    (point lookups, the common case for the coordination engine's grounding
+    step).  Indexes are maintained by {!Table} on every mutation. *)
 
 module Int_set = Set.Make (Int)
-
-type kind = Hash | Ordered
 
 type t = {
   name : string;
   positions : int array;
   unique : bool;
-  kind : kind;
-  hash : Int_set.t ref Tuple.Tbl.t;  (** used when [kind = Hash] *)
-  mutable ordered : Int_set.t Tuple.Map.t;  (** used when [kind = Ordered] *)
-  mutable entries : int;
+  hash : Int_set.t ref Tuple.Tbl.t;
 }
 
-let create ?(unique = false) ?(kind = Hash) name positions =
+let create ?(unique = false) name positions =
   if Array.length positions = 0 then
     Errors.schema_errorf "index %s must cover at least one column" name;
-  {
-    name;
-    positions;
-    unique;
-    kind;
-    hash = Tuple.Tbl.create 64;
-    ordered = Tuple.Map.empty;
-    entries = 0;
-  }
+  { name; positions; unique; hash = Tuple.Tbl.create 64 }
 
 let name t = t.name
 let positions t = t.positions
 let is_unique t = t.unique
-let cardinality t = t.entries
 
 let key_of_row t row = Tuple.project t.positions row
 
-let mem_key t key =
-  match t.kind with
-  | Hash -> Tuple.Tbl.mem t.hash key
-  | Ordered -> Tuple.Map.mem key t.ordered
-
 (** Row ids holding exactly [key]; empty list when absent. *)
 let lookup t key =
-  match t.kind with
-  | Hash -> (
-    match Tuple.Tbl.find_opt t.hash key with
-    | None -> []
-    | Some set -> Int_set.elements !set)
-  | Ordered -> (
-    match Tuple.Map.find_opt key t.ordered with
-    | None -> []
-    | Some set -> Int_set.elements set)
-
-(** Row ids for keys in the inclusive range [lo, hi] (ordered indexes only). *)
-let lookup_range t ~lo ~hi =
-  match t.kind with
-  | Hash -> Errors.internalf "range lookup on hash index %s" t.name
-  | Ordered ->
-    Tuple.Map.fold
-      (fun key set acc ->
-        if Tuple.compare key lo >= 0 && Tuple.compare key hi <= 0 then
-          Int_set.fold (fun id acc -> id :: acc) set acc
-        else acc)
-      t.ordered []
-    |> List.rev
+  match Tuple.Tbl.find_opt t.hash key with
+  | None -> []
+  | Some set -> Int_set.elements !set
 
 let insert t ~row_id row =
   let key = key_of_row t row in
-  (if t.unique && mem_key t key then
-     Errors.constraintf "unique index %s violated by key %s" t.name
-       (Tuple.to_string key));
-  t.entries <- t.entries + 1;
-  match t.kind with
-  | Hash -> (
-    match Tuple.Tbl.find_opt t.hash key with
-    | Some set -> set := Int_set.add row_id !set
-    | None -> Tuple.Tbl.add t.hash key (ref (Int_set.singleton row_id)))
-  | Ordered ->
-    let prev =
-      Option.value ~default:Int_set.empty (Tuple.Map.find_opt key t.ordered)
-    in
-    t.ordered <- Tuple.Map.add key (Int_set.add row_id prev) t.ordered
+  match Tuple.Tbl.find_opt t.hash key with
+  | Some _ when t.unique ->
+    Errors.constraintf "unique index %s violated by key %s" t.name
+      (Tuple.to_string key)
+  | Some set -> set := Int_set.add row_id !set
+  | None -> Tuple.Tbl.add t.hash key (ref (Int_set.singleton row_id))
 
 let remove t ~row_id row =
   let key = key_of_row t row in
-  t.entries <- t.entries - 1;
-  match t.kind with
-  | Hash -> (
-    match Tuple.Tbl.find_opt t.hash key with
-    | None -> ()
-    | Some set ->
-      set := Int_set.remove row_id !set;
-      if Int_set.is_empty !set then Tuple.Tbl.remove t.hash key)
-  | Ordered -> (
-    match Tuple.Map.find_opt key t.ordered with
-    | None -> ()
-    | Some set ->
-      let set = Int_set.remove row_id set in
-      t.ordered <-
-        (if Int_set.is_empty set then Tuple.Map.remove key t.ordered
-         else Tuple.Map.add key set t.ordered))
-
-let clear t =
-  Tuple.Tbl.reset t.hash;
-  t.ordered <- Tuple.Map.empty;
-  t.entries <- 0
+  match Tuple.Tbl.find_opt t.hash key with
+  | None -> ()
+  | Some set ->
+    set := Int_set.remove row_id !set;
+    if Int_set.is_empty !set then Tuple.Tbl.remove t.hash key

@@ -1,31 +1,21 @@
 (** Secondary indexes over tables.
 
     An index maps the projection of a row onto a fixed set of column
-    positions to the set of row ids holding that key.  Two physical forms
-    exist: a hash index (point lookups) and an ordered index (range scans).
-    Indexes are maintained by {!Table} on every mutation. *)
-
-type kind = Hash | Ordered
+    positions to the set of row ids holding that key, in a hash table
+    (point lookups).  Indexes are maintained by {!Table} on every
+    mutation. *)
 
 type t
 
-val create : ?unique:bool -> ?kind:kind -> string -> int array -> t
+val create : ?unique:bool -> string -> int array -> t
 val name : t -> string
 val positions : t -> int array
 val is_unique : t -> bool
-val cardinality : t -> int
-
-val key_of_row : t -> Tuple.t -> Tuple.t
-val mem_key : t -> Tuple.t -> bool
 
 val lookup : t -> Tuple.t -> int list
 (** Row ids holding exactly the key; empty list when absent. *)
-
-val lookup_range : t -> lo:Tuple.t -> hi:Tuple.t -> int list
-(** Row ids for keys in the inclusive range (ordered indexes only). *)
 
 val insert : t -> row_id:int -> Tuple.t -> unit
 (** Raises [Constraint_violation] on a unique-index duplicate. *)
 
 val remove : t -> row_id:int -> Tuple.t -> unit
-val clear : t -> unit

@@ -39,13 +39,6 @@ and op =
       right_keys : int array;
       residual : Expr.t option;
     }
-  | Semi_join of {
-      left : t;
-      right : t;
-      left_keys : int array;
-      right_keys : int array;
-      anti : bool;
-    }  (** [left] rows with (no) key match in [right]; output schema = left *)
   | Aggregate of { group_by : Expr.t list; aggs : (agg * string) list; input : t }
   | Sort of (Expr.t * order) list * t
   | Distinct of t
@@ -166,12 +159,6 @@ let hash_join ?residual ~left_keys ~right_keys left right =
     op = Hash_join { left; right; left_keys; right_keys; residual };
   }
 
-let semi_join ?(anti = false) ~left_keys ~right_keys left right =
-  {
-    schema = left.schema;
-    op = Semi_join { left; right; left_keys; right_keys; anti };
-  }
-
 let aggregate ~group_by ~aggs input =
   let gcols =
     List.mapi
@@ -221,8 +208,7 @@ let tables plan =
     | Nl_join { left; right; _ }
     | Left_join { left; right; _ }
     | Set_op { left; right; _ }
-    | Hash_join { left; right; _ }
-    | Semi_join { left; right; _ } -> walk (walk acc left) right
+    | Hash_join { left; right; _ } -> walk (walk acc left) right
   in
   List.sort_uniq String.compare (walk [] plan)
 
@@ -273,8 +259,7 @@ let constraints plan =
     | Nl_join { left; right; _ }
     | Left_join { left; right; _ }
     | Set_op { left; right; _ }
-    | Hash_join { left; right; _ }
-    | Semi_join { left; right; _ } -> walk (walk acc [] left) [] right
+    | Hash_join { left; right; _ } -> walk (walk acc [] left) [] right
   in
   walk [] [] plan
 
@@ -327,13 +312,6 @@ let rec pp ppf t =
       right_keys
       Fmt.(option (fun ppf e -> Fmt.pf ppf " residual %a" Expr.pp e))
       residual pp left pp right
-  | Semi_join { left; right; left_keys; right_keys; anti } ->
-    Fmt.pf ppf "@[<v 2>%s_join %a=%a@,%a@,%a@]"
-      (if anti then "anti" else "semi")
-      Fmt.(brackets (array ~sep:(any ",") int))
-      left_keys
-      Fmt.(brackets (array ~sep:(any ",") int))
-      right_keys pp left pp right
   | Aggregate { group_by; aggs; input } ->
     Fmt.pf ppf "@[<v 2>aggregate group_by=(%a) aggs=(%a)@,%a@]"
       Fmt.(list ~sep:(any ", ") Expr.pp)

@@ -39,21 +39,10 @@ and op =
       right_keys : int array;
       residual : Expr.t option;
     }
-  | Semi_join of {
-      left : t;
-      right : t;
-      left_keys : int array;
-      right_keys : int array;
-      anti : bool;
-    }  (** [left] rows with (no) key match in [right]; output schema = left *)
   | Aggregate of { group_by : Expr.t list; aggs : (agg * string) list; input : t }
   | Sort of (Expr.t * order) list * t
   | Distinct of t
   | Limit of int * t
-
-val infer_type : Schema.t -> Expr.t -> Ctype.t
-(** Best-effort output type of an expression over the given input schema
-    (used for projection schemas; informational). *)
 
 (** {1 Smart constructors} — each computes the node's output schema. *)
 
@@ -81,9 +70,6 @@ val set_op : set_kind -> ?all:bool -> t -> t -> t
 val hash_join :
   ?residual:Expr.t -> left_keys:int array -> right_keys:int array -> t -> t -> t
 
-val semi_join :
-  ?anti:bool -> left_keys:int array -> right_keys:int array -> t -> t -> t
-
 val aggregate : group_by:Expr.t list -> aggs:(agg * string) list -> t -> t
 val sort : (Expr.t * order) list -> t -> t
 val distinct : t -> t
@@ -108,6 +94,4 @@ val constraints : t -> (string * int * (int * Value.t) list) list
 
 (** {1 EXPLAIN} *)
 
-val agg_to_string : agg -> string
-val pp : Format.formatter -> t -> unit
 val explain : t -> string

@@ -26,8 +26,6 @@ val make_derived : string -> Schema.t -> Tuple.t list -> source
 (** A FROM-clause subquery, already evaluated into rows (no indexes; the
     cardinality estimate is the row count). *)
 
-val source_schema : source -> Schema.t
-
 val index_probe :
   Table.t -> Expr.t list -> (Index.t * Value.t array * Expr.t list) option
 (** [index_probe table conjuncts] — the first index of [table] whose every

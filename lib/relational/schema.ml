@@ -103,11 +103,3 @@ let pp ppf t =
           (List.map (fun i -> t.columns.(i).col_name) pk))
     t.primary_key
 
-let to_string t = Fmt.str "%a" pp t
-
-(** Structural equality on the column structure (ignores table name). *)
-let compatible a b =
-  arity a = arity b
-  && Array.for_all2
-       (fun ca cb -> Ctype.equal ca.col_type cb.col_type)
-       a.columns b.columns

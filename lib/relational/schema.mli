@@ -42,7 +42,4 @@ val anonymous : ?name:string -> (string * Ctype.t) list -> t
 
 val rename : t -> string -> t
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
-val compatible : t -> t -> bool
-(** Structural equality on the column types (ignores names). *)

@@ -137,16 +137,6 @@ let fold f init t =
   iter (fun id row -> acc := f !acc id row) t;
   !acc
 
-let to_seq t =
-  let rec next id () =
-    if id >= t.high then Seq.Nil
-    else
-      match t.slots.(id) with
-      | None -> next (id + 1) ()
-      | Some row -> Seq.Cons ((id, row), next (id + 1))
-  in
-  next 0
-
 let rows t = fold (fun acc _ row -> row :: acc) [] t |> List.rev
 
 let indexes t = t.indexes
@@ -161,7 +151,7 @@ let index_named t name =
 
 (** [create_index t name positions] adds (and backfills) a secondary index.
     Raises on duplicate index names. *)
-let create_index ?(unique = false) ?(kind = Index.Hash) t index_name positions =
+let create_index ?(unique = false) t index_name positions =
   if index_named t index_name <> None then
     Errors.schema_errorf "index %s already exists on %s" index_name (name t);
   Array.iter
@@ -170,15 +160,10 @@ let create_index ?(unique = false) ?(kind = Index.Hash) t index_name positions =
         Errors.schema_errorf "index %s: column position %d out of range"
           index_name p)
     positions;
-  let ix = Index.create ~unique ~kind index_name positions in
+  let ix = Index.create ~unique index_name positions in
   iter (fun row_id row -> Index.insert ix ~row_id row) t;
   t.indexes <- t.indexes @ [ ix ];
   ix
-
-let drop_index t index_name =
-  if index_name = pk_index_name then
-    Errors.schema_errorf "cannot drop the primary key index of %s" (name t);
-  t.indexes <- List.filter (fun ix -> Index.name ix <> index_name) t.indexes
 
 (** Row ids whose projection on [positions] equals [key]; uses a covering
     index when one exists, otherwise scans. *)
@@ -203,40 +188,6 @@ let lookup_pk t key =
     | [ row_id ] -> Some row_id
     | [] -> None
     | _ -> Errors.internalf "primary key index of %s is not unique" (name t))
-
-(** [compact t] rebuilds the slot array without tombstones.  Row ids are
-    NOT stable across compaction — only call when no row ids are held
-    (e.g. between workloads); indexes are rebuilt. *)
-let compact t =
-  let live_rows = rows t in
-  t.slots <- Array.make (max 16 (List.length live_rows)) None;
-  t.high <- 0;
-  t.free <- [];
-  t.live <- 0;
-  t.version <- t.version + 1;
-  List.iter Index.clear t.indexes;
-  List.iter
-    (fun row ->
-      ensure_capacity t;
-      let row_id = t.high in
-      t.high <- t.high + 1;
-      List.iter (fun ix -> Index.insert ix ~row_id row) t.indexes;
-      t.slots.(row_id) <- Some row;
-      t.live <- t.live + 1)
-    live_rows
-
-(** Fraction of used slots that are tombstones. *)
-let fragmentation t =
-  if t.high = 0 then 0.0
-  else float_of_int (t.high - t.live) /. float_of_int t.high
-
-let clear t =
-  t.slots <- Array.make 16 None;
-  t.high <- 0;
-  t.free <- [];
-  t.live <- 0;
-  t.version <- t.version + 1;
-  List.iter Index.clear t.indexes
 
 let pp ppf t =
   Fmt.pf ppf "@[<v 2>%a  -- %d row(s)@,%a@]" Schema.pp t.schema t.live

@@ -8,8 +8,6 @@
 
 type t
 
-val pk_index_name : string
-
 val create : Schema.t -> t
 val schema : t -> Schema.t
 val name : t -> string
@@ -45,19 +43,14 @@ val update : t -> int -> Value.t array -> Tuple.t
 
 val iter : (int -> Tuple.t -> unit) -> t -> unit
 val fold : ('a -> int -> Tuple.t -> 'a) -> 'a -> t -> 'a
-val to_seq : t -> (int * Tuple.t) Seq.t
 val rows : t -> Tuple.t list
 
 val indexes : t -> Index.t list
-val find_index : t -> int array -> Index.t option
 val index_named : t -> string -> Index.t option
 
-val create_index :
-  ?unique:bool -> ?kind:Index.kind -> t -> string -> int array -> Index.t
+val create_index : ?unique:bool -> t -> string -> int array -> Index.t
 (** Adds (and backfills) a secondary index; raises on duplicate names or a
     uniqueness violation in existing data. *)
-
-val drop_index : t -> string -> unit
 
 val lookup_eq : t -> int array -> Value.t array -> int list
 (** Row ids whose projection on the positions equals the key; uses a
@@ -67,13 +60,4 @@ val lookup_pk : t -> Value.t array -> int option
 (** Primary-key point lookup; [None] when the table has no primary key or
     no matching row. *)
 
-val compact : t -> unit
-(** Rebuild the slot array without tombstones.  Row ids are NOT stable
-    across compaction — only call when no row ids are held; indexes are
-    rebuilt. *)
-
-val fragmentation : t -> float
-(** Fraction of used slots that are tombstones. *)
-
-val clear : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -89,13 +89,3 @@ let estimate_eq_filter (table : Table.t) positions =
   in
   max 1 (int_of_float (float_of_int stats.rows *. selectivity))
 
-let pp ppf (t : t) =
-  Fmt.pf ppf "@[<v>rows: %d@,%a@]" t.rows
-    Fmt.(
-      array ~sep:cut (fun ppf c ->
-          Fmt.pf ppf "ndv=%d nulls=%d range=[%a, %a]" c.distinct c.nulls
-            Fmt.(option ~none:(any "-") Value.pp)
-            c.min_value
-            Fmt.(option ~none:(any "-") Value.pp)
-            c.max_value))
-    t.columns

@@ -30,4 +30,3 @@ val estimate_eq_filter : Table.t -> int list -> int
 (** Estimated row count after applying [col = const] filters on the given
     positions (at least 1). *)
 
-val pp : Format.formatter -> t -> unit

@@ -5,8 +5,6 @@ type t = Value.t array
 
 let of_list = Array.of_list
 let to_list = Array.to_list
-let arity = Array.length
-let get (t : t) i = t.(i)
 
 let equal (a : t) (b : t) =
   Array.length a = Array.length b && Array.for_all2 Value.equal a b

@@ -5,14 +5,10 @@ type t = Value.t array
 
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
-val arity : t -> int
-val get : t -> int -> Value.t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Lexicographic; shorter tuples sort first. *)
-
-val hash : t -> int
 
 val project : int array -> t -> t
 (** [project positions t] extracts the sub-tuple at [positions]. *)

@@ -16,7 +16,6 @@ type state = Active | Committed | Aborted
 
 type manager = {
   mutex : Mutex.t;
-  mutable next_id : int;
   mutable on_commit : (op list -> unit) option;
       (** durability hook; receives the redo log in execution order and
           returns once the commit is as durable as the WAL mode promises *)
@@ -26,7 +25,6 @@ type manager = {
 }
 
 type t = {
-  id : int;
   mgr : manager;
   mutable undo : op list;  (** most recent first *)
   mutable state : state;
@@ -35,7 +33,6 @@ type t = {
 let create_manager () =
   {
     mutex = Mutex.create ();
-    next_id = 1;
     on_commit = None;
     observers = [];
   }
@@ -49,11 +46,7 @@ let add_observer mgr f = mgr.observers <- mgr.observers @ [ f ]
 
 let begin_ mgr =
   Mutex.lock mgr.mutex;
-  let id = mgr.next_id in
-  mgr.next_id <- id + 1;
-  { id; mgr; undo = []; state = Active }
-
-let id t = t.id
+  { mgr; undo = []; state = Active }
 
 let check_active t =
   match t.state with
@@ -93,38 +86,6 @@ let undo_ops ops =
       | Del (table, old) -> ignore (Table.insert table old)
       | Upd (table, row_id, old, _) -> ignore (Table.update table row_id old))
     ops
-
-(** {1 Savepoints}
-
-    A savepoint marks a position in the undo log; [rollback_to] undoes every
-    operation performed after the mark while keeping the transaction active
-    (partial rollback).  Marks are invalidated by a rollback past them. *)
-
-type savepoint = { sp_txn_id : int; sp_depth : int }
-
-let savepoint t =
-  check_active t;
-  { sp_txn_id = t.id; sp_depth = List.length t.undo }
-
-let rollback_to t (sp : savepoint) =
-  check_active t;
-  if sp.sp_txn_id <> t.id then
-    Errors.fail (Errors.Txn_error "savepoint belongs to another transaction");
-  let depth = List.length t.undo in
-  if sp.sp_depth > depth then
-    Errors.fail (Errors.Txn_error "savepoint no longer valid");
-  let to_undo, keep =
-    let rec split i acc rest =
-      if i = 0 then List.rev acc, rest
-      else
-        match rest with
-        | [] -> List.rev acc, []
-        | op :: tail -> split (i - 1) (op :: acc) tail
-    in
-    split (depth - sp.sp_depth) [] t.undo
-  in
-  undo_ops to_undo;
-  t.undo <- keep
 
 let commit t =
   check_active t;

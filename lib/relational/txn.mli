@@ -34,24 +34,9 @@ val add_observer : manager -> (op list -> unit) -> unit
 val begin_ : manager -> t
 (** Blocks until the manager lock is available. *)
 
-val id : t -> int
-
 val insert : t -> Table.t -> Value.t array -> int
 val delete : t -> Table.t -> int -> Tuple.t
 val update : t -> Table.t -> int -> Value.t array -> Tuple.t
-
-(** {1 Savepoints} *)
-
-type savepoint
-
-val savepoint : t -> savepoint
-(** Mark the current position in the undo log. *)
-
-val rollback_to : t -> savepoint -> unit
-(** Undo every operation performed after the mark, newest first; the
-    transaction stays active.  Raises [Txn_error] for a savepoint from
-    another transaction or one invalidated by an earlier partial
-    rollback. *)
 
 val commit : t -> unit
 val rollback : t -> unit

@@ -13,12 +13,6 @@ type t =
   | Bool of bool
   | Str of string
 
-let null = Null
-let int i = Int i
-let float f = Float f
-let bool b = Bool b
-let str s = Str s
-
 let is_null = function Null -> true | Int _ | Float _ | Bool _ | Str _ -> false
 
 (** Total order used by indexes and ORDER BY.  [Null] sorts first; values of
@@ -130,8 +124,6 @@ let as_bool = function
 let as_string = function
   | Str s -> s
   | v -> Errors.type_errorf "expected text, got %s" (to_string v)
-
-let is_numeric = function Int _ | Float _ -> true | Null | Bool _ | Str _ -> false
 
 (** Arithmetic with int/float promotion.  [Null] propagates. *)
 let arith ~op_name fi ff a b =

@@ -13,12 +13,6 @@ type t =
   | Bool of bool
   | Str of string
 
-val null : t
-val int : int -> t
-val float : float -> t
-val bool : bool -> t
-val str : string -> t
-
 val is_null : t -> bool
 
 val compare : t -> t -> int
@@ -50,8 +44,6 @@ val to_display : t -> string
 (** Raw rendering without SQL quoting, used by CSV export and display;
     [Null] shows as the empty string. *)
 
-val type_name : t -> string
-
 (** {1 Coercions} — raise {!Errors.Db_error} on mismatch. *)
 
 val as_int : t -> int
@@ -60,7 +52,6 @@ val as_float : t -> float
 
 val as_bool : t -> bool
 val as_string : t -> string
-val is_numeric : t -> bool
 
 (** {1 Arithmetic} — int/float promotion; [Null] propagates. *)
 

@@ -185,11 +185,6 @@ val replay : string -> Catalog.t
     (commit-terminated) batches.  Raises [Wal_error] on a prefix-truncated
     log: its full history only exists on top of a checkpoint. *)
 
-val apply_record : Catalog.t -> record -> unit
-(** Apply one redo record to a live catalog ([Commit]/[Lsn_base] are
-    no-ops).  Raises [Wal_error] when a delete/update finds no victim row
-    — the catalog has diverged from the log. *)
-
 val apply_batches : Catalog.t -> record list -> int * int
 (** Apply every complete (commit-terminated) batch; trailing records
     without a commit marker are discarded.  Returns [(batches, records)]
@@ -213,8 +208,6 @@ val truncate_prefix : t -> upto_lsn:int -> unit
     leaving an [Lsn_base] marker followed by the surviving suffix.  Only
     meaningful right after a checkpoint at [upto_lsn]; raises [Wal_error]
     for an LSN outside [base_lsn, last_lsn] or inside a batch scope. *)
-
-val records_of_ops : Txn.op list -> record list
 
 val attach : t -> Txn.manager -> unit
 (** Wire a transaction manager's commit hook to the log. *)

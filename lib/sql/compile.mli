@@ -10,17 +10,8 @@
 
 open Relational
 
-val is_aggregate_name : string -> bool
-val has_aggregate : Ast.expr -> bool
-
 (** Name-resolution environment: sources in FROM order. *)
 type env = { sources : (string * Schema.t * int) list }
-
-val env_of_schemas : (string * Schema.t) list -> env
-val lookup_env : env -> string option -> string -> int option
-
-val translate_expr : Catalog.t -> env -> Ast.expr -> Expr.t
-(** Resolve and translate an AST expression; evaluates IN-subqueries. *)
 
 val compile_select : Catalog.t -> Ast.select -> Plan.t
 (** Full SELECT compilation: FROM (incl. derived tables), LEFT JOINs,

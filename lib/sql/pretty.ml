@@ -327,6 +327,4 @@ let render f x =
 let expr_to_string e = render add_expr e
 let select_to_string s = render add_select s
 let statement_to_string st = render add_statement st
-let expr ppf e = Format.pp_print_string ppf (expr_to_string e)
-let select ppf s = Format.pp_print_string ppf (select_to_string s)
 let statement ppf st = Format.pp_print_string ppf (statement_to_string st)

@@ -9,8 +9,6 @@
     There is one renderer, which builds the text in one buffer; the
     formatter entry points print its string. *)
 
-val expr : Format.formatter -> Ast.expr -> unit
-val select : Format.formatter -> Ast.select -> unit
 val statement : Format.formatter -> Ast.statement -> unit
 
 val expr_to_string : Ast.expr -> string

@@ -248,13 +248,3 @@ let exec session (stmt : Ast.statement) : result =
 (** [exec_sql session sql] parses and executes one statement. *)
 let exec_sql session sql = exec session (Parser.parse_one sql)
 
-(** [exec_script session sql] executes a whole [;]-separated script,
-    returning the last result. *)
-let exec_script session sql =
-  let stmts = Parser.parse_script sql in
-  List.fold_left
-    (fun _ stmt -> Some (exec session stmt))
-    None stmts
-  |> function
-  | Some r -> r
-  | None -> Ok_msg "empty script"

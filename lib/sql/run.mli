@@ -26,5 +26,3 @@ val result_to_string : result -> string
 val exec : session -> Ast.statement -> result
 val exec_sql : session -> string -> result
 
-val exec_script : session -> string -> result
-(** Execute a whole [;]-separated script, returning the last result. *)

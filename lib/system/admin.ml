@@ -81,7 +81,7 @@ let explain_match (sys : System.t) id =
     can ever satisfy. *)
 let dump_unmatchable (sys : System.t) =
   let pending = Core.Coordinator.pending (System.coordinator sys) in
-  match Core.Safety.check_matchable (Core.Pending.to_list pending) with
+  match (Core.Safety.analyse (Core.Pending.to_list pending)).unsupplied with
   | [] -> "every pending constraint has a potential supplier"
   | problems ->
     String.concat "\n"

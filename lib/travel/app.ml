@@ -359,39 +359,39 @@ let coordinate_any_seat t user ~friend ~dest ?day () =
 
 (* ------------------------------------------------------------------ *)
 (* Workload templates: the query shapes this middle tier submits, for
-   deploy-time analysis (Core.Templates). *)
+   deploy-time analysis ({!Core.Safety.analyse}). *)
 
-(** [templates t] — a registry of the application's query templates.  The
+(** [templates t] — the application's query templates, named.  The
     analysis proves the workload is deployable: every constraint a request
     can emit has a potential supplier among the other request shapes. *)
 let templates t =
   let cat = Youtopia.System.catalog t.sys in
-  let reg = Core.Templates.create () in
   let pair_sql me friend =
     Printf.sprintf
       "SELECT '%s', fno INTO ANSWER FlightRes WHERE fno IN (SELECT fno FROM        Flights WHERE dest = 'Paris') AND ('%s', fno) IN ANSWER FlightRes        CHOOSE 1"
       me friend
   in
-  Core.Templates.register reg "pair_flight_initiator"
-    (Core.Translate.of_sql cat ~owner:"I" (pair_sql "I" "P"));
-  Core.Templates.register reg "pair_flight_partner"
-    (Core.Translate.of_sql cat ~owner:"P" (pair_sql "P" "I"));
-  Core.Templates.register reg "trip_initiator"
-    (Core.Translate.of_sql cat ~owner:"I"
-       "SELECT ('I', fno) INTO ANSWER FlightRes, ('I', hid) INTO ANSWER         HotelRes WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')         AND hid IN (SELECT hid FROM Hotels WHERE city = 'Paris') AND ('P',         fno) IN ANSWER FlightRes AND ('P', hid) IN ANSWER HotelRes CHOOSE 1");
-  Core.Templates.register reg "trip_partner"
-    (Core.Translate.of_sql cat ~owner:"P"
-       "SELECT ('P', fno) INTO ANSWER FlightRes, ('P', hid) INTO ANSWER         HotelRes WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')         AND hid IN (SELECT hid FROM Hotels WHERE city = 'Paris') AND ('I',         fno) IN ANSWER FlightRes AND ('I', hid) IN ANSWER HotelRes CHOOSE 1");
-  Core.Templates.register reg "seat_initiator"
-    (Core.Translate.of_sql cat ~owner:"I"
-       "SELECT 'I', fno, seat INTO ANSWER SeatRes WHERE (fno, seat) IN         (SELECT s.fno, s.seat FROM Seats s WHERE s.taken = 0) AND ('P', fno,         fseat) IN ANSWER SeatRes AND seat = fseat + 1 CHOOSE 1");
-  Core.Templates.register reg "seat_partner"
-    (Core.Translate.of_sql cat ~owner:"P"
-       "SELECT 'P', fno, seat INTO ANSWER SeatRes WHERE (fno, seat) IN         (SELECT s.fno, s.seat FROM Seats s WHERE s.taken = 0) AND ('I', fno,         fseat) IN ANSWER SeatRes CHOOSE 1");
-  Core.Templates.register reg "solo_booking"
-    (Core.Translate.of_sql cat ~owner:"S"
-       "SELECT 'S', fno INTO ANSWER FlightRes WHERE fno IN (SELECT fno FROM         Flights WHERE dest = 'Paris') CHOOSE 1");
-  reg
+  [
+    ( "pair_flight_initiator",
+      Core.Translate.of_sql cat ~owner:"I" (pair_sql "I" "P"));
+    ( "pair_flight_partner",
+      Core.Translate.of_sql cat ~owner:"P" (pair_sql "P" "I"));
+    ( "trip_initiator",
+      Core.Translate.of_sql cat ~owner:"I"
+      "SELECT ('I', fno) INTO ANSWER FlightRes, ('I', hid) INTO ANSWER         HotelRes WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')         AND hid IN (SELECT hid FROM Hotels WHERE city = 'Paris') AND ('P',         fno) IN ANSWER FlightRes AND ('P', hid) IN ANSWER HotelRes CHOOSE 1");
+    ( "trip_partner",
+      Core.Translate.of_sql cat ~owner:"P"
+      "SELECT ('P', fno) INTO ANSWER FlightRes, ('P', hid) INTO ANSWER         HotelRes WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')         AND hid IN (SELECT hid FROM Hotels WHERE city = 'Paris') AND ('I',         fno) IN ANSWER FlightRes AND ('I', hid) IN ANSWER HotelRes CHOOSE 1");
+    ( "seat_initiator",
+      Core.Translate.of_sql cat ~owner:"I"
+      "SELECT 'I', fno, seat INTO ANSWER SeatRes WHERE (fno, seat) IN         (SELECT s.fno, s.seat FROM Seats s WHERE s.taken = 0) AND ('P', fno,         fseat) IN ANSWER SeatRes AND seat = fseat + 1 CHOOSE 1");
+    ( "seat_partner",
+      Core.Translate.of_sql cat ~owner:"P"
+      "SELECT 'P', fno, seat INTO ANSWER SeatRes WHERE (fno, seat) IN         (SELECT s.fno, s.seat FROM Seats s WHERE s.taken = 0) AND ('I', fno,         fseat) IN ANSWER SeatRes CHOOSE 1");
+    ( "solo_booking",
+      Core.Translate.of_sql cat ~owner:"S"
+      "SELECT 'S', fno INTO ANSWER FlightRes WHERE fno IN (SELECT fno FROM         Flights WHERE dest = 'Paris') CHOOSE 1")
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Account view. *)

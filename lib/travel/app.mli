@@ -81,9 +81,9 @@ val coordinate_any_seat :
 
 (** {1 Deployment analysis} *)
 
-val templates : t -> Core.Templates.t
-(** Registry of this middle tier's query shapes, for deploy-time
-    matchability analysis. *)
+val templates : t -> (string * Core.Equery.t) list
+(** This middle tier's query shapes, each with its name, for deploy-time
+    analysis with {!Core.Safety.analyse}. *)
 
 val account_view : t -> string -> string
 (** Pending requests plus confirmed bookings — the demo's "account view". *)

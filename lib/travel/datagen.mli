@@ -13,30 +13,6 @@ val cities : string array
 
 (** {1 Schemas} *)
 
-val flights_schema : Schema.t  (* fno, orig, dest, day, price, seats *)
-val hotels_schema : Schema.t  (* hid, city, day, price, rooms *)
-val seats_schema : Schema.t  (* fno, seat, taken *)
-val flight_bookings_schema : Schema.t  (* who, fno *)
-val hotel_bookings_schema : Schema.t  (* who, hid *)
-val flight_res_schema : Schema.t  (* answer relation: name, fno *)
-val hotel_res_schema : Schema.t  (* answer relation: name, hid *)
-val seat_res_schema : Schema.t  (* answer relation: name, fno, seat *)
-
-val setup : Youtopia.System.t -> unit
-(** Create all tables, answer relations, and secondary indexes. *)
-
-val populate :
-  Youtopia.System.t ->
-  seed:int ->
-  n_flights:int ->
-  n_hotels:int ->
-  ?seats_per_flight:int ->
-  unit ->
-  unit
-(** Deterministic data: flight numbers from 100, hotel ids from 1; every
-    city gets flights; [seats_per_flight] seeds both the seat map and the
-    capacity column (default 8). *)
-
 val make_system :
   ?config:Core.Coordinator.config ->
   ?wal_path:string ->
@@ -50,11 +26,6 @@ val make_system :
 (** A ready travel system: [setup] + [populate].  With [wal_path] the
     schema and seed data are logged ([populate] runs as one transaction),
     so the system can be rebuilt by {!recover_system}. *)
-
-val answer_relation_names : string list
-(** The travel answer relations ([FlightRes], [HotelRes], [SeatRes]) —
-    what {!Youtopia.System.recover} must re-adopt, since answer relations
-    have no SQL DDL. *)
 
 val recover_system :
   ?config:Core.Coordinator.config ->

@@ -5,7 +5,6 @@
 type t
 
 val create : unit -> t
-val add_user : t -> string -> unit
 val users : t -> string list
 
 val befriend : t -> string -> string -> unit

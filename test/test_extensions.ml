@@ -1,6 +1,6 @@
-(* Tests for the coordinator extensions: query expiration, crash recovery of
-   a full system (answer relations included), template workload analysis,
-   and concurrent submission from multiple domains. *)
+(* Tests for the coordinator extensions: crash recovery of a full system
+   (answer relations included), workload analysis, and concurrent
+   submission from multiple domains. *)
 
 open Relational
 open Core
@@ -35,47 +35,6 @@ let pair_q cat name friend =
         FROM Flights WHERE dest='Paris') AND ('%s', fno) IN ANSWER \
         Reservation CHOOSE 1"
        name friend)
-
-(* ---------------- expiration ---------------- *)
-
-let test_expire_deadline () =
-  let db, coord = make_system () in
-  let cat = db.Database.catalog in
-  (* Kramer's request expires at t=100; Elaine's at t=200 *)
-  (match Coordinator.submit ~deadline:100. coord (pair_q cat "Kramer" "Jerry") with
-  | Coordinator.Registered _ -> ()
-  | _ -> Alcotest.fail "kramer pending");
-  (match Coordinator.submit ~deadline:200. coord (pair_q cat "Elaine" "George") with
-  | Coordinator.Registered _ -> ()
-  | _ -> Alcotest.fail "elaine pending");
-  check int "nothing expired yet" 0 (List.length (Coordinator.expire coord ~now:50.));
-  let expired = Coordinator.expire coord ~now:150. in
-  check int "kramer expired" 1 (List.length expired);
-  check int "one left" 1 (Pending.size (Coordinator.pending coord));
-  (* Jerry arrives too late: no partner anymore *)
-  (match Coordinator.submit coord (pair_q cat "Jerry" "Kramer") with
-  | Coordinator.Registered _ -> ()
-  | _ -> Alcotest.fail "jerry should find nobody");
-  (* expiry is idempotent *)
-  check int "idempotent" 0 (List.length (Coordinator.expire coord ~now:150.))
-
-let test_fulfilled_query_never_expires () =
-  let db, coord = make_system () in
-  let cat = db.Database.catalog in
-  ignore (Coordinator.submit ~deadline:100. coord (pair_q cat "Kramer" "Jerry"));
-  (match Coordinator.submit coord (pair_q cat "Jerry" "Kramer") with
-  | Coordinator.Answered _ -> ()
-  | _ -> Alcotest.fail "pair should match");
-  (* Kramer's deadline record is gone with the fulfilment *)
-  check int "nothing to expire" 0 (List.length (Coordinator.expire coord ~now:1e9))
-
-let test_no_deadline_never_expires () =
-  let db, coord = make_system () in
-  let cat = db.Database.catalog in
-  ignore (Coordinator.submit coord (pair_q cat "Kramer" "Jerry"));
-  check int "no-deadline queries stay" 0
-    (List.length (Coordinator.expire coord ~now:infinity));
-  check int "still pending" 1 (Pending.size (Coordinator.pending coord))
 
 (* ---------------- full-system recovery ---------------- *)
 
@@ -134,50 +93,64 @@ let test_system_recovery_with_answers () =
       | _ -> Alcotest.fail "elaine should join the recovered answers");
       Database.close (Youtopia.System.database sys2))
 
-(* ---------------- template analysis ---------------- *)
+(* ---------------- workload analysis ---------------- *)
+
+(* [Safety.analyse] over named templates, its edges and components read
+   back as names *)
+let analyse_named templates =
+  let a = Safety.analyse (List.map snd templates) in
+  let name q = fst (List.find (fun (_, t) -> t == q) templates) in
+  ( a,
+    List.map (fun (c, s) -> name c, name s) a.Safety.edges,
+    List.map (List.map name) a.Safety.components )
 
 let test_templates_pair_workload () =
   let db, _ = make_system () in
   let cat = db.Database.catalog in
-  let reg = Templates.create () in
-  Templates.register reg "kramer_side" (pair_q cat "Kramer" "Jerry");
-  Templates.register reg "jerry_side" (pair_q cat "Jerry" "Kramer");
-  let report = Templates.analyse reg in
-  check bool "deployable" true (Templates.is_deployable report);
+  let a, edges, groups =
+    analyse_named
+      [
+        "kramer_side", pair_q cat "Kramer" "Jerry";
+        "jerry_side", pair_q cat "Jerry" "Kramer";
+      ]
+  in
+  check bool "deployable" true (a.Safety.unsupplied = []);
   check bool "mutual edges" true
-    (List.mem ("kramer_side", "jerry_side") report.Templates.edges
-    && List.mem ("jerry_side", "kramer_side") report.Templates.edges);
-  check int "one coordination group" 1
-    (List.length (Templates.coordination_groups reg report))
+    (List.mem ("kramer_side", "jerry_side") edges
+    && List.mem ("jerry_side", "kramer_side") edges);
+  check int "one coordination group" 1 (List.length groups)
 
 let test_templates_detect_unsupplied () =
   let db, _ = make_system () in
   let cat = db.Database.catalog in
-  let reg = Templates.create () in
-  Templates.register reg "lonely" (pair_q cat "Kramer" "Jerry");
-  let report = Templates.analyse reg in
-  check bool "not deployable" false (Templates.is_deployable report);
-  check int "one unsupplied constraint" 1 (List.length report.Templates.unsupplied);
+  let lonely = [ "lonely", pair_q cat "Kramer" "Jerry" ] in
+  let a, _, _ = analyse_named lonely in
+  check bool "not deployable" false (a.Safety.unsupplied = []);
+  check int "one unsupplied constraint" 1 (List.length a.Safety.unsupplied);
   (* adding the missing side fixes it *)
-  Templates.register reg "partner" (pair_q cat "Jerry" "Kramer");
-  check bool "deployable after fix" true
-    (Templates.is_deployable (Templates.analyse reg))
+  let a, _, _ =
+    analyse_named (lonely @ [ "partner", pair_q cat "Jerry" "Kramer" ])
+  in
+  check bool "deployable after fix" true (a.Safety.unsupplied = [])
 
 let test_templates_self_sufficient_and_groups () =
   let db, _ = make_system () in
   let cat = db.Database.catalog in
-  let reg = Templates.create () in
-  Templates.register reg "solo"
-    (Translate.of_sql cat ~owner:"s"
-       "SELECT 'Solo', fno INTO ANSWER Reservation WHERE fno IN (SELECT fno \
-        FROM Flights WHERE dest='Rome') CHOOSE 1");
-  Templates.register reg "a" (pair_q cat "A" "B");
-  Templates.register reg "b" (pair_q cat "B" "A");
-  let report = Templates.analyse reg in
+  let _, edges, groups =
+    analyse_named
+      [
+        ( "solo",
+          Translate.of_sql cat ~owner:"s"
+            "SELECT 'Solo', fno INTO ANSWER Reservation WHERE fno IN (SELECT \
+             fno FROM Flights WHERE dest='Rome') CHOOSE 1" );
+        "a", pair_q cat "A" "B";
+        "b", pair_q cat "B" "A";
+      ]
+  in
+  (* self-sufficient: no constraint, so no edge out of it *)
   check bool "solo is self-sufficient" true
-    (List.mem "solo" report.Templates.self_sufficient);
+    (not (List.exists (fun (c, _) -> c = "solo") edges));
   (* components: {solo} and {a, b} *)
-  let groups = Templates.coordination_groups reg report in
   check int "two groups" 2 (List.length groups);
   check bool "pair grouped" true (List.mem [ "a"; "b" ] groups)
 
@@ -338,9 +311,6 @@ let test_concurrent_domain_submissions () =
 
 let suite =
   [
-    Alcotest.test_case "expire by deadline" `Quick test_expire_deadline;
-    Alcotest.test_case "fulfilled never expires" `Quick test_fulfilled_query_never_expires;
-    Alcotest.test_case "no deadline never expires" `Quick test_no_deadline_never_expires;
     Alcotest.test_case "system recovery with answers" `Quick
       test_system_recovery_with_answers;
     Alcotest.test_case "templates: pair workload" `Quick test_templates_pair_workload;

@@ -511,8 +511,8 @@ let prop_index_complete =
             let ground =
               Atom.make rel
                 [
-                  Subst.apply_term subst t0 |> ground_or (v_str idx_names.(0));
-                  Subst.apply_term subst t1 |> ground_or (v_int 0);
+                  Subst.walk subst t0 |> ground_or (v_str idx_names.(0));
+                  Subst.walk subst t1 |> ground_or (v_int 0);
                 ]
             in
             let inter = ids (Pending.interested store ground) in

@@ -143,13 +143,14 @@ let test_program_order () =
    before the end of the iteration, the bad one errors alone, and one
    poke covers the batch. *)
 let test_batch_isolation_and_poke () =
-  let t = core (ref 0.) in
+  let sys = Travel.Datagen.make_system ~seed:1 ~n_flights:8 ~n_hotels:2 () in
+  let t = core ~sys (ref 0.) in
   let c = hello t "iso" in
   feed t c [ submit 1 "CREATE TABLE Ok (id INT)" ];
   P.end_of_iteration t;
   ignore (drain t c);
   let coord () =
-    Core.Coordinator.stats (Youtopia.System.coordinator (P.system t))
+    Core.Coordinator.stats (Youtopia.System.coordinator sys)
   in
   let before = stats t and pokes0 = (coord ()).Core.Stats.batch_pokes in
   feed t c
@@ -344,7 +345,7 @@ let test_bootstrap_stall () =
       P.tick t;
       check status_t "30 s: dropped" P.Dead (P.status r);
       check int "counted as an error" 1 ((stats t).Net.Server_stats.errors - errors0);
-      P.close t r;
+      P.close t r "EOF";
       check int "replica sink detached" 0 (stats t).Net.Server_stats.replicas_active)
 
 (* ---------------- garbage through dispatch ---------------- *)
@@ -421,7 +422,7 @@ let prop_garbage_through_dispatch =
         match P.status c with P.Open | P.Flush_then_close | P.Dead -> true
       in
       ignore (drain t c);
-      P.close t c;
+      P.close t c "EOF";
       let probe = hello t "probe" in
       feed t probe [ W.Ping { id = 9; payload = "ok" } ];
       let answered =
@@ -429,7 +430,7 @@ let prop_garbage_through_dispatch =
         | [ W.Pong { id = 9; payload = "ok" } ] -> true
         | _ -> false
       in
-      P.close t probe;
+      P.close t probe "EOF";
       (not raised) && status_ok && answered)
 
 (* ---------------- replication shipping ---------------- *)
@@ -550,7 +551,7 @@ let test_upstream_snapshot () =
   check int "one snapshot" 1 s.Net.Server_stats.repl_snapshots_loaded;
   check int "applied LSN from the snapshot" 5 s.Net.Server_stats.repl_applied_lsn;
   check status_t "still open" P.Open (P.status c);
-  P.close t c;
+  P.close t c "EOF";
   now := 10.;
   ignore (dial t ~lsn:5)
 
@@ -585,7 +586,7 @@ let test_upstream_apply_error () =
   check int "nothing applied" 0 (rows sys "T");
   check int "applied LSN unchanged" 1 (stats t).Net.Server_stats.repl_applied_lsn;
   check bool "disconnected" false (stats t).Net.Server_stats.repl_upstream_connected;
-  P.close t c;
+  P.close t c "EOF";
   now := 10.;
   ignore (dial t ~lsn:1)
 
@@ -608,13 +609,35 @@ let test_upstream_redial () =
   in
   let c = dial t ~lsn:0 in
   feed_responses t c (wrec ~lsn:1 ddl_batch);
-  P.close t c;
+  P.close t c "EOF";
   due_within (bounds 1) ~from:100.;
   let c = dial ~welcome:false t ~lsn:1 in
-  P.close t c;
+  P.close t c "EOF";
   due_within (bounds 2) ~from:!now;
   ignore (dial t ~lsn:1);
   check int "two redials counted" 2 (stats t).Net.Server_stats.repl_reconnects
+
+(* The loop's wait ends when the redial falls due: after a loss at attempt
+   1, [tick_ms] is at most that attempt's upper bound rather than the
+   250 ms sweep, and 0 once the dial is due.  The primary's EOF ends the
+   session before the teardown does. *)
+let test_upstream_tick_ms () =
+  let now = ref 100. in
+  let _sys, t = replica_core now in
+  let c = dial t ~lsn:0 in
+  P.input_eof t c;
+  check bool "no dial before the teardown" false (P.dial_due t);
+  P.close t c "EOF";
+  let p = Net.Backoff.default in
+  let hi = Net.Backoff.delay_for p ~attempt:1 *. (1. +. p.Net.Backoff.jitter) in
+  let ms = P.tick_ms t in
+  check bool
+    (Printf.sprintf "tick_ms %d within attempt 1's %.0f ms" ms (hi *. 1e3))
+    true
+    (ms <= int_of_float (Float.ceil (hi *. 1e3)));
+  now := !now +. (float_of_int ms /. 1e3) +. 1e-6;
+  check bool "the dial is due when the wait ends" true (P.dial_due t);
+  check int "no wait once due" 0 (P.tick_ms t)
 
 let suite =
   [
@@ -646,4 +669,6 @@ let suite =
       test_upstream_apply_error;
     Alcotest.test_case "upstream: redial inside the backoff's jitter" `Quick
       test_upstream_redial;
+    Alcotest.test_case "upstream: tick_ms ends the wait at the redial" `Quick
+      test_upstream_tick_ms;
   ]

@@ -84,24 +84,6 @@ let test_hash_join_null_keys_never_match () =
   in
   check int "only non-null key matches" 1 (List.length (Executor.run cat plan))
 
-let test_semi_and_anti_join () =
-  let cat = make_db () in
-  let united =
-    Plan.filter
-      (Expr.Binop (Expr.Eq, Expr.Col 1, Expr.Const (v_str "United")))
-      (scan cat "Airlines")
-  in
-  let semi =
-    Plan.semi_join ~left_keys:[| 0 |] ~right_keys:[| 0 |] (scan cat "Flights")
-      united
-  in
-  check int "united flights" 2 (List.length (Executor.run cat semi));
-  let anti =
-    Plan.semi_join ~anti:true ~left_keys:[| 0 |] ~right_keys:[| 0 |]
-      (scan cat "Flights") united
-  in
-  check int "non-united flights" 2 (List.length (Executor.run cat anti))
-
 let test_aggregate () =
   let cat = make_db () in
   let plan =
@@ -309,7 +291,6 @@ let suite =
     Alcotest.test_case "scan/filter/project" `Quick test_scan_filter_project;
     Alcotest.test_case "nl vs hash join" `Quick test_nl_and_hash_join_agree;
     Alcotest.test_case "hash join null keys" `Quick test_hash_join_null_keys_never_match;
-    Alcotest.test_case "semi/anti join" `Quick test_semi_and_anti_join;
     Alcotest.test_case "aggregate" `Quick test_aggregate;
     Alcotest.test_case "aggregate empty input" `Quick test_aggregate_empty_input;
     Alcotest.test_case "sort/distinct/limit" `Quick test_sort_distinct_limit;

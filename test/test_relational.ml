@@ -190,12 +190,6 @@ let test_unique_secondary_index_backfill_conflict () =
   | exception Errors.Db_error (Errors.Constraint_violation _) -> ()
   | _ -> Alcotest.fail "unique index over duplicate data accepted"
 
-let test_ordered_index_range () =
-  let t = make_flights () in
-  let ix = Table.create_index ~kind:Index.Ordered t "by_fno_ord" [| 0 |] in
-  let ids = Index.lookup_range ix ~lo:[| v_int 123 |] ~hi:[| v_int 136 |] in
-  check int "range [123,136]" 3 (List.length ids)
-
 let test_catalog () =
   let cat = Catalog.create () in
   let _ = Catalog.create_table cat (flights_schema ()) in
@@ -445,7 +439,6 @@ let suite =
     Alcotest.test_case "secondary index" `Quick test_secondary_index;
     Alcotest.test_case "unique index backfill conflict" `Quick
       test_unique_secondary_index_backfill_conflict;
-    Alcotest.test_case "ordered index range" `Quick test_ordered_index_range;
     Alcotest.test_case "catalog" `Quick test_catalog;
     QCheck_alcotest.to_alcotest prop_insert_delete_roundtrip;
     QCheck_alcotest.to_alcotest prop_index_agrees_with_scan;

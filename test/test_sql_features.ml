@@ -512,7 +512,10 @@ let test_explain_analyze () =
     in
     check bool "has join node" true (has "hash_join");
     check bool "root cardinality" true (has "-> 2 row(s)");
-    check bool "scan counted" true (has "scan ")
+    (* every operator below the root is counted on its own line *)
+    check bool "scan Flights counted" true (has "scan Flights  -> 4 row(s)");
+    check bool "scan Airlines counted" true (has "scan Airlines  -> 3 row(s)");
+    check bool "filter counted" true (has "filter (#1 = 'Paris')  -> 2 row(s)")
   | r -> Alcotest.failf "explain analyze: %s" (Sql.Run.result_to_string r)
 
 let suite =

@@ -71,51 +71,6 @@ let test_txn_use_after_commit_rejected () =
   | exception Errors.Db_error (Errors.Txn_error _) -> ()
   | _ -> Alcotest.fail "use after commit accepted"
 
-let test_txn_savepoints () =
-  let mgr = Txn.create_manager () in
-  let t = Table.create (schema ()) in
-  Txn.with_txn mgr (fun txn ->
-      ignore (Txn.insert txn t [| v_int 1; v_str "keep"; v_int 1 |]);
-      let sp = Txn.savepoint txn in
-      ignore (Txn.insert txn t [| v_int 2; v_str "drop"; v_int 2 |]);
-      let id1 = Option.get (Table.lookup_pk t [| v_int 1 |]) in
-      ignore (Txn.update txn t id1 [| v_int 1; v_str "keep"; v_int 99 |]);
-      Txn.rollback_to txn sp;
-      (* row 2 gone, row 1 balance restored, txn still usable *)
-      check bool "row 2 undone" true (Table.lookup_pk t [| v_int 2 |] = None);
-      check bool "update undone" true
-        (Value.equal (Table.get_exn t id1).(2) (v_int 1));
-      ignore (Txn.insert txn t [| v_int 3; v_str "after"; v_int 3 |]));
-  check int "committed rows" 2 (Table.row_count t);
-  check bool "row 3 present" true (Table.lookup_pk t [| v_int 3 |] <> None)
-
-let test_txn_savepoint_cross_txn_rejected () =
-  let mgr = Txn.create_manager () in
-  let txn1 = Txn.begin_ mgr in
-  let sp = Txn.savepoint txn1 in
-  Txn.commit txn1;
-  let txn2 = Txn.begin_ mgr in
-  (match Txn.rollback_to txn2 sp with
-  | exception Errors.Db_error (Errors.Txn_error _) -> ()
-  | () -> Alcotest.fail "cross-transaction savepoint accepted");
-  Txn.rollback txn2
-
-let test_table_compact () =
-  let t = Table.create (schema ()) in
-  let ids =
-    List.init 20 (fun i ->
-        Table.insert t [| v_int i; v_str "x"; v_int i |])
-  in
-  (* delete every other row: fragmentation builds up *)
-  List.iteri (fun i id -> if i mod 2 = 0 then ignore (Table.delete t id)) ids;
-  check bool "fragmented" true (Table.fragmentation t > 0.4);
-  Table.compact t;
-  check bool "defragmented" true (Table.fragmentation t = 0.0);
-  check int "rows survive" 10 (Table.row_count t);
-  (* primary key index rebuilt correctly *)
-  check bool "pk lookup works" true (Table.lookup_pk t [| v_int 1 |] <> None);
-  check bool "deleted stays deleted" true (Table.lookup_pk t [| v_int 0 |] = None)
-
 (* ---------------- WAL ---------------- *)
 
 let test_wal_roundtrip_records () =
@@ -352,10 +307,6 @@ let suite =
     Alcotest.test_case "txn rollback on exception" `Quick test_txn_rollback_on_exception;
     Alcotest.test_case "txn explicit rollback" `Quick test_txn_explicit_rollback;
     Alcotest.test_case "txn use after commit" `Quick test_txn_use_after_commit_rejected;
-    Alcotest.test_case "txn savepoints" `Quick test_txn_savepoints;
-    Alcotest.test_case "savepoint cross-txn rejected" `Quick
-      test_txn_savepoint_cross_txn_rejected;
-    Alcotest.test_case "table compact" `Quick test_table_compact;
     Alcotest.test_case "wal record roundtrip" `Quick test_wal_roundtrip_records;
     Alcotest.test_case "wal unescape total" `Quick test_wal_unescape_total;
     Alcotest.test_case "wal replay" `Quick test_wal_replay;

@@ -460,22 +460,24 @@ let test_side_effect_failure_rolls_back () =
 
 let test_app_templates_deployable () =
   let app = make_app () in
-  let reg = App.templates app in
-  let report = Core.Templates.analyse reg in
-  (match report.Core.Templates.unsupplied with
+  let templates = App.templates app in
+  let name q = fst (List.find (fun (_, t) -> t == q) templates) in
+  let report = Core.Safety.analyse (List.map snd templates) in
+  (match report.Core.Safety.unsupplied with
   | [] -> ()
-  | (name, atom) :: _ ->
-    Alcotest.failf "unsupplied constraint in %s: %s" name
+  | (q, atom) :: _ ->
+    Alcotest.failf "unsupplied constraint in %s: %s" (name q)
       (Core.Atom.to_string atom));
-  check bool "deployable" true (Core.Templates.is_deployable report);
+  check bool "deployable" true (report.Core.Safety.unsupplied = []);
   check bool "solo self-sufficient" true
-    (List.mem "solo_booking" report.Core.Templates.self_sufficient);
+    (not
+       (List.exists
+          (fun (c, _) -> name c = "solo_booking")
+          report.Core.Safety.edges));
   (* seats and flights coordinate in separate groups from hotels? no —
      flight, trip and solo all touch FlightRes, so they form one component,
      seats another *)
-  let groups =
-    Core.Templates.coordination_groups reg report |> List.map List.length
-  in
+  let groups = List.map List.length report.Core.Safety.components in
   (* {pair*, trip*} via FlightRes, {seat*} via SeatRes, and the isolated
      self-sufficient {solo_booking} *)
   check int "three interaction components" 3 (List.length groups)
