@@ -8,53 +8,57 @@
 
 open Relational
 
-type t = { db : Database.t; mutable rels : (string * Table.t) list }
-
-let key = String.lowercase_ascii
+(* One declared relation with the matcher's two indexes: the full row
+   (set-semantics membership) and the first column (the common "partner
+   name is ground, rest is variable" constraint shape). *)
+type rel = { table : Table.t; full : Index.t; first : Index.t option }
+type t = { db : Database.t; mutable rels : rel list }
 
 let create db = { db; rels = [] }
 
-(** [declare t schema] creates the answer relation (a real table), with two
-    hash indexes the matcher relies on: the full row (set-semantics
-    membership test) and the first column (the common "partner name is
-    ground, rest is variable" constraint shape). *)
-let declare t schema =
-  let table = Database.create_table t.db schema in
-  let arity = Schema.arity schema in
-  ignore
-    (Table.create_index table "#ans_full" (Array.init arity (fun i -> i)));
-  if arity > 1 then ignore (Table.create_index table "#ans_first" [| 0 |]);
-  t.rels <- (key schema.Schema.name, table) :: t.rels;
+let ensure_index table name positions =
+  match Table.index_named table name with
+  | Some ix -> ix
+  | None -> Table.create_index table name positions
+
+let register t table =
+  let arity = Schema.arity (Table.schema table) in
+  let full = ensure_index table "#ans_full" (Array.init arity Fun.id) in
+  let first =
+    if arity > 1 then Some (ensure_index table "#ans_first" [| 0 |]) else None
+  in
+  t.rels <- { table; full; first } :: t.rels;
   table
+
+(** [declare t schema] creates the answer relation (a real table) with the
+    matcher's indexes. *)
+let declare t schema = register t (Database.create_table t.db schema)
 
 (** [adopt t name] registers an *existing* table (e.g. one rebuilt by WAL
     recovery) as an answer relation, creating the matcher's indexes if they
     are missing. *)
-let adopt t name =
-  let table = Database.find_table t.db name in
-  let arity = Schema.arity (Table.schema table) in
-  if Table.index_named table "#ans_full" = None then
-    ignore
-      (Table.create_index table "#ans_full" (Array.init arity (fun i -> i)));
-  if arity > 1 && Table.index_named table "#ans_first" = None then
-    ignore (Table.create_index table "#ans_first" [| 0 |]);
-  t.rels <- (key name, table) :: t.rels;
-  table
+let adopt t name = register t (Database.find_table t.db name)
 
-let find_opt t rel = List.assoc_opt (key rel) t.rels
+(* Relation names compare case-insensitively and without allocating: this
+   runs on every membership test of the match path. *)
+let rec rel_opt name = function
+  | [] -> None
+  | r :: rest ->
+    if Atom.rel_equal (Table.name r.table) name then Some r else rel_opt name rest
 
-let find t rel =
-  match find_opt t rel with
-  | Some table -> table
-  | None ->
-    Errors.fail (Errors.No_such_table ("answer relation " ^ rel))
+let find_opt t rel =
+  match rel_opt rel t.rels with Some r -> Some r.table | None -> None
 
-let relation_names t = List.map (fun (_, table) -> Table.name table) t.rels
+let find_rel t rel =
+  match rel_opt rel t.rels with
+  | Some r -> r
+  | None -> Errors.fail (Errors.No_such_table ("answer relation " ^ rel))
 
-let contains t rel (row : Tuple.t) =
-  let table = find t rel in
-  let all = Array.init (Schema.arity (Table.schema table)) (fun i -> i) in
-  Table.lookup_eq table all row <> []
+let find t rel = (find_rel t rel).table
+
+let relation_names t = List.map (fun r -> Table.name r.table) t.rels
+
+let contains t rel (row : Tuple.t) = Index.mem (find_rel t rel).full row
 
 (** [insert txn t rel row] — set semantics; [true] if the tuple was new. *)
 let insert txn t rel row =
@@ -63,6 +67,32 @@ let insert txn t rel row =
     ignore (Txn.insert txn (find t rel) row);
     true
   end
+
+(** [may_supply t atom] — whether an existing tuple could unify with
+    [atom] under the empty substitution, answered through an index and
+    never by a scan: by row count when [atom] has no constant, [#ans_full]
+    when every position is constant, [#ans_first] when position 0 is.  Any
+    other shape answers [true], which is never wrong for a caller asking
+    whether a supplier might exist. *)
+let may_supply t (atom : Atom.t) =
+  match rel_opt atom.Atom.rel t.rels with
+  | None -> false
+  | Some r ->
+    let args = atom.Atom.args in
+    if Array.length args <> Schema.arity (Table.schema r.table) then false
+    else if Table.row_count r.table = 0 then false
+    else
+      match Atom.to_tuple atom with
+      | Some row -> Index.mem r.full row
+      | None -> (
+        match args.(0), r.first with
+        | Term.Const v, Some first ->
+          List.exists
+            (fun row_id ->
+              Subst.unify_row Subst.empty args (Table.get_exn r.table row_id)
+              <> None)
+            (Index.lookup first [| v |])
+        | _ -> true)
 
 (** [matching t subst atom] — all extensions of [subst] unifying [atom] with
     an existing answer tuple.  Ground positions of the atom are used for an

@@ -27,6 +27,13 @@ val relation_names : t -> string list
 
 val contains : t -> string -> Tuple.t -> bool
 
+val may_supply : t -> Atom.t -> bool
+(** [may_supply t atom] — whether an existing tuple could unify with
+    [atom] under the empty substitution.  Answered through an index, never
+    a scan: by row count when [atom] has no constant, through [#ans_full]
+    when every position is constant, through [#ans_first] when position 0
+    is; any other shape answers [true]. *)
+
 val insert : Txn.t -> t -> string -> Tuple.t -> bool
 (** [insert txn t rel row] — set semantics; [true] if the tuple was new. *)
 

@@ -2,16 +2,24 @@
     both as query heads (contributions to answer relations) and as body
     answer constraints. *)
 
-open Relational
-
 type t = { rel : string; args : Term.t array }
 
 let make rel args = { rel; args = Array.of_list args }
 let arity a = Array.length a.args
 
-(** Case-insensitive relation-name equality (SQL convention). *)
-let same_rel a b =
-  String.lowercase_ascii a.rel = String.lowercase_ascii b.rel
+(** Case-insensitive name equality (SQL convention), allocation-free. *)
+let rel_equal a b =
+  String.equal a b
+  || String.length a = String.length b
+     &&
+     let rec from i =
+       i = String.length a
+       || Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i]
+          && from (i + 1)
+     in
+     from 0
+
+let same_rel a b = rel_equal a.rel b.rel
 
 let vars a = Array.fold_left Term.vars [] a.args
 
@@ -31,7 +39,3 @@ let pp ppf a =
   Fmt.pf ppf "%s(%a)" a.rel Fmt.(array ~sep:(any ", ") Term.pp) a.args
 
 let to_string a = Fmt.str "%a" pp a
-
-(** [of_tuple rel row] — the ground atom for an answer-relation row. *)
-let of_tuple rel (row : Tuple.t) =
-  { rel; args = Array.map (fun v -> Term.Const v) row }

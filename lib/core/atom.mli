@@ -9,6 +9,10 @@ type t = { rel : string; args : Term.t array }
 val make : string -> Term.t list -> t
 val arity : t -> int
 
+val rel_equal : string -> string -> bool
+(** Case-insensitive relation-name equality (SQL convention); allocates
+    nothing. *)
+
 val same_rel : t -> t -> bool
 (** Case-insensitive relation-name equality (SQL convention). *)
 
@@ -20,6 +24,3 @@ val to_tuple : t -> Tuple.t option
 val rename : (string -> string) -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-val of_tuple : string -> Tuple.t -> t
-(** [of_tuple rel row] — the ground atom for an answer-relation row. *)

@@ -62,6 +62,7 @@ type t = {
       (** last-poke [(uid, version)] snapshot per table *)
   deltas : (string, delta) Hashtbl.t;
       (** committed row images since the last poke, [Tuples] only *)
+  uid : int;  (** names this coordinator to {!Catalog.drain_changed} *)
   mutable next_id : int;
   mutable listeners : (Events.notification -> unit) list;
   mu : Mutex.t;
@@ -73,9 +74,12 @@ type outcome =
   | Registered of int  (** parked in the pending store under this id *)
   | Multi of outcome list  (** CHOOSE k > 1: one outcome per instance *)
 
+let next_uid = Atomic.make 0
+
 let create ?(config = default_config) db =
   let t =
     {
+      uid = Atomic.fetch_and_add next_uid 1;
       db;
       answers = Answers.create db;
       pending = Pending.create ();
@@ -91,8 +95,8 @@ let create ?(config = default_config) db =
   (* Under [Tuples] every committed transaction records its row images, so
      the next poke can probe them against the pending store's constraint
      index instead of waking every reader.  Direct (non-transactional)
-     [Table] mutations leave no delta; the version-snapshot diff at poke
-     time widens their tables — see [poke_delta].  Without the observer
+     [Table] mutations leave no delta; the poke's version check widens
+     their tables — see [poke_delta].  Without the observer
      ([Tables]) no delta is ever recorded and every changed table widens. *)
   if config.retry = Tuples then
     Txn.add_observer db.Database.txns (fun ops ->
@@ -266,19 +270,20 @@ let try_match t (q : Equery.t) =
     ~config:t.config.matcher ~stats:t.stats q
 
 (* Retry pending queries that a newly committed answer tuple could actually
-   help: an answer constraint must *unify* with one of [tuples] (a relation-
-   name match alone would retry every bystander on a loaded system).
-   Cascade until fixpoint.  [acc] and the result are in reverse order —
-   appending per fulfilment would be quadratic in the notification count;
-   callers [List.rev] once at the end. *)
+   help: the tuple must satisfy the constant positions of one of the
+   query's answer constraints (a relation-name match alone would retry
+   every bystander on a loaded system).  The constraint index holds every
+   answer constraint as an access of its relation, so [Pending.probe] on
+   the tuple finds them.  Cascade until fixpoint.  [acc] and the result
+   are in reverse order — appending per fulfilment would be quadratic in
+   the notification count; callers [List.rev] once at the end. *)
 let rec cascade_rev t tuples acc =
-  let tuple_atoms =
-    List.map (fun (rel, row) -> Atom.of_tuple rel row) tuples
-  in
   let interested =
-    List.concat_map (Pending.interested t.pending) tuple_atoms
-    |> List.sort_uniq (fun (a : Equery.t) (b : Equery.t) ->
-           compare a.Equery.id b.Equery.id)
+    List.concat_map
+      (fun (rel, row) -> Pending.probe t.pending ~table:rel row)
+      tuples
+    |> List.sort_uniq Int.compare
+    |> List.filter_map (Pending.get t.pending)
   in
   let rec try_each acc = function
     | [] -> acc
@@ -377,42 +382,51 @@ let poke_all t =
   in
   List.rev (fixpoint [])
 
-(* Diff the [(uid, version)] snapshot against the live catalog and report
-   each changed table with how far its version advanced: [Some d] when the
-   uid is unchanged and a previous snapshot existed, [None] otherwise
-   (first sighting, drop + recreate, or outright drop — all of which must
-   widen).  The diff catches direct [Table] mutations that bypass the
-   transaction manager; dropped tables are reported so readers of a
-   vanished table get their (failing) retry, as under [All]. *)
-let refresh_changed t =
-  let changed = ref [] in
-  Catalog.iter
-    (fun table ->
-      let name = String.lowercase_ascii (Table.name table) in
-      let uid = Table.uid table and version = Table.version table in
-      match Hashtbl.find_opt t.versions name with
-      | Some (puid, pver) when (puid, pver) = (uid, version) -> ()
-      | prev ->
-        Hashtbl.replace t.versions name (uid, version);
-        let advance =
-          match prev with
-          | Some (puid, pver) when puid = uid -> Some (version - pver)
-          | _ -> None
-        in
-        changed := (name, advance) :: !changed)
-    t.db.Database.catalog;
-  let dropped =
-    Hashtbl.fold
-      (fun name _ acc ->
-        if Catalog.mem t.db.Database.catalog name then acc else name :: acc)
-      t.versions []
-  in
-  List.iter
-    (fun name ->
+(* Compare one table name's live [(uid, version)] with the snapshot and
+   report it when it changed, with how far its version advanced: [Some d]
+   when the uid is unchanged and a previous snapshot existed, [None]
+   otherwise (first sighting, drop + recreate, or outright drop — all of
+   which must widen).  Idempotent, so a name listed twice costs nothing
+   more.  Dropped tables are reported so readers of a vanished table get
+   their (failing) retry, as under [All]. *)
+let check_table t changed name =
+  match Catalog.find_opt t.db.Database.catalog name with
+  | Some table -> (
+    let uid = Table.uid table and version = Table.version table in
+    match Hashtbl.find_opt t.versions name with
+    | Some (puid, pver) when puid = uid && pver = version -> changed
+    | prev ->
+      Hashtbl.replace t.versions name (uid, version);
+      let advance =
+        match prev with
+        | Some (puid, pver) when puid = uid -> Some (version - pver)
+        | _ -> None
+      in
+      (name, advance) :: changed)
+  | None ->
+    if Hashtbl.mem t.versions name then begin
       Hashtbl.remove t.versions name;
-      changed := (name, None) :: !changed)
-    dropped;
-  !changed
+      (name, None) :: changed
+    end
+    else changed
+
+(* The tables that changed since the last call.  The catalog's
+   changed-table list names them (direct [Table] mutations and DDL
+   included); only when that list is not ours to trust — the first poke,
+   or another consumer drained it, or it overflowed — does this walk the
+   whole catalog and the snapshot. *)
+let refresh_changed t =
+  let cat = t.db.Database.catalog in
+  let name table = String.lowercase_ascii (Table.name table) in
+  match Catalog.drain_changed cat ~by:t.uid with
+  | Some tables ->
+    List.fold_left (fun changed table -> check_table t changed (name table))
+      [] tables
+  | None ->
+    let names = Hashtbl.fold (fun name _ acc -> name :: acc) t.versions [] in
+    let names = ref names in
+    Catalog.iter (fun table -> names := name table :: !names) cat;
+    List.fold_left (check_table t) [] (List.sort_uniq String.compare !names)
 
 (* The targeted poke ([Tuples] and [Tables]): probe the committed row
    images against the pending store's constraint index and retry only the

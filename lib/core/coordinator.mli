@@ -71,8 +71,10 @@ val poke : t -> Events.notification list
     set is retried — changes the probe cannot account for (deletes, DDL,
     direct [Table] mutations, a version advance the redo log doesn't
     explain) widen that table to its full reader set.  Under [Tables] every
-    changed table widens: tables are found by a version-snapshot diff of the
-    catalog, which also catches direct [Table] mutations.  Under [All] every
+    changed table widens.  Changed tables come from the catalog's
+    changed-table list ({!Relational.Catalog.drain_changed}), which also
+    names tables changed by direct [Table] mutations, rollbacks and DDL;
+    only the first poke walks the whole catalog.  Under [All] every
     pending query is retried, counting the whole store in
     [Stats.dirty_retries] on each pass. *)
 

@@ -19,6 +19,14 @@
     and pushes its own answer constraints onto the frontier, so coordination
     chains (A needs B, B needs C) are found naturally.
 
+    Before any grounding, every answer constraint of the seed must have a
+    {i supplier}: a head of the seed, a head of a pending query, or an
+    existing answer tuple that unifies with it under the empty
+    substitution.  Unification only gets stricter as the substitution
+    grows and a group holds only the seed and pending queries, so a seed
+    failing this check has no match; the attempt ends there, counted in
+    [unsupplied], without running a sub-plan.
+
     The search is budgeted ([max_steps]) and the group size capped
     ([max_group]); exhausting either aborts the attempt as "no match for
     now" — the seed stays pending and will be retried, which preserves the
@@ -48,9 +56,17 @@ type success = {
 exception Found of success
 exception Budget_exhausted
 
-let find ~(cat : Catalog.t) ~(answers : Answers.t) ~(pending : Pending.t)
+(* The supplier check: [c] is a constraint of [seed]; see the header. *)
+let supplied ~answers ~pending (seed : Equery.t) (c : Atom.t) =
+  let unifies (h : Atom.t) = Subst.unify_atoms Subst.empty c h <> None in
+  List.exists unifies seed.Equery.heads
+  || Answers.may_supply answers c
+  || Pending.exists_candidate pending c (fun p ->
+         List.exists unifies p.Equery.heads)
+
+(* The backtracking search, once the seed passed the supplier check. *)
+let search ~(cat : Catalog.t) ~(answers : Answers.t) ~(pending : Pending.t)
     ~(config : config) ~(stats : Stats.t) (seed : Equery.t) : success option =
-  stats.Stats.match_attempts <- stats.Stats.match_attempts + 1;
   let steps = ref 0 in
   let trace = ref [] in
   (* Trace messages are thunked so the formatting cost is only paid when
@@ -177,3 +193,13 @@ let find ~(cat : Catalog.t) ~(answers : Answers.t) ~(pending : Pending.t)
   | exception Budget_exhausted ->
     stats.Stats.budget_exhausted <- stats.Stats.budget_exhausted + 1;
     None
+
+let find ~(cat : Catalog.t) ~(answers : Answers.t) ~(pending : Pending.t)
+    ~(config : config) ~(stats : Stats.t) (seed : Equery.t) : success option =
+  stats.Stats.match_attempts <- stats.Stats.match_attempts + 1;
+  if not (List.for_all (supplied ~answers ~pending seed) seed.Equery.ans_atoms)
+  then begin
+    stats.Stats.unsupplied <- stats.Stats.unsupplied + 1;
+    None
+  end
+  else search ~cat ~answers ~pending ~config ~stats seed

@@ -18,6 +18,13 @@
     constraints onto the frontier, so coordination chains are found
     naturally.
 
+    Before any grounding, every answer constraint of the seed must have a
+    {i supplier} — a head of the seed, a head of a pending query, or an
+    existing answer tuple unifying with it under the empty substitution.
+    A seed failing this has no match (unification only gets stricter as
+    the substitution grows), so the attempt ends without running a
+    sub-plan and counts in {!Stats.t.unsupplied}.
+
     The search is budgeted ([max_steps]) and the group size capped
     ([max_group]); exhausting either aborts the attempt as "no match for
     now" — the seed stays pending and will be retried, preserving the

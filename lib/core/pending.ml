@@ -6,33 +6,46 @@
     by constant value (with a separate bucket for variable positions).  A
     candidate lookup for a partially-ground answer constraint intersects the
     per-position buckets, which prunes most of the pending set before any
-    unification is attempted. *)
+    unification is attempted.
+
+    [add] computes every bucket key of a query once and keeps them next to
+    it; [remove] replays the stored keys, so neither walks a sub-plan
+    twice. *)
 
 open Relational
 module Int_set = Set.Make (Int)
 module Int_map = Map.Make (Int)
 
+(* Every bucket key of one pending query, computed once by [add]. *)
+type keys = {
+  k_rels : string list;  (** [by_rel]: head relations *)
+  k_consts : (string * int * Value.t) list;  (** [by_const] *)
+  k_vars : (string * int) list;  (** [by_var] *)
+  k_tables : string list;  (** [by_table] *)
+  k_t_consts : (string * int * Value.t) list;  (** [t_by_const] *)
+  k_t_vars : (string * int) list;  (** [t_by_var] *)
+}
+
+type entry = { query : Equery.t; keys : keys }
+
 type t = {
-  mutable queries : Equery.t Int_map.t;
+  mutable queries : entry Int_map.t;
   by_rel : (string, Int_set.t ref) Hashtbl.t;
   by_const : (string * int * Value.t, Int_set.t ref) Hashtbl.t;
   by_var : (string * int, Int_set.t ref) Hashtbl.t;
-  (* mirror index over body answer constraints, used by the cascade to find
-     queries a newly committed tuple could help *)
-  c_by_rel : (string, Int_set.t ref) Hashtbl.t;
-  c_by_const : (string * int * Value.t, Int_set.t ref) Hashtbl.t;
-  c_by_var : (string * int, Int_set.t ref) Hashtbl.t;
   (* reverse index: base-table name (lowercased) → ids of pending queries
-     whose db-atom sub-plans read that table; drives the poke's
-     table-level widening and doubles as the base bucket of the
-     constraint index below *)
+     whose db-atom sub-plans read that table or whose answer constraints
+     watch it; drives the poke's table-level widening and doubles as the
+     base bucket of the constraint index below *)
   by_table : (string, Int_set.t ref) Hashtbl.t;
-  (* constraint index over db-atom sub-plans, keyed on the base-table
-     equality predicates [Plan.constraints] extracts: per (table, column)
-     either a constant bucket (the access pins the column to that value) or
-     a variable bucket (the access leaves it free).  [probe] intersects
-     per-column buckets for a committed tuple, the same shape as the head
-     index above — candidates are looked up, not enumerated. *)
+  (* constraint index over table accesses, keyed on the base-table
+     equality predicates [Plan.constraints] extracts (and on the constant
+     positions of answer constraints, which are accesses of the answer
+     relation's table): per (table, column) either a constant bucket (the
+     access pins the column to that value) or a variable bucket (the
+     access leaves it free).  [probe] intersects per-column buckets for a
+     committed tuple, the same shape as the head index above — candidates
+     are looked up, not enumerated. *)
   t_by_const : (string * int * Value.t, Int_set.t ref) Hashtbl.t;
   t_by_var : (string * int, Int_set.t ref) Hashtbl.t;
   (* smallest access arity ever indexed per table.  [probe] only intersects
@@ -52,9 +65,6 @@ let create () =
     by_rel = Hashtbl.create 64;
     by_const = Hashtbl.create 256;
     by_var = Hashtbl.create 64;
-    c_by_rel = Hashtbl.create 64;
-    c_by_const = Hashtbl.create 256;
-    c_by_var = Hashtbl.create 64;
     by_table = Hashtbl.create 64;
     t_by_const = Hashtbl.create 256;
     t_by_var = Hashtbl.create 64;
@@ -66,7 +76,11 @@ let create () =
 let size t = t.n
 let peak t = t.peak
 let mem t id = Int_map.mem id t.queries
-let get t id = Int_map.find_opt id t.queries
+
+let get t id =
+  match Int_map.find_opt id t.queries with
+  | Some e -> Some e.query
+  | None -> None
 
 let bucket tbl k =
   match Hashtbl.find_opt tbl k with
@@ -88,37 +102,18 @@ let norm_value : Value.t -> Value.t = function
     Value.Int (int_of_float f)
   | v -> v
 
-(* One operation applied uniformly across all seven differently-keyed bucket
-   tables: [add] inserts the id (creating the bucket), [remove] deletes the
-   id and drops the bucket when it empties, so churny register/fulfil
-   workloads don't grow the index tables without bound. *)
-type bucket_op = { op : 'k. ('k, Int_set.t ref) Hashtbl.t -> 'k -> unit }
+let add_id tbl k id =
+  let b = bucket tbl k in
+  b := Int_set.add id !b
 
-let add_op id = { op = (fun tbl k -> let b = bucket tbl k in b := Int_set.add id !b) }
-
-let remove_op id =
-  {
-    op =
-      (fun tbl k ->
-        match Hashtbl.find_opt tbl k with
-        | None -> ()
-        | Some b ->
-          b := Int_set.remove id !b;
-          if Int_set.is_empty !b then Hashtbl.remove tbl k);
-  }
-
-let index_atoms atoms ~rel_tbl ~const_tbl ~var_tbl { op } =
-  List.iter
-    (fun (h : Atom.t) ->
-      let rel = rel_key h.Atom.rel in
-      op rel_tbl rel;
-      Array.iteri
-        (fun i arg ->
-          match arg with
-          | Term.Const v -> op const_tbl (rel, i, v)
-          | Term.Var _ -> op var_tbl (rel, i))
-        h.Atom.args)
-    atoms
+(* drops the bucket when it empties, so churny register/fulfil workloads
+   don't grow the index tables without bound *)
+let remove_id tbl k id =
+  match Hashtbl.find_opt tbl k with
+  | None -> ()
+  | Some b ->
+    b := Int_set.remove id !b;
+    if Int_set.is_empty !b then Hashtbl.remove tbl k
 
 (** Base tables a query's db-atom sub-plans scan, lowercased, deduplicated. *)
 let tables_read (q : Equery.t) : string list =
@@ -127,29 +122,12 @@ let tables_read (q : Equery.t) : string list =
     q.Equery.db_atoms
   |> List.sort_uniq String.compare
 
-(* Index one table access (table, arity, eqs) into the constraint index:
-   each column with an extracted [= const] lands in a constant bucket, every
-   other column in the table's variable bucket.  The walk is deterministic,
-   so add and remove visit the same keys; duplicate visits (two accesses of
-   one table) are harmless because buckets are sets. *)
-let index_access t { op } (table, arity, eqs) =
-  (match Hashtbl.find_opt t.t_arity table with
-  | Some a when a <= arity -> ()
-  | _ -> Hashtbl.replace t.t_arity table arity);
-  for i = 0 to arity - 1 do
-    match
-      List.filter_map (fun (j, v) -> if j = i then Some v else None) eqs
-    with
-    | [] -> op t.t_by_var (table, i)
-    | vs -> List.iter (fun v -> op t.t_by_const (table, i, norm_value v)) vs
-  done
-
 (* Answer constraints viewed as table accesses: answer relations ARE catalog
    tables (every fulfilment writes them through the transaction manager), so
    an [IN ANSWER R] template is an access of table [r] pinning each constant
    argument position.  Indexing these alongside the db-atom constraints
-   makes a committed answer tuple probe straight to the partners waiting on
-   it — cross-query partner lookup is sublinear, like db-atom lookup. *)
+   makes a committed answer tuple probe straight to the queries waiting on
+   it — both the poke and the cascade find them with [probe]. *)
 let ans_accesses (q : Equery.t) =
   List.map
     (fun (a : Atom.t) ->
@@ -163,50 +141,95 @@ let ans_accesses (q : Equery.t) =
       (rel_key a.Atom.rel, Array.length a.Atom.args, eqs))
     q.Equery.ans_atoms
 
-let index_constraints t (q : Equery.t) bop =
+(* Every bucket key of [q], and the arity of each table access (for
+   [t_arity]).  Duplicate keys (two accesses of one table) are harmless:
+   buckets are sets, and a second remove finds the id already gone. *)
+let keys_of (q : Equery.t) =
+  let rels = ref [] and consts = ref [] and vars = ref [] in
   List.iter
-    (fun (d : Equery.db_atom) ->
-      List.iter (index_access t bop) (Plan.constraints d.Equery.plan))
-    q.Equery.db_atoms;
-  List.iter (index_access t bop) (ans_accesses q)
-
-let index_heads t (q : Equery.t) bop =
-  index_atoms q.Equery.heads ~rel_tbl:t.by_rel ~const_tbl:t.by_const
-    ~var_tbl:t.by_var bop;
-  index_atoms q.Equery.ans_atoms ~rel_tbl:t.c_by_rel ~const_tbl:t.c_by_const
-    ~var_tbl:t.c_by_var bop;
+    (fun (h : Atom.t) ->
+      let rel = rel_key h.Atom.rel in
+      rels := rel :: !rels;
+      Array.iteri
+        (fun i arg ->
+          match arg with
+          | Term.Const v -> consts := (rel, i, v) :: !consts
+          | Term.Var _ -> vars := (rel, i) :: !vars)
+        h.Atom.args)
+    q.Equery.heads;
+  (* each column with an extracted [= const] lands in a constant bucket,
+     every other column in the table's variable bucket *)
+  let t_consts = ref [] and t_vars = ref [] in
+  let access (table, arity, eqs) =
+    for i = 0 to arity - 1 do
+      match
+        List.filter_map (fun (j, v) -> if j = i then Some v else None) eqs
+      with
+      | [] -> t_vars := (table, i) :: !t_vars
+      | vs ->
+        List.iter (fun v -> t_consts := (table, i, norm_value v) :: !t_consts) vs
+    done
+  in
+  let accesses =
+    List.concat_map
+      (fun (d : Equery.db_atom) -> Plan.constraints d.Equery.plan)
+      q.Equery.db_atoms
+    @ ans_accesses q
+  in
+  List.iter access accesses;
   (* a query is a reader of the base tables its sub-plans scan AND of the
      answer relations its constraints watch (those change through ordinary
      transactions too — every fulfilment inserts answer tuples).  A query
      touching neither lands in the "" bucket, which [reader_ids] always
      includes: nothing localises its retries. *)
-  let ans_tables =
-    List.map (fun (tbl, _, _) -> tbl) (ans_accesses q)
-    |> List.sort_uniq String.compare
-  in
-  let names =
+  let ans_tables = List.map (fun (a : Atom.t) -> rel_key a.Atom.rel) q.Equery.ans_atoms in
+  let tables =
     match List.sort_uniq String.compare (tables_read q @ ans_tables) with
     | [] -> [ "" ]
     | names -> names
   in
-  List.iter (fun name -> bop.op t.by_table name) names;
-  index_constraints t q bop
+  ( {
+      k_rels = !rels;
+      k_consts = !consts;
+      k_vars = !vars;
+      k_tables = tables;
+      k_t_consts = !t_consts;
+      k_t_vars = !t_vars;
+    },
+    List.map (fun (table, arity, _) -> table, arity) accesses )
 
 let add t (q : Equery.t) =
-  if q.Equery.id = 0 then
-    Errors.internalf "pending store: query has no assigned id";
-  t.queries <- Int_map.add q.Equery.id q t.queries;
+  let id = q.Equery.id in
+  if id = 0 then Errors.internalf "pending store: query has no assigned id";
+  let keys, arities = keys_of q in
+  t.queries <- Int_map.add id { query = q; keys } t.queries;
   t.n <- t.n + 1;
   t.peak <- max t.peak t.n;
-  index_heads t q (add_op q.Equery.id)
+  List.iter
+    (fun (table, arity) ->
+      match Hashtbl.find_opt t.t_arity table with
+      | Some a when a <= arity -> ()
+      | _ -> Hashtbl.replace t.t_arity table arity)
+    arities;
+  List.iter (fun k -> add_id t.by_rel k id) keys.k_rels;
+  List.iter (fun k -> add_id t.by_const k id) keys.k_consts;
+  List.iter (fun k -> add_id t.by_var k id) keys.k_vars;
+  List.iter (fun k -> add_id t.by_table k id) keys.k_tables;
+  List.iter (fun k -> add_id t.t_by_const k id) keys.k_t_consts;
+  List.iter (fun k -> add_id t.t_by_var k id) keys.k_t_vars
 
 let remove t id =
   match Int_map.find_opt id t.queries with
   | None -> ()
-  | Some q ->
+  | Some { keys; _ } ->
     t.queries <- Int_map.remove id t.queries;
     t.n <- t.n - 1;
-    index_heads t q (remove_op id)
+    List.iter (fun k -> remove_id t.by_rel k id) keys.k_rels;
+    List.iter (fun k -> remove_id t.by_const k id) keys.k_consts;
+    List.iter (fun k -> remove_id t.by_var k id) keys.k_vars;
+    List.iter (fun k -> remove_id t.by_table k id) keys.k_tables;
+    List.iter (fun k -> remove_id t.t_by_const k id) keys.k_t_consts;
+    List.iter (fun k -> remove_id t.t_by_var k id) keys.k_t_vars
 
 (** Total number of live buckets across the id-set index tables — the churn
     test asserts this returns to baseline after an add/remove cycle.
@@ -214,50 +237,52 @@ let remove t id =
     distinct table names, not by query churn. *)
 let bucket_count t =
   Hashtbl.length t.by_rel + Hashtbl.length t.by_const + Hashtbl.length t.by_var
-  + Hashtbl.length t.c_by_rel + Hashtbl.length t.c_by_const
-  + Hashtbl.length t.c_by_var + Hashtbl.length t.by_table
-  + Hashtbl.length t.t_by_const + Hashtbl.length t.t_by_var
+  + Hashtbl.length t.by_table + Hashtbl.length t.t_by_const
+  + Hashtbl.length t.t_by_var
 
-let exists f t = Int_map.exists (fun _ q -> f q) t.queries
-let to_list t = Int_map.fold (fun _ q acc -> q :: acc) t.queries [] |> List.rev
+let exists f t = Int_map.exists (fun _ e -> f e.query) t.queries
 
-let lookup_indexed t ~rel_tbl ~const_tbl ~var_tbl (subst : Subst.t)
-    (atom : Atom.t) : Equery.t list =
+let to_list t =
+  Int_map.fold (fun _ e acc -> e.query :: acc) t.queries [] |> List.rev
+
+(* Ids of pending queries whose head might unify with [atom] resolved
+   under [subst]: the relation's bucket, intersected per constant position
+   with that constant's bucket plus the position's variable bucket. *)
+let candidate_ids t (subst : Subst.t) (atom : Atom.t) : Int_set.t =
   let rel = rel_key atom.Atom.rel in
-  match Hashtbl.find_opt rel_tbl rel with
-  | None -> []
+  match Hashtbl.find_opt t.by_rel rel with
+  | None -> Int_set.empty
   | Some base ->
-    let resolved = Array.map (Subst.walk subst) atom.Atom.args in
-    let ids =
-      Array.to_list resolved
-      |> List.mapi (fun i term -> i, term)
-      |> List.fold_left
-           (fun acc (i, term) ->
-             match term with
-             | Term.Var _ -> acc
-             | Term.Const v ->
-               let with_const =
-                 match Hashtbl.find_opt const_tbl (rel, i, v) with
-                 | Some b -> !b
-                 | None -> Int_set.empty
-               in
-               let with_var =
-                 match Hashtbl.find_opt var_tbl (rel, i) with
-                 | Some b -> !b
-                 | None -> Int_set.empty
-               in
-               Int_set.inter acc (Int_set.union with_const with_var))
-           !base
-    in
-    Int_set.elements ids
-    |> List.filter_map (fun id -> Int_map.find_opt id t.queries)
+    let ids = ref !base in
+    Array.iteri
+      (fun i arg ->
+        match Subst.walk subst arg with
+        | Term.Var _ -> ()
+        | Term.Const v ->
+          let with_const =
+            match Hashtbl.find_opt t.by_const (rel, i, v) with
+            | Some b -> !b
+            | None -> Int_set.empty
+          in
+          let with_var =
+            match Hashtbl.find_opt t.by_var (rel, i) with
+            | Some b -> !b
+            | None -> Int_set.empty
+          in
+          ids := Int_set.inter !ids (Int_set.union with_const with_var))
+      atom.Atom.args;
+    !ids
 
 (** [candidates t subst atom] — pending queries whose head might unify with
     [atom] (resolved under [subst]), found by intersecting per-position
     buckets. *)
 let candidates t (subst : Subst.t) (atom : Atom.t) : Equery.t list =
-  lookup_indexed t ~rel_tbl:t.by_rel ~const_tbl:t.by_const ~var_tbl:t.by_var
-    subst atom
+  Int_set.elements (candidate_ids t subst atom) |> List.filter_map (get t)
+
+let exists_candidate t (atom : Atom.t) f =
+  Int_set.exists
+    (fun id -> f (Int_map.find id t.queries).query)
+    (candidate_ids t Subst.empty atom)
 
 (** [reader_ids t names] — sorted ids of pending queries reading (or
     watching) one of the named tables, case-insensitively, plus the ""
@@ -321,13 +346,6 @@ let probe t ~table (row : Tuple.t) : int list =
       check 0
     in
     Int_set.elements (Int_set.filter ok (start 0))
-
-(** [interested t atom] — pending queries one of whose *answer constraints*
-    could unify with the ground atom [atom]; the coordinator's cascade uses
-    this to retry only the queries a fresh answer tuple could help. *)
-let interested t (atom : Atom.t) : Equery.t list =
-  lookup_indexed t ~rel_tbl:t.c_by_rel ~const_tbl:t.c_by_const
-    ~var_tbl:t.c_by_var Subst.empty atom
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut Equery.pp) (to_list t)

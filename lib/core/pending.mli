@@ -4,13 +4,15 @@
     Besides the id → query map, the store maintains a {b head index} (for
     every head atom: buckets by answer-relation name plus, per argument
     position, by constant value, with a separate bucket for variable
-    positions) and a mirror {b constraint index} over body answer atoms.  A
-    candidate lookup intersects per-position buckets, pruning most of the
-    pending set before any unification is attempted.  A third index over
-    the tables each query reads ({!reader_ids}) and the equality
-    constraints its accesses pin ({!probe}) drives the coordinator's poke.
-    There is no scan path: the property tests in [test_pending_index.ml]
-    check the indexed lookups against unification over the whole store. *)
+    positions).  A candidate lookup intersects per-position buckets, pruning
+    most of the pending set before any unification is attempted.  A second
+    index over the tables each query reads or watches ({!reader_ids}) and
+    the equality constraints its accesses pin ({!probe}) drives the
+    coordinator's poke and cascade; an answer constraint is indexed there as
+    an access of its answer relation.  {!add} computes a query's bucket keys
+    once and {!remove} replays them.  There is no scan path: the property
+    tests in [test_pending_index.ml] check the indexed lookups against
+    unification over the whole store. *)
 
 type t
 
@@ -38,11 +40,10 @@ val candidates : t -> Subst.t -> Atom.t -> Equery.t list
 (** [candidates t subst atom] — pending queries whose {i head} might unify
     with [atom] (resolved under [subst]). *)
 
-val interested : t -> Atom.t -> Equery.t list
-(** [interested t atom] — pending queries one of whose {i answer
-    constraints} could unify with the ground atom [atom]; the coordinator's
-    cascade uses this to retry only the queries a fresh answer tuple could
-    help. *)
+val exists_candidate : t -> Atom.t -> (Equery.t -> bool) -> bool
+(** [exists_candidate t atom f] — whether [f] holds for some query
+    {!candidates} would return for [atom] under the empty substitution,
+    without building the list. *)
 
 val reader_ids : t -> string list -> int list
 (** [reader_ids t names] — sorted ids of pending queries whose db-atom

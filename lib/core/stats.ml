@@ -12,6 +12,9 @@ type t = {
   mutable search_steps : int;  (** solve() invocations *)
   mutable unify_attempts : int;
   mutable groundings : int;  (** database-atom row bindings explored *)
+  mutable unsupplied : int;
+      (** attempts dismissed before grounding: an answer constraint of the
+          seed had no supplier *)
   mutable budget_exhausted : int;  (** searches cut off by max_steps *)
   mutable pokes : int;  (** poke calls *)
   mutable dirty_retries : int;  (** pending queries retried by a poke *)
@@ -37,6 +40,7 @@ let create () =
     search_steps = 0;
     unify_attempts = 0;
     groundings = 0;
+    unsupplied = 0;
     budget_exhausted = 0;
     pokes = 0;
     dirty_retries = 0;
@@ -52,14 +56,15 @@ let pp ppf s =
   Fmt.pf ppf
     "@[<v>submitted: %d@,answered: %d@,groups fulfilled: %d@,rejected: \
      %d@,registered pending: %d@,cancelled: %d@,match attempts: %d@,search \
-     steps: %d@,unify attempts: %d@,groundings: %d@,budget exhausted: \
-     %d@,pokes: %d@,dirty retries: %d@,dirty skipped: %d@,batch pokes: \
-     %d@,batch poke stmts: %d@,tuple probes: %d@,tuple hits: %d@,tuple \
-     fallbacks: %d@]"
+     steps: %d@,unify attempts: %d@,groundings: %d@,unsupplied: \
+     %d@,budget exhausted: %d@,pokes: %d@,dirty retries: %d@,dirty \
+     skipped: %d@,batch pokes: %d@,batch poke stmts: %d@,tuple probes: \
+     %d@,tuple hits: %d@,tuple fallbacks: %d@]"
     s.submitted s.answered s.groups_fulfilled s.rejected s.registered
     s.cancelled s.match_attempts s.search_steps s.unify_attempts s.groundings
-    s.budget_exhausted s.pokes s.dirty_retries s.dirty_skipped s.batch_pokes
-    s.batch_poke_stmts s.tuple_probes s.tuple_hits s.tuple_fallbacks
+    s.unsupplied s.budget_exhausted s.pokes s.dirty_retries s.dirty_skipped
+    s.batch_pokes s.batch_poke_stmts s.tuple_probes s.tuple_hits
+    s.tuple_fallbacks
 
 let to_string s = Fmt.str "%a" pp s
 
@@ -77,4 +82,5 @@ let to_kv s =
          "tuple_probes", s.tuple_probes;
          "tuple_hits", s.tuple_hits;
          "tuple_fallbacks", s.tuple_fallbacks;
+         "unsupplied", s.unsupplied;
        ])

@@ -13,6 +13,9 @@ type t = {
   mutable search_steps : int;  (** matcher [solve] invocations *)
   mutable unify_attempts : int;
   mutable groundings : int;  (** database-atom row bindings explored *)
+  mutable unsupplied : int;
+      (** attempts dismissed before grounding: an answer constraint of the
+          seed had no supplier *)
   mutable budget_exhausted : int;  (** searches cut off by [max_steps] *)
   mutable pokes : int;  (** {!Coordinator.poke} calls *)
   mutable dirty_retries : int;  (** pending queries retried by a poke *)
@@ -31,5 +34,5 @@ val create : unit -> t
 val to_string : t -> string
 
 val to_kv : t -> string
-(** Poke-related counters as [coord_key=value] lines (newline-separated)
+(** Poke-related counters and [unsupplied] as [coord_key=value] lines (newline-separated)
     for the [ADMIN|…|server] wire listing; see PROTOCOL.md. *)

@@ -7,10 +7,57 @@ type t = {
   tables : (string, Table.t) Hashtbl.t;
   views : (string, string) Hashtbl.t;
       (** view name -> defining SELECT text; parsed by the SQL layer on use *)
+  mutable changed : Table.t list;
+      (** tables whose version moved, or that were created, added or
+          dropped, since the last {!drain_changed}; each at most once *)
+  mutable n_changed : int;
+  mutable drainer : int;  (** who drained last; [-1]: nobody may trust it *)
 }
 
-let create () = { tables = Hashtbl.create 16; views = Hashtbl.create 8 }
+let create () =
+  {
+    tables = Hashtbl.create 16;
+    views = Hashtbl.create 8;
+    changed = [];
+    n_changed = 0;
+    drainer = -1;
+  }
+
 let key name = String.lowercase_ascii name
+
+(* A catalog nobody drains (no coordinator) would hold every table it ever
+   dropped; past this many entries the list is cleared and the next drain
+   answers [None], as a first drain does. *)
+let max_changed = 1024
+
+let note t table =
+  if t.n_changed >= max_changed then begin
+    List.iter Table.unlist t.changed;
+    t.changed <- [];
+    t.n_changed <- 0;
+    t.drainer <- -1
+  end;
+  t.changed <- table :: t.changed;
+  t.n_changed <- t.n_changed + 1
+
+let attach t table =
+  Table.set_on_change table (note t);
+  Table.mark table
+
+(** [drain_changed t ~by] empties the changed-table list.  [Some tables]
+    when [by] also made the previous drain and the list stayed complete
+    since; [None] otherwise — the caller has not seen every change and
+    must walk the whole catalog. *)
+let drain_changed t ~by =
+  let changed = t.changed in
+  List.iter Table.unlist changed;
+  t.changed <- [];
+  t.n_changed <- 0;
+  if t.drainer = by then Some changed
+  else begin
+    t.drainer <- by;
+    None
+  end
 
 let mem t name = Hashtbl.mem t.tables (key name)
 
@@ -47,17 +94,22 @@ let create_table t schema =
     Errors.fail (Errors.Duplicate_table name);
   let table = Table.create schema in
   Hashtbl.add t.tables (key name) table;
+  attach t table;
   table
 
 (** [add_table t table] registers an existing table (used by WAL replay). *)
 let add_table t table =
   let name = Table.name table in
   if mem t name then Errors.fail (Errors.Duplicate_table name);
-  Hashtbl.add t.tables (key name) table
+  Hashtbl.add t.tables (key name) table;
+  attach t table
 
 let drop_table t name =
-  if not (mem t name) then Errors.fail (Errors.No_such_table name);
-  Hashtbl.remove t.tables (key name)
+  match find_opt t name with
+  | None -> Errors.fail (Errors.No_such_table name)
+  | Some table ->
+    Hashtbl.remove t.tables (key name);
+    Table.mark table
 
 (** [adopt dst src] replaces [dst]'s contents (tables and views) with
     [src]'s, in place.  A replica bootstrapping from a streamed snapshot
@@ -65,8 +117,13 @@ let drop_table t name =
     coordinator, the server's engine — observes the new state without
     rewiring. *)
 let adopt dst src =
+  Hashtbl.iter (fun _ table -> Table.mark table) dst.tables;
   Hashtbl.reset dst.tables;
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst.tables k v) src.tables;
+  Hashtbl.iter
+    (fun k table ->
+      Hashtbl.replace dst.tables k table;
+      attach dst table)
+    src.tables;
   Hashtbl.reset dst.views;
   Hashtbl.iter (fun k v -> Hashtbl.replace dst.views k v) src.views
 

@@ -25,6 +25,15 @@ val adopt : t -> t -> unit
     place, so live references to [dst] observe the new state — used by a
     replica bootstrapping from a streamed snapshot. *)
 
+val drain_changed : t -> by:int -> Table.t list option
+(** Empty the changed-table list: every table whose version moved, or that
+    was created, added, adopted or dropped, since the last drain (a
+    dropped table is reported by its old handle; look its name up to see
+    what is there now).  [by] names the consumer.  The answer is [None]
+    when the previous drain was made by someone else (or by nobody), or
+    the list overflowed: the caller has then missed changes and must walk
+    {!iter}. *)
+
 (** {1 Views}
 
     Views are stored as their defining SELECT text; the SQL layer parses

@@ -31,6 +31,11 @@ let lookup t key =
   | None -> []
   | Some set -> Int_set.elements !set
 
+let mem t key = Tuple.Tbl.mem t.hash key
+
+(** Number of distinct keys: exactly the NDV of the indexed positions. *)
+let distinct_keys t = Tuple.Tbl.length t.hash
+
 let insert t ~row_id row =
   let key = key_of_row t row in
   match Tuple.Tbl.find_opt t.hash key with

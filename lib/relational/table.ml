@@ -15,6 +15,8 @@ type t = {
   mutable live : int;
   mutable indexes : Index.t list;
   mutable version : int;  (** bumped on every mutation; used by Tablestats *)
+  mutable listed : bool;  (** reported to [on_change] since the last [unlist] *)
+  mutable on_change : t -> unit;  (** its catalog's changed-table list *)
 }
 
 let pk_index_name = "#pk"
@@ -35,6 +37,8 @@ let create schema =
       live = 0;
       indexes = [];
       version = 0;
+      listed = false;
+      on_change = ignore;
     }
   in
   (match schema.Schema.primary_key with
@@ -43,6 +47,22 @@ let create schema =
     t.indexes <-
       [ Index.create ~unique:true pk_index_name (Array.of_list pk) ]);
   t
+
+let mark t =
+  if not t.listed then begin
+    t.listed <- true;
+    t.on_change t
+  end
+
+let unlist t = t.listed <- false
+
+let set_on_change t f =
+  t.on_change <- f;
+  t.listed <- false
+
+let bump t =
+  t.version <- t.version + 1;
+  mark t
 
 let schema t = t.schema
 let name t = t.schema.Schema.name
@@ -54,7 +74,11 @@ let uid t = t.uid
     [v] — used when a checkpoint load rebuilds a table whose recorded
     version is ahead of the raw insert count, so post-load mutations keep
     the monotone (uid, version) contract.  Never moves backwards. *)
-let restore_version t v = if v > t.version then t.version <- v
+let restore_version t v =
+  if v > t.version then begin
+    t.version <- v;
+    mark t
+  end
 
 let get t row_id =
   if row_id < 0 || row_id >= t.high then None else t.slots.(row_id)
@@ -97,7 +121,7 @@ let insert t row =
      raise e);
   t.slots.(row_id) <- Some row;
   t.live <- t.live + 1;
-  t.version <- t.version + 1;
+  bump t;
   row_id
 
 let delete t row_id =
@@ -108,7 +132,7 @@ let delete t row_id =
     t.slots.(row_id) <- None;
     t.free <- row_id :: t.free;
     t.live <- t.live - 1;
-    t.version <- t.version + 1;
+    bump t;
     row
 
 let update t row_id row =
@@ -124,7 +148,7 @@ let update t row_id row =
        List.iter (fun ix -> Index.insert ix ~row_id old) t.indexes;
        raise e);
     t.slots.(row_id) <- Some row;
-    t.version <- t.version + 1;
+    bump t;
     old
 
 let iter f t =

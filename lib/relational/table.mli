@@ -28,6 +28,22 @@ val restore_version : t -> int -> unit
     backwards) — checkpoint load uses this so a rebuilt table's version
     stays ahead of everything the snapshot observed. *)
 
+(** {1 Change reporting}
+
+    A table reports itself to one listener (its catalog's changed-table
+    list) on its first version bump after each {!unlist}, so a consumer
+    learns which tables moved without walking the catalog. *)
+
+val set_on_change : t -> (t -> unit) -> unit
+(** Install the listener and clear the reported flag. *)
+
+val mark : t -> unit
+(** Report the table now unless it was reported since the last {!unlist}
+    (every version bump does this; the catalog also does it on DDL). *)
+
+val unlist : t -> unit
+(** Clear the reported flag: the next bump or {!mark} reports again. *)
+
 val get : t -> int -> Tuple.t option
 val get_exn : t -> int -> Tuple.t
 

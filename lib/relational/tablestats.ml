@@ -5,7 +5,11 @@
     the table changes, and the first plan after a change pays one O(rows)
     refresh.
     The planner consumes {!eq_selectivity} (1 / NDV) to order joins and
-    estimate filtered cardinalities. *)
+    estimate filtered cardinalities.  {!estimate_eq_filter} takes a
+    column's NDV from a single-column index when one covers it (its
+    distinct-key count is O(1) and always current), so a table that
+    changes between plans is only rescanned for columns no index
+    covers. *)
 
 type column_stats = {
   distinct : int;  (** number of distinct non-null values *)
@@ -80,12 +84,32 @@ let eq_selectivity (stats : t) pos =
     let c = stats.columns.(pos) in
     if c.distinct <= 0 then 1.0 else 1.0 /. float_of_int c.distinct
 
+let null_key = [| Value.Null |]
+
+(* NDV of column [pos] from a single-column index on it, nulls excluded as
+   in [collect_column]. *)
+let index_ndv (table : Table.t) pos =
+  List.find_map
+    (fun ix ->
+      let ps = Index.positions ix in
+      if Array.length ps = 1 && ps.(0) = pos then
+        Some
+          (Index.distinct_keys ix - if Index.mem ix null_key then 1 else 0)
+      else None)
+    (Table.indexes table)
+
 (** Estimated row count after applying [col = const] filters on the given
-    positions. *)
+    positions: 1 / NDV per position, from an index where one covers the
+    column and from the cached scan otherwise. *)
 let estimate_eq_filter (table : Table.t) positions =
-  let stats = get table in
   let selectivity =
-    List.fold_left (fun acc p -> acc *. eq_selectivity stats p) 1.0 positions
+    List.fold_left
+      (fun acc p ->
+        match index_ndv table p with
+        | Some ndv when ndv > 0 -> acc /. float_of_int ndv
+        | Some _ -> acc
+        | None -> acc *. eq_selectivity (get table) p)
+      1.0 positions
   in
-  max 1 (int_of_float (float_of_int stats.rows *. selectivity))
+  max 1 (int_of_float (float_of_int (Table.row_count table) *. selectivity))
 

@@ -28,5 +28,8 @@ val eq_selectivity : t -> int -> float
 
 val estimate_eq_filter : Table.t -> int list -> int
 (** Estimated row count after applying [col = const] filters on the given
-    positions (at least 1). *)
+    positions (at least 1).  A position a single-column index covers takes
+    its NDV from the index's distinct-key count; only the others read the
+    cached scan, so a changed table is rescanned only when some position
+    has no index. *)
 

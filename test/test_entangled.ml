@@ -535,6 +535,151 @@ let test_choose_k () =
       outcomes
   | _ -> Alcotest.fail "CHOOSE 2 should produce two outcomes"
 
+(* ---------------- the supplier check ---------------- *)
+
+(* [Matcher.find] dismisses a seed with an answer constraint that nothing
+   could supply, before grounding.  Each case below has exactly one kind of
+   supplier, and must still be answered. *)
+
+let unsupplied coord = (Coordinator.stats coord).Stats.unsupplied
+
+let expect_answered what = function
+  | Coordinator.Answered _ -> ()
+  | _ -> Alcotest.fail (what ^ " should be answered")
+
+let test_supplied_by_own_head () =
+  let db, coord = make_system () in
+  expect_answered "a query supplying its own constraint"
+    (Coordinator.submit coord
+       (Translate.of_sql (cat_of db) ~owner:"Solo"
+          "SELECT 'Solo', fno INTO ANSWER Reservation WHERE fno IN (SELECT \
+           fno FROM Flights WHERE dest='Paris') AND ('Solo', fno) IN ANSWER \
+           Reservation CHOOSE 1"));
+  check int "not dismissed" 0 (unsupplied coord)
+
+let test_supplied_by_answer_tuple () =
+  let db, coord = make_system () in
+  let cat = cat_of db in
+  expect_answered "Jerry's direct booking"
+    (Coordinator.submit coord
+       (Translate.of_sql cat ~owner:"Jerry"
+          "SELECT 'Jerry', fno INTO ANSWER Reservation WHERE fno IN (SELECT \
+           fno FROM Flights WHERE dest='Paris') AND fno = 123 CHOOSE 1"));
+  let answers = Coordinator.answers coord in
+  let wants name = Atom.make "reservation" [ Term.Const (v_str name); Term.Var "f" ] in
+  check bool "Jerry's tuple supplies" true (Answers.may_supply answers (wants "Jerry"));
+  check bool "nobody supplies Newman" false
+    (Answers.may_supply answers (wants "Newman"));
+  check bool "a ground tuple through #ans_full" true
+    (Answers.may_supply answers
+       (Atom.make "Reservation" [ Term.Const (v_str "Jerry"); Term.Const (v_int 123) ]));
+  check bool "a ground miss" false
+    (Answers.may_supply answers
+       (Atom.make "Reservation" [ Term.Const (v_str "Jerry"); Term.Const (v_int 122) ]));
+  expect_answered "Kramer, on Jerry's tuple"
+    (Coordinator.submit coord (paper_query cat "Kramer" "Jerry"));
+  check int "not dismissed" 0 (unsupplied coord)
+
+(* The partner case, asked of the matcher directly: dismissed without a
+   single row binding while Jerry is away, answered once he arrives. *)
+let test_supplied_by_pending_partner () =
+  let db, coord = make_system () in
+  let cat = cat_of db in
+  let stats = Coordinator.stats coord in
+  let kramer = Equery.freshen ~id:1000 (paper_query cat "Kramer" "Jerry") in
+  let find q =
+    Matcher.find ~cat ~answers:(Coordinator.answers coord)
+      ~pending:(Coordinator.pending coord) ~config:Matcher.default_config
+      ~stats q
+  in
+  let groundings = stats.Stats.groundings in
+  check bool "no match" true (find kramer = None);
+  check int "no row bound" groundings stats.Stats.groundings;
+  check int "dismissed once" 1 stats.Stats.unsupplied;
+  (match Coordinator.submit coord (paper_query cat "Kramer" "Jerry") with
+  | Coordinator.Registered _ -> ()
+  | _ -> Alcotest.fail "Kramer should park");
+  check int "parked unsupplied" 2 stats.Stats.unsupplied;
+  expect_answered "Jerry, with Kramer pending"
+    (Coordinator.submit coord (paper_query cat "Jerry" "Kramer"));
+  check int "Jerry was supplied" 2 stats.Stats.unsupplied;
+  check int "pending drained" 0 (Pending.size (Coordinator.pending coord))
+
+(* A constraint with no constant is supplied by any row or any head of its
+   relation. *)
+let test_supplied_without_constant () =
+  let db, coord = make_system () in
+  let cat = cat_of db in
+  Coordinator.declare_answer_relation coord
+    (Schema.make "Seen"
+       [ Schema.column "name" Ctype.TText; Schema.column "fno" Ctype.TInt ]);
+  let follower owner =
+    Translate.of_sql cat ~owner
+      (Printf.sprintf
+         "SELECT '%s', fno INTO ANSWER Reservation WHERE fno IN (SELECT fno \
+          FROM Flights WHERE dest='Paris') AND (who, fno) IN ANSWER Seen \
+          CHOOSE 1"
+         owner)
+  in
+  (match Coordinator.submit coord (follower "A") with
+  | Coordinator.Registered _ -> ()
+  | _ -> Alcotest.fail "nothing supplies Seen yet");
+  check int "dismissed" 1 (unsupplied coord);
+  (* a pending head into Seen supplies it *)
+  let watcher =
+    Translate.of_sql cat ~owner:"W"
+      "SELECT 'W', fno INTO ANSWER Seen WHERE fno IN (SELECT fno FROM \
+       Flights WHERE dest='Rome') AND ('Nobody', fno) IN ANSWER Reservation \
+       CHOOSE 1"
+  in
+  ignore (Coordinator.submit coord watcher);
+  check int "the watcher is dismissed too" 2 (unsupplied coord);
+  (match Coordinator.submit coord (follower "B") with
+  | Coordinator.Registered _ -> ()
+  | _ -> Alcotest.fail "W's Rome flight is no Paris flight");
+  check int "B was supplied by W's head" 2 (unsupplied coord);
+  (* and a row: the answered spotter's tuple wakes A and B through the
+     cascade *)
+  expect_answered "the spotter"
+    (Coordinator.submit coord
+       (Translate.of_sql cat ~owner:"S"
+          "SELECT 'S', fno INTO ANSWER Seen WHERE fno IN (SELECT fno FROM \
+           Flights WHERE dest='Paris') AND fno = 122 CHOOSE 1"));
+  check int "only W waits" 1 (Pending.size (Coordinator.pending coord))
+
+(* CHOOSE 2 fans out into two instances: both park unsupplied, and the
+   partner's two instances answer them. *)
+let test_supplied_choose_2 () =
+  let db, coord = make_system () in
+  let cat = cat_of db in
+  let choose2 name friend =
+    Translate.of_sql cat ~owner:name
+      (Printf.sprintf
+         "SELECT '%s', fno INTO ANSWER Reservation WHERE fno IN (SELECT fno \
+          FROM Flights WHERE dest='Paris') AND ('%s', fno) IN ANSWER \
+          Reservation CHOOSE 2"
+         name friend)
+  in
+  let outcomes = function
+    | Coordinator.Multi os ->
+      List.map
+        (function
+          | Coordinator.Answered _ -> "answered"
+          | Coordinator.Registered _ -> "registered"
+          | _ -> "other")
+        os
+    | _ -> [ "not multi" ]
+  in
+  Alcotest.(check (list string)) "Kramer's instances park"
+    [ "registered"; "registered" ]
+    (outcomes (Coordinator.submit coord (choose2 "Kramer" "Jerry")));
+  check int "both dismissed" 2 (unsupplied coord);
+  Alcotest.(check (list string)) "Jerry's instances answer"
+    [ "answered"; "answered" ]
+    (outcomes (Coordinator.submit coord (choose2 "Jerry" "Kramer")));
+  check int "Jerry's were supplied" 2 (unsupplied coord);
+  check int "pending drained" 0 (Pending.size (Coordinator.pending coord))
+
 let test_cancel () =
   let db, coord = make_system () in
   let cat = cat_of db in
@@ -845,6 +990,15 @@ let suite =
     Alcotest.test_case "ad-hoc asymmetric coordination" `Quick
       test_adhoc_asymmetric_coordination;
     Alcotest.test_case "CHOOSE k" `Quick test_choose_k;
+    Alcotest.test_case "supplier: the seed's own head" `Quick
+      test_supplied_by_own_head;
+    Alcotest.test_case "supplier: an existing answer tuple" `Quick
+      test_supplied_by_answer_tuple;
+    Alcotest.test_case "supplier: a pending partner" `Quick
+      test_supplied_by_pending_partner;
+    Alcotest.test_case "supplier: a constraint with no constant" `Quick
+      test_supplied_without_constant;
+    Alcotest.test_case "supplier: CHOOSE 2" `Quick test_supplied_choose_2;
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "poke after db update" `Quick test_poke_after_db_update;
     Alcotest.test_case "side effects atomic" `Quick test_side_effects_run_atomically;

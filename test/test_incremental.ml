@@ -236,6 +236,146 @@ let test_retry_all_counts () =
   Alcotest.(check int) "a quiescent poke retries all N again" (2 * n)
     (stats.Stats.dirty_retries - r0)
 
+(* ------------------------------------------------------------------ *)
+(* The poke learns which tables changed from the catalog's changed-table
+   list, not from a catalog walk.  Every way a table can change must still
+   reach it: each case parks a pair over Oslo on TA, pokes once (the first
+   poke widens everything), makes an Oslo flight appear by that route, and
+   expects the next poke to answer the pair. *)
+
+let park_oslo_pair coord cat =
+  List.iter
+    (fun (me, partner) ->
+      match
+        Coordinator.submit coord
+          (Translate.of_sql cat ~owner:me
+             (pair_sql ~me ~partner ~dest:"Oslo" "TA"))
+      with
+      | Coordinator.Registered _ -> ()
+      | _ -> Alcotest.fail (me ^ " should park"))
+    [ "ann", "bob"; "bob", "ann" ];
+  ignore (Coordinator.poke coord)
+
+let expect_pair_answered what coord =
+  Alcotest.(check int) (what ^ ": pair answered") 2
+    (List.length (Coordinator.poke coord));
+  Alcotest.(check int) (what ^ ": pending drained") 0
+    (Pending.size (Coordinator.pending coord))
+
+let oslo_ta () =
+  let t =
+    Table.create
+      (Schema.make "TA"
+         [ Schema.column "fno" Ctype.TInt; Schema.column "dest" Ctype.TText ])
+  in
+  ignore (Table.insert t [| v_int 77; v_str "Oslo" |]);
+  t
+
+let test_poke_widens_direct_mutation () =
+  let db, coord, ta, _ = make_coord () in
+  park_oslo_pair coord db.Database.catalog;
+  let fallbacks = (Coordinator.stats coord).Stats.tuple_fallbacks in
+  ignore (Table.insert ta [| v_int 77; v_str "Oslo" |]);
+  expect_pair_answered "direct insert" coord;
+  Alcotest.(check bool) "TA widened" true
+    ((Coordinator.stats coord).Stats.tuple_fallbacks > fallbacks)
+
+let test_poke_widens_rollback () =
+  let db, coord, ta, _ = make_coord () in
+  park_oslo_pair coord db.Database.catalog;
+  let stats = Coordinator.stats coord in
+  let retries = stats.Stats.dirty_retries in
+  (* a rolled-back insert leaves TA as it was but moves its version twice;
+     no commit reaches the observer, so the poke must widen TA *)
+  let txn = Txn.begin_ db.Database.txns in
+  ignore (Txn.insert txn ta [| v_int 78; v_str "Oslo" |]);
+  Txn.rollback txn;
+  Alcotest.(check int) "nothing to answer" 0
+    (List.length (Coordinator.poke coord));
+  Alcotest.(check int) "TA's readers retried" (retries + 2)
+    stats.Stats.dirty_retries;
+  ignore (Table.insert ta [| v_int 77; v_str "Oslo" |]);
+  expect_pair_answered "after rollback" coord
+
+let test_poke_widens_drop_recreate () =
+  let db, coord, _, _ = make_coord () in
+  park_oslo_pair coord db.Database.catalog;
+  Database.drop_table db "TA";
+  Catalog.add_table db.Database.catalog (oslo_ta ());
+  expect_pair_answered "drop and recreate" coord
+
+let test_poke_widens_adopt () =
+  let db, coord, _, tb = make_coord () in
+  let cat = db.Database.catalog in
+  park_oslo_pair coord cat;
+  (* a replica bootstrap: the catalog's contents are replaced in place *)
+  let snapshot = Catalog.create () in
+  Catalog.add_table snapshot (oslo_ta ());
+  Catalog.add_table snapshot tb;
+  Catalog.add_table snapshot (Catalog.find cat "R");
+  Catalog.adopt cat snapshot;
+  expect_pair_answered "adopt" coord
+
+(* Over a thousand DDL statements between pokes overflow the list; the next
+   poke walks the catalog instead, and still sees TA's change. *)
+let test_poke_widens_after_overflow () =
+  let db, coord, ta, _ = make_coord () in
+  park_oslo_pair coord db.Database.catalog;
+  for i = 1 to 1100 do
+    let name = Printf.sprintf "Scratch%d" i in
+    ignore
+      (Database.create_table db (Schema.make name [ Schema.column "x" Ctype.TInt ]));
+    Database.drop_table db name
+  done;
+  ignore (Table.insert ta [| v_int 77; v_str "Oslo" |]);
+  expect_pair_answered "after overflow" coord
+
+(* Two coordinators over one database each see every change, although each
+   drain empties the one list. *)
+let test_poke_two_consumers () =
+  let db, coord, ta, _ = make_coord () in
+  park_oslo_pair coord db.Database.catalog;
+  let other = Coordinator.create db in
+  ignore (Coordinator.poke other);
+  ignore (Table.insert ta [| v_int 77; v_str "Oslo" |]);
+  ignore (Coordinator.poke other);
+  expect_pair_answered "after another consumer drained" coord
+
+(* After the first poke no poke walks the catalog: over 2 000 tables, a
+   poke with nothing changed and a poke after a change to one unread table
+   each allocate less than one word per table (a walk lowercases every
+   name). *)
+let test_poke_does_not_walk_catalog () =
+  let db, coord, _, _ = make_coord () in
+  park_oslo_pair coord db.Database.catalog;
+  let n = 2000 in
+  let tables =
+    Array.init n (fun i ->
+        Database.create_table db
+          (Schema.make (Printf.sprintf "Filler%d" i)
+             [ Schema.column "x" Ctype.TInt ]))
+  in
+  ignore (Coordinator.poke coord);
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words (fun () -> ignore (Coordinator.poke coord)) in
+  let one =
+    words (fun () ->
+        ignore (Table.insert tables.(7) [| v_int 1 |]);
+        ignore (Coordinator.poke coord))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty poke: %.0f words for %d tables" empty n)
+    true
+    (empty < float_of_int n);
+  Alcotest.(check bool)
+    (Printf.sprintf "one-table poke: %.0f words for %d tables" one n)
+    true
+    (one < float_of_int n)
+
 let suite =
   [
     Alcotest.test_case "table versions bump on mutation" `Quick
@@ -250,6 +390,19 @@ let suite =
     Alcotest.test_case "poke fulfils after direct mutation" `Quick
       test_poke_fulfils_after_mutation;
     Alcotest.test_case "pending readers index" `Quick test_pending_readers;
+    Alcotest.test_case "poke widens: direct mutation" `Quick
+      test_poke_widens_direct_mutation;
+    Alcotest.test_case "poke widens: rollback" `Quick test_poke_widens_rollback;
+    Alcotest.test_case "poke widens: drop and recreate" `Quick
+      test_poke_widens_drop_recreate;
+    Alcotest.test_case "poke widens: Catalog.adopt" `Quick
+      test_poke_widens_adopt;
+    Alcotest.test_case "poke widens: changed-list overflow" `Quick
+      test_poke_widens_after_overflow;
+    Alcotest.test_case "poke widens: two consumers" `Quick
+      test_poke_two_consumers;
+    Alcotest.test_case "poke walks no catalog after the first" `Quick
+      test_poke_does_not_walk_catalog;
     Alcotest.test_case "retry-all poke counts every retry" `Quick
       test_retry_all_counts;
   ]

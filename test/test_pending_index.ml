@@ -356,9 +356,9 @@ let test_size_counter () =
 (* The head and constraint indexes against their definition.  A random
    store of entangled queries, built from SQL templates over a 3-value
    domain, is probed with random atoms: [candidates] must return every
-   query with a head that unifies with the probe, and [interested] every
-   query with an answer constraint that unifies with the ground atom —
-   before and after random removals. *)
+   query with a head that unifies with the probe, and [probe] on the answer
+   relation every query with an answer constraint that unifies with the
+   ground tuple — before and after random removals. *)
 
 let idx_names = [| "a"; "b"; "c" |]
 
@@ -507,7 +507,7 @@ let prop_index_complete =
             let subst = b1 (b0 Subst.empty) in
             let atom = Atom.make rel [ t0; t1 ] in
             let cands = ids (Pending.candidates store subst atom) in
-            (* [interested] takes a ground atom: free arguments become 0 *)
+            (* [probe] takes a committed tuple: free arguments become 0 *)
             let ground =
               Atom.make rel
                 [
@@ -515,7 +515,8 @@ let prop_index_complete =
                   Subst.walk subst t1 |> ground_or (v_int 0);
                 ]
             in
-            let inter = ids (Pending.interested store ground) in
+            let row = Option.get (Atom.to_tuple ground) in
+            let inter = Pending.probe store ~table:rel row in
             live cands && live inter
             && covers (expected (fun q -> q.Equery.heads) subst atom) cands
             && covers

@@ -482,7 +482,8 @@ let stages () =
 
 (* minor words per call with the buffer renderers (x86-64, OCaml 5.1,
    native); the Format/Printf renderers took 867, 1737, 488, 181 and
-   1000 *)
+   1000.  The coordination rows took 2839, 151 and 1000 before the
+   supplier check, the changed-table list and stored bucket keys. *)
 let budget =
   [
     ("parse pair statement", 779.);
@@ -490,6 +491,36 @@ let budget =
     ("encode its PUSH frame", 156.);
     ("encode a Flights insert record", 76.);
     ("render a one-row result", 64.);
+    ("park a pair half", 1412.);
+    ("poke with nothing changed", 24.);
+    ("pending add + remove of a pair query", 597.);
+  ]
+
+(* Coordination stages on the travel dataset the wire benchmarks serve:
+   parking the first half of a pair (its partner has not arrived, so the
+   supplier check dismisses it before grounding), a poke with nothing
+   changed since the last one, and indexing then dropping one pair query
+   in the pending store. *)
+let coordination_stages () =
+  let sys =
+    Travel.Datagen.make_system ~seed:1 ~n_flights:32 ~n_hotels:16 ()
+  in
+  let coord = Youtopia.System.coordinator sys in
+  let q =
+    Core.Translate.of_sql (Youtopia.System.catalog sys) ~owner:"alice"
+      pair_sql
+  in
+  ignore (Core.Coordinator.poke coord);
+  let store = Core.Pending.create () in
+  let stored = Core.Equery.freshen ~id:1 q in
+  [
+    ("park a pair half", (fun () -> Obj.repr (Core.Coordinator.submit coord q)));
+    ("poke with nothing changed", (fun () -> Obj.repr (Core.Coordinator.poke coord)));
+    ( "pending add + remove of a pair query",
+      fun () ->
+        Core.Pending.add store stored;
+        Core.Pending.remove store 1;
+        Obj.repr () );
   ]
 
 let test_alloc_budget () =
@@ -501,7 +532,7 @@ let test_alloc_budget () =
         if words > allowed then
           Some (Printf.sprintf "%s: %.0f minor words per call, budget %.0f" name words allowed)
         else None)
-      (stages ())
+      (stages () @ coordination_stages ())
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
